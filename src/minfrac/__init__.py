@@ -9,6 +9,7 @@ brute-force oracle for cross-checking, and ships a sweep harness plus a CLI
 from .descent import (
     DescentTrace,
     descend_step,
+    descent_runs,
     descent_steps,
     initial_pair,
     minimal_fractions,
@@ -90,6 +91,7 @@ __all__ = [
     "check_sqrt_bound",
     "criterion_key",
     "descend_step",
+    "descent_runs",
     "descent_steps",
     "enumerate_class",
     "initial_pair",

@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes are part of the contract: 0 success, 1 a sweep or cross-check
 found a counterexample, 2 usage error, 3 internal invariant failure,
-4 brute-force ceiling exceeded.
+4 ceiling exceeded (a brute-force scan, or a trace too long to print).
 
 Integer arguments accept decimal or 0x-prefixed hex, so cryptographic-scale
 moduli paste in directly.  JSON output for identical inputs is identical
@@ -22,11 +22,11 @@ import argparse
 import json
 import sys
 
-from .descent import run_descent
+from .descent import descent_runs, run_descent
 from .errors import CeilingExceeded, InvariantError
 from .harness import CHECK_NAMES, SweepConfig, run_checks
 from .minimality import minimum_fraction, sqrt_bound_witness
-from .oracle import brute_minimum, enumerate_class
+from .oracle import DEFAULT_ENUMERATION_CEILING, brute_minimum, check_ceiling, enumerate_class
 from .residues import Fraction, Residue, ResidueClass, check_modulus, represents
 
 _EXIT_CODES = """\
@@ -35,7 +35,8 @@ exit codes:
   1  counterexample found (verify, table --cross-check)
   2  usage error
   3  internal invariant failure
-  4  brute-force ceiling exceeded (see --ceiling-override / MINFRAC_CEILING)
+  4  ceiling exceeded: brute-force scan or trace length
+     (see --ceiling-override / MINFRAC_CEILING)
 """
 
 
@@ -115,6 +116,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     m = args.modulus
     r = Residue(_reduce_x(args.x, m), m)
+    # The trace is linear in steps, which can be of order M: count its pairs
+    # from the runs first and refuse a trace too long to print.
+    pairs = 1 + sum(k for *_, k in descent_runs(r.x, m))
+    check_ceiling(pairs, args.ceiling_override, DEFAULT_ENUMERATION_CEILING, "trace: pair count")
     trace = run_descent(r)
     if args.format == "json":
         _emit({
@@ -220,6 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="print the full descent pair sequence")
     _add_common(p)
+    p.add_argument("--ceiling-override", type=_int_arg, default=None,
+                   help="raise/lower the ceiling on the number of pairs printed")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("table", help="minimum fractions for x = 1..M-1")

@@ -11,6 +11,11 @@ On a tie in magnitudes the two numerators cancel exactly, so the mediant
 numerator is 0 and it must take the positive slot; replacing the negative
 side instead would strand a zero numerator there and the walk would never
 end.
+
+The walk is a subtractive Euclid, so its length is the sum of the partial
+quotients of x/M and can be of order M.  `descent_runs` groups consecutive
+replacements of the same side into runs, of which there are O(log M); the
+step walk `descent_steps` stays as the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ def descent_steps(x: int, m: int) -> Iterator[RawStep]:
 
     Yields (neg_n, neg_d, pos_n, pos_d, replaced) for every pair from the
     initial one to the terminal one; `replaced` is None for the initial pair.
-    Requires 0 <= x < m.  This is the single implementation of the walk;
+    Requires 0 <= x < m.  This is the reference implementation of the walk;
     the object-level API below and the sweep harness both consume it.
     """
     if not 0 <= x < m:
@@ -47,6 +52,31 @@ def descent_steps(x: int, m: int) -> Iterator[RawStep]:
     while pn != 0:
         nn, nd, pn, pd, rep = _advance(nn, nd, pn, pd)
         yield nn, nd, pn, pd, rep
+
+
+def descent_runs(x: int, m: int) -> Iterator[tuple[int, int, int, int, ResidueClass, int]]:
+    """The descent walk grouped into runs of same-side replacements.
+
+    Yields (neg_n, neg_d, pos_n, pos_d, replaced, k): the pair at the start
+    of a run, the side the run replaces and its length k >= 1.  Step j of
+    the run (1 <= j <= k) turns the replaced side a into a + j*b, where b is
+    the other side, so the walk's pair count is 1 + the sum of the k.  Runs
+    alternate sides; the terminal pair is not yielded.  Requires 0 <= x < m.
+    """
+    if not 0 <= x < m:
+        raise ValueError(f"residue {x} out of range [0, {m})")
+    nn, nd, pn, pd = -m, 0, x, 1
+    while pn != 0:
+        if -nn > pn:
+            k = (-nn - 1) // pn  # largest k with -(nn + (k-1)*pn) > pn
+            yield nn, nd, pn, pd, ResidueClass.NEGATIVE, k
+            nn += k * pn
+            nd += k * pd
+        else:
+            k = pn // -nn  # largest k with pn + (k-1)*nn >= -nn, ties included
+            yield nn, nd, pn, pd, ResidueClass.POSITIVE, k
+            pn += k * nn
+            pd += k * nd
 
 
 @dataclass(frozen=True)

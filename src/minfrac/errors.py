@@ -10,16 +10,18 @@ class InvariantError(RuntimeError):
 
 
 class CeilingExceeded(RuntimeError):
-    """A brute-force operation was asked to run beyond its configured ceiling.
+    """An operation was asked to run beyond its configured ceiling.
 
     Raised instead of silently starting a computation that may take hours.
+    `size` is the quantity held against the ceiling, which `what` names:
+    the modulus of a brute-force scan or the pair count of a trace.
     """
 
-    def __init__(self, m: int, ceiling: int, what: str):
+    def __init__(self, size: int, ceiling: int, what: str):
         super().__init__(
-            f"{what} for modulus {m} exceeds the ceiling {ceiling}; "
+            f"{what} {size} exceeds the ceiling {ceiling}; "
             f"raise the ceiling explicitly to proceed"
         )
-        self.m = m
+        self.size = size
         self.ceiling = ceiling
         self.what = what

@@ -7,14 +7,19 @@ invariant.  Anomalies (currently only unusually long traces) are flagged for
 inspection but never fail a report, because termination carries no stated
 step bound.
 
+minimum_fraction and sqrt_bound_witness walk the descent by runs; the
+agreement and sqrt_bound checks compare them with scans of the step walk,
+kept here as their slow twins, as well as with the oracle and the bound.
+
 Sweeps are embarrassingly parallel over moduli; with parallelism > 1 the
-moduli are striped across a process pool and the partial results merged into
-a canonical order, so a report is deterministic for a given config no matter
-how the work was split.
+moduli are striped across a process pool of at most one worker per CPU and
+per modulus, and the partial results merged into a canonical order, so a
+report is deterministic for a given config no matter how the work was split.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +29,14 @@ from .descent import descent_steps, run_descent
 from .errors import InvariantError
 from .minimality import is_minimal_pair, minimum_fraction, sqrt_bound_witness
 from .oracle import brute_minimum, brute_pair_minimal
-from .residues import FractionPair, Residue, ResidueClass, residue_fraction
+from .residues import (
+    Fraction,
+    FractionPair,
+    Residue,
+    ResidueClass,
+    represents,
+    residue_fraction,
+)
 
 CHECK_NAMES = ("determinant", "minimality", "sqrt_bound", "progress", "agreement")
 
@@ -152,19 +164,56 @@ def _determinant_m(m: int) -> tuple[int, list[Counterexample], list[Anomaly]]:
     return passes, bad, []
 
 
+def _step_minimum(r: Residue) -> Fraction:
+    """Slow twin of minimum_fraction: the criterion scan over every step pair."""
+    best: tuple[tuple[int, int, int], int, int] | None = None
+    for nn, nd, pn, pd, _ in descent_steps(r.x, r.m):
+        for n, d in ((nn, nd), (pn, pd)):
+            if d >= 1:
+                key = (max(-n if n < 0 else n, d), d, 0 if n >= 0 else 1)
+                if best is None or key < best[0]:
+                    best = (key, n, d)
+    assert best is not None  # trace always contains x/1
+    return Fraction(best[1], best[2])
+
+
+def _step_witness(r: Residue) -> Fraction:
+    """Slow twin of sqrt_bound_witness: the first qualifying step-walk fraction."""
+    m = r.m
+    for nn, nd, pn, pd, _ in descent_steps(r.x, r.m):
+        if nn * nn <= m and nd * nd <= m:
+            return Fraction(nn, nd)
+        if pn * pn <= m and pd * pd <= m:
+            return Fraction(pn, pd)
+    raise InvariantError(f"the step walk finds no sqrt-bounded representation for {r}")
+
+
 def _sqrt_bound_m(m: int) -> tuple[int, list[Counterexample], list[Anomaly]]:
     passes = 0
     bad: list[Counterexample] = []
     for x in range(m):
         r = Residue(x, m)
         try:
-            sqrt_bound_witness(r)
-            passes += 1
+            witness = sqrt_bound_witness(r)
+            step_witness = _step_witness(r)
         except InvariantError:
             trace = ", ".join(str(p) for p in run_descent(r).pairs)
             bad.append(
                 Counterexample(
                     m, x, f"no representation with n^2 <= {m} and d^2 <= {m}; trace: {trace}",
+                    _replay(m, x),
+                )
+            )
+            continue
+        n, d = witness.n, witness.d
+        if witness == step_witness and represents(r, witness) and n * n <= m and d * d <= m:
+            passes += 1
+        else:
+            bad.append(
+                Counterexample(
+                    m, x,
+                    f"run witness {witness} vs step witness {step_witness}: "
+                    f"must be equal, represent x and have n^2 <= {m} and d^2 <= {m}",
                     _replay(m, x),
                 )
             )
@@ -240,14 +289,17 @@ def _agreement_m(
 
     for x in range(m):
         r = Residue(x, m)
-        fast_min = minimum_fraction(r)
+        run_min = minimum_fraction(r)
+        step_min = _step_minimum(r)
         slow_min = brute_minimum(r, ceiling=ceiling)
-        if fast_min == slow_min:
+        if run_min == step_min == slow_min:
             passes += 1
         else:
             bad.append(
                 Counterexample(
-                    m, x, f"trace minimum {fast_min} != enumerated minimum {slow_min}",
+                    m, x,
+                    f"run minimum {run_min}, step minimum {step_min} and "
+                    f"enumerated minimum {slow_min} differ",
                     f"minfrac repr --modulus {m} --x {x}",
                 )
             )
@@ -291,16 +343,18 @@ def _chunk_worker(task: tuple) -> tuple[int, list[Counterexample], list[Anomaly]
 def _run_one_check(check: str, cfg: SweepConfig) -> VerificationReport:
     start = time.perf_counter()
     ms = tuple(range(cfg.m_min, cfg.m_max + 1))
+    # More workers than CPUs or moduli only adds processes; the merged
+    # report does not depend on the split.
+    workers = min(cfg.parallelism, os.cpu_count() or 1, len(ms))
     tasks = [
-        (check, ms[i :: cfg.parallelism], cfg.trace_cap_factor, cfg.seed,
+        (check, ms[i::workers], cfg.trace_cap_factor, cfg.seed,
          cfg.random_pairs_per_m, cfg.ceiling)
-        for i in range(cfg.parallelism)
-        if ms[i :: cfg.parallelism]
+        for i in range(workers)
     ]
-    if len(tasks) == 1:
+    if workers == 1:
         parts = [_chunk_worker(tasks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_chunk_worker, tasks))
     passes = sum(p for p, _, _ in parts)
     bad = sorted((c for _, cs, _ in parts for c in cs), key=lambda c: (c.m, c.x, c.detail))
@@ -328,7 +382,11 @@ def check_determinant(m_range: tuple[int, int], parallelism: int = 1) -> Verific
 
 
 def check_sqrt_bound(m_range: tuple[int, int], parallelism: int = 1) -> VerificationReport:
-    """Every residue has a representation with n^2 <= M and d^2 <= M."""
+    """Every residue has a representation with n^2 <= M and d^2 <= M.
+
+    The witness from the run-length walk must equal the first qualifying
+    fraction of the step walk, represent x, and meet the bound.
+    """
     cfg = SweepConfig(m_range[0], m_range[1], checks=("sqrt_bound",), parallelism=parallelism)
     return run_checks(cfg)[0]
 
@@ -365,9 +423,10 @@ def check_agreement(
 ) -> VerificationReport:
     """The fast paths agree with the brute-force oracle.
 
-    Compares minimum_fraction against brute_minimum for every residue, and
-    is_minimal_pair against brute_pair_minimal on every trace pair plus an
-    optional seeded sample of random pairs per modulus.
+    Compares minimum_fraction (run-length walk) against a scan of the step
+    walk and against brute_minimum for every residue, and is_minimal_pair
+    against brute_pair_minimal on every trace pair plus an optional seeded
+    sample of random pairs per modulus.
     """
     cfg = SweepConfig(
         m_range[0], m_range[1], checks=("agreement",), parallelism=parallelism,

@@ -11,8 +11,9 @@ smaller denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
-from .descent import descent_steps
+from .descent import descent_runs
 from .errors import InvariantError
 from .residues import (
     Fraction,
@@ -95,36 +96,63 @@ def is_minimal_pair(p: FractionPair, r: Residue) -> MinimalityVerdict:
 def minimum_fraction(r: Residue) -> Fraction:
     """The criterion-minimal representation of r, excluding denominator 0.
 
-    Found by scanning the descent trace, which visits every per-class
-    minimal fraction; the global minimum is always among them (checked
-    against exhaustive enumeration by the oracle test sweep).
+    The descent visits every per-class minimal fraction, so the global
+    minimum is among x/1 and the mediants it visits (checked against the
+    step scan and exhaustive enumeration by the agreement sweep).  Within a
+    run that turns side a into a + j*b (j = 1..k), |a.n| - j*|b.n| falls
+    and a.d + j*b.d rises, so the key falls up to
+    j = c = (|a.n| - a.d) // (|b.n| + b.d) and rises after it: the run's
+    best is at c or c+1, clamped to [1, k].  That is O(log M) work where
+    the step walk needs one comparison per step.  No tie can depend on
+    scan order, because the class and the denominator fix a visited
+    fraction's numerator, so distinct fractions have distinct keys.
     """
-    best: tuple[tuple[int, int, int], int, int] | None = None
-    for nn, nd, pn, pd, _ in descent_steps(r.x, r.m):
-        for n, d in ((nn, nd), (pn, pd)):
-            if d >= 1:
-                key = (max(-n if n < 0 else n, d), d, 0 if n >= 0 else 1)
-                if best is None or key < best[0]:
-                    best = (key, n, d)
-    assert best is not None  # trace always contains x/1
-    return Fraction(best[1], best[2])
+    x = r.x
+    best_key, best_n, best_d = (max(x, 1), 1, 0), x, 1
+    for nn, nd, pn, pd, side, k in descent_runs(x, r.m):
+        if side is ResidueClass.NEGATIVE:
+            an, ad, bn, bd, negative = -nn, nd, pn, pd, 1
+        else:
+            an, ad, bn, bd, negative = pn, pd, -nn, nd, 0
+        if ad + bd > best_key[0]:
+            # Mediant denominators rise along the whole walk and bound the
+            # key from below, so no later fraction can win.
+            break
+        c = (an - ad) // (bn + bd)
+        for j in (1,) if c < 1 else (k,) if c >= k else (c, c + 1):
+            n = an - j * bn
+            d = ad + j * bd
+            key = (n if n > d else d, d, negative)
+            if key < best_key:
+                best_key, best_n, best_d = key, -n if negative else n, d
+    return Fraction(best_n, best_d)
 
 
 def sqrt_bound_witness(r: Residue) -> Fraction:
     """A representation of r with |n| <= sqrt(M) and d <= sqrt(M).
 
-    The first qualifying fraction in trace order is returned; comparisons
-    square the coefficients instead of taking square roots, so everything
-    stays in exact integers.  Every residue has such a representation; if
-    the scan ever comes up empty that falsifies the bound and is raised as
-    an InvariantError.
+    The first qualifying fraction in trace order is returned (the harness
+    checks this against a scan of the step walk).  Each trace pair adds one
+    fraction to the pair before it, and -M/0 never qualifies, so trace
+    order is x/1 and then each run's mediants in order of j.  Within a run
+    |n| falls and d rises, so only the smallest j with |n| <= isqrt(M) can
+    be the run's first qualifying mediant.  Everything stays in exact
+    integers.  Every residue has such a representation; if the scan ever
+    comes up empty that falsifies the bound and is raised as an
+    InvariantError.
     """
     m = r.m
-    for nn, nd, pn, pd, _ in descent_steps(r.x, r.m):
-        if nn * nn <= m and nd * nd <= m:
-            return Fraction(nn, nd)
-        if pn * pn <= m and pd * pd <= m:
-            return Fraction(pn, pd)
+    s = isqrt(m)
+    if r.x <= s:
+        return Fraction(r.x, 1)
+    for nn, nd, pn, pd, side, k in descent_runs(r.x, m):
+        if side is ResidueClass.NEGATIVE:
+            an, ad, bn, bd, sign = -nn, nd, pn, pd, -1
+        else:
+            an, ad, bn, bd, sign = pn, pd, -nn, nd, 1
+        j = max(1, -((s - an) // bn))  # smallest j with an - j*bn <= s
+        if j <= k and ad + j * bd <= s:
+            return Fraction(sign * (an - j * bn), ad + j * bd)
     raise InvariantError(
         f"no sqrt-bounded representation found for {r}; "
         f"this falsifies the existence bound and should be reported"

@@ -8,7 +8,8 @@ helpers.
 
 Brute-force work is gated behind ceilings so a typo'd modulus cannot start
 an hours-long run by accident; exceeding a ceiling raises CeilingExceeded
-rather than silently proceeding.
+rather than silently proceeding.  The CLI's `trace` holds its pair count
+against the enumeration ceiling through the same gate.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .residues import Fraction, FractionPair, Residue, ResidueClass
 DEFAULT_ENUMERATION_CEILING = 10**6
 DEFAULT_PAIR_CHECK_CEILING = 10**4
 
-# Environment override for the default ceilings (both gates); explicit
+# Environment override for the default ceilings (every gate); explicit
 # `ceiling=` arguments still win over it.
 CEILING_ENV_VAR = "MINFRAC_CEILING"
 
@@ -31,15 +32,24 @@ def _resolve_ceiling(explicit: int | None, default: int) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get(CEILING_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return default
+    try:
         return int(env, 0)
-    return default
+    except ValueError:
+        raise ValueError(
+            f"{CEILING_ENV_VAR}={env!r} is not an integer (decimal or 0x hex)"
+        ) from None
 
 
-def _check_ceiling(m: int, explicit: int | None, default: int, what: str) -> None:
+def check_ceiling(size: int, explicit: int | None, default: int, what: str) -> None:
+    """Raise CeilingExceeded if size is above the resolved ceiling.
+
+    The ceiling is `explicit` if given, else $MINFRAC_CEILING, else `default`.
+    """
     ceiling = _resolve_ceiling(explicit, default)
-    if m > ceiling:
-        raise CeilingExceeded(m, ceiling, what)
+    if size > ceiling:
+        raise CeilingExceeded(size, ceiling, what)
 
 
 def enumerate_class(r: Residue, cls: ResidueClass, ceiling: int | None = None) -> list[Fraction]:
@@ -48,7 +58,7 @@ def enumerate_class(r: Residue, cls: ResidueClass, ceiling: int | None = None) -
     Positive class: denominators 1..M; negative class: 0..M-1.  Either way
     the list has exactly M entries.
     """
-    _check_ceiling(r.m, ceiling, DEFAULT_ENUMERATION_CEILING, "class enumeration")
+    check_ceiling(r.m, ceiling, DEFAULT_ENUMERATION_CEILING, "class enumeration: modulus")
     x, m = r.x, r.m
     if cls is ResidueClass.POSITIVE:
         return [Fraction((x * d) % m, d) for d in range(1, m + 1)]
@@ -79,7 +89,7 @@ def brute_minimum(r: Residue, ceiling: int | None = None) -> Fraction:
     coefficient, then smaller denominator, then positive class -- but spelled
     out locally so this path shares no code with the module it checks.
     """
-    _check_ceiling(r.m, ceiling, DEFAULT_ENUMERATION_CEILING, "minimum enumeration")
+    check_ceiling(r.m, ceiling, DEFAULT_ENUMERATION_CEILING, "minimum enumeration: modulus")
     x, m = r.x, r.m
     best_n = best_d = best_max = None
     for d in range(1, m + 1):
@@ -103,7 +113,7 @@ def brute_pair_minimal(p: FractionPair, r: Residue, ceiling: int | None = None) 
     the pair's numerator magnitudes, d must be >= the pair's denominator of
     that class.
     """
-    _check_ceiling(r.m, ceiling, DEFAULT_PAIR_CHECK_CEILING, "pair-minimality check")
+    check_ceiling(r.m, ceiling, DEFAULT_PAIR_CHECK_CEILING, "pair-minimality check: modulus")
     x, m = r.x, r.m
     threshold = -p.neg.n + p.pos.n
     neg_d, pos_d = p.neg.d, p.pos.d

@@ -1,13 +1,18 @@
 """End-to-end CLI tests: output text, JSON schema, exit codes."""
 
 import json
+import time
 
 import pytest
 
+import minfrac.harness as harness
 from minfrac.cli import main, render_fraction
+from minfrac.oracle import CEILING_ENV_VAR
 from minfrac.residues import Fraction, parse_fraction
 
 TABLE_17 = "1, 2, 3, 4, -2/3, 1/3, -3/2, -1/2, 1/2, 3/2, -1/3, 2/3, -4, -3, -2, -1"
+
+SECP256K1_P = 2**256 - 2**32 - 977
 
 
 def run(capsys, *argv):
@@ -52,6 +57,21 @@ def test_repr_json_matches_text(capsys):
     lines = out.splitlines()
     assert parse_fraction(lines[0]) == Fraction(minimum["n"], minimum["d"])
     assert parse_fraction(lines[1].removeprefix("witness: ")) == Fraction(witness["n"], witness["d"])
+
+
+def test_repr_256_bit_near_small_rationals(capsys):
+    # x = 1 and x close to P/2, P/3 walk of order P steps; runs make them instant
+    start = time.perf_counter()
+    p = SECP256K1_P
+    for x, expected in ((1, "1"), (p // 2, "-1/2"), (p // 3, "-1/3"), (p - 1, "-1")):
+        code, out, _ = run(capsys, "repr", "-m", hex(p), "--x", str(x))
+        assert code == 0
+        minimum, witness = out.splitlines()
+        assert minimum == expected
+        w = parse_fraction(witness.removeprefix("witness: "))
+        assert w.n * w.n <= p and w.d * w.d <= p
+        assert (x * w.d - w.n) % p == 0
+    assert time.perf_counter() - start < 1.0
 
 
 def test_hex_input(capsys):
@@ -127,6 +147,32 @@ def test_trace_single_pair_for_zero(capsys):
     assert out.splitlines() == ["(-17/0, 0/1) det=17"]
 
 
+def test_trace_refuses_walks_above_the_ceiling(capsys, monkeypatch):
+    monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "trace", "-m", hex(SECP256K1_P), "--x", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert out == ""
+    assert f"trace: pair count {SECP256K1_P + 1} exceeds the ceiling 1000000" in err
+    # 1 mod 17 walks 17 steps: 18 pairs
+    assert run(capsys, "trace", "-m", "17", "--x", "1", "--ceiling-override", "17")[0] == 4
+    code, out, _ = run(capsys, "trace", "-m", "17", "--x", "1", "--ceiling-override", "18")
+    assert code == 0
+    assert len(out.splitlines()) == 18
+    monkeypatch.setenv(CEILING_ENV_VAR, "17")
+    assert run(capsys, "trace", "-m", "17", "--x", "1")[0] == 4
+    assert run(capsys, "trace", "-m", "17", "--x", "1", "--ceiling-override", "18")[0] == 0
+
+
+def test_malformed_ceiling_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv(CEILING_ENV_VAR, "abc")
+    code, out, err = run(capsys, "table", "-m", "17", "--cross-check")
+    assert code == 2
+    assert out == ""
+    assert CEILING_ENV_VAR in err and "'abc'" in err
+
+
 def test_trace_json_matches_text(capsys):
     code, out, _ = run(capsys, "trace", "-m", "101", "--x", "37", "--format", "json")
     assert code == 0
@@ -190,6 +236,39 @@ def test_verify_selected_checks_and_workers(capsys):
     assert code == 0
     heads = [ln.split(":")[0] for ln in out.splitlines() if not ln.startswith("  ")]
     assert heads == ["determinant", "progress"]
+
+
+def test_verify_workers_are_clamped(capsys, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    argv = ["verify", "--m-min", "2", "--m-max", "30", "--checks", "determinant",
+            "--workers", str(10**9), "--format", "json"]
+    code, clamped, _ = run(capsys, *argv)
+    assert code == 0
+    assert pools == [4]  # bounded by the CPU count
+    code, serial, _ = run(capsys, *argv[:-4], "--workers", "1", "--format", "json")
+    assert code == 0 and serial == clamped
+    assert pools == [4]
+    assert run(capsys, "verify", "--m-min", "2", "--m-max", "4", "--checks", "determinant",
+               "--workers", str(10**9))[0] == 0
+    assert pools == [4, 3]  # bounded by the number of moduli
 
 
 def test_verify_json_schema(capsys):

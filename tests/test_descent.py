@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from minfrac.descent import (
     descend_step,
+    descent_runs,
     descent_steps,
     initial_pair,
     minimal_fractions,
@@ -59,6 +60,46 @@ def test_descent_steps_rejects_out_of_range_residue():
         list(descent_steps(17, 17))
     with pytest.raises(ValueError):
         list(descent_steps(-1, 17))
+
+
+def _expand_runs(x, m):
+    """Replay descent_runs step by step, in descent_steps' tuple format."""
+    steps = [(-m, 0, x, 1, None)]
+    for nn, nd, pn, pd, side, k in descent_runs(x, m):
+        assert k >= 1
+        assert steps[-1][:4] == (nn, nd, pn, pd)
+        for _ in range(k):
+            if side is NEG:
+                nn, nd = nn + pn, nd + pd
+            else:
+                pn, pd = pn + nn, pd + nd
+            steps.append((nn, nd, pn, pd, side))
+    return steps
+
+
+def test_descent_runs_groups_the_frozen_trace():
+    # 7 mod 17 replaces neg, neg, pos, pos, neg, neg, pos
+    assert list(descent_runs(7, 17)) == [
+        (-17, 0, 7, 1, NEG, 2),
+        (-3, 2, 7, 1, POS, 2),
+        (-3, 2, 1, 5, NEG, 2),
+        (-1, 12, 1, 5, POS, 1),
+    ]
+    assert list(descent_runs(0, 17)) == []
+    assert list(descent_runs(5, 10))[-1] == (-5, 1, 5, 1, POS, 1)  # tie: positive side
+
+
+def test_descent_runs_expand_to_the_step_walk():
+    for m in range(2, 130):
+        for x in range(m):
+            assert _expand_runs(x, m) == list(descent_steps(x, m)), (x, m)
+
+
+def test_descent_runs_rejects_out_of_range_residue():
+    with pytest.raises(ValueError):
+        list(descent_runs(17, 17))
+    with pytest.raises(ValueError):
+        list(descent_runs(-1, 17))
 
 
 def test_descend_step_example():

@@ -1,10 +1,11 @@
 """Tests for per-class/pair minimality and the minimum-fraction criterion."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minfrac.descent import run_descent
+from minfrac.harness import _step_minimum, _step_witness
 from minfrac.minimality import (
     criterion_key,
     is_minimal_in_class,
@@ -145,3 +146,25 @@ def test_minimum_beats_every_enumerated_candidate(data):
         if d < m:
             neg = Fraction((x * d) % m - m, d)
             assert key <= criterion_key(neg)
+
+
+def _euclid_steps(x, m):
+    """Step count of the descent for x mod m: the sum of x/m's partial quotients."""
+    steps = 0
+    while x:
+        q, rem = divmod(m, x)
+        steps += q
+        m, x = x, rem
+    return steps
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_run_length_paths_match_step_scans_up_to_256_bits(data):
+    bits = data.draw(st.integers(2, 256))
+    m = data.draw(st.integers(2, 2**bits))
+    x = data.draw(st.integers(0, m - 1))
+    assume(_euclid_steps(x, m) <= 10**5)  # keeps the step scans bounded
+    r = Residue(x, m)
+    assert minimum_fraction(r) == _step_minimum(r)
+    assert sqrt_bound_witness(r) == _step_witness(r)

@@ -97,7 +97,7 @@ def test_enumeration_ceiling(monkeypatch):
     big = Residue(3, DEFAULT_ENUMERATION_CEILING + 1)
     with pytest.raises(CeilingExceeded) as exc:
         enumerate_class(big, ResidueClass.POSITIVE)
-    assert exc.value.m == DEFAULT_ENUMERATION_CEILING + 1
+    assert exc.value.size == DEFAULT_ENUMERATION_CEILING + 1
     assert exc.value.ceiling == DEFAULT_ENUMERATION_CEILING
     with pytest.raises(CeilingExceeded):
         brute_minimum(big)
