@@ -44,6 +44,7 @@ from .oracle import (
     RepresentationTable,
     brute_minimum,
     brute_pair_minimal,
+    brute_prefix_minima,
     enumerate_class,
     representation_table,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "VerificationReport",
     "brute_minimum",
     "brute_pair_minimal",
+    "brute_prefix_minima",
     "check_agreement",
     "check_determinant",
     "check_minimality",

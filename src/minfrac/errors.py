@@ -25,3 +25,7 @@ class CeilingExceeded(RuntimeError):
         self.size = size
         self.ceiling = ceiling
         self.what = what
+
+    def __reduce__(self):
+        # Rebuilt from its fields, so it survives the trip back from a worker process.
+        return type(self), (self.size, self.ceiling, self.what)

@@ -11,24 +11,37 @@ minimum_fraction and sqrt_bound_witness walk the descent by runs; the
 agreement and sqrt_bound checks compare them with scans of the step walk,
 kept here as their slow twins, as well as with the oracle and the bound.
 
+The minimality check scans each residue's class residues once, from the
+oracle's prefix minima, and then tests every trace pair in O(1); the
+agreement check keeps the oracle's literal per-pair scan.  Brute-force
+ceilings are resolved once per check run, so workers get plain integers.
+
 Sweeps are embarrassingly parallel over moduli; with parallelism > 1 the
 moduli are striped across a process pool of at most one worker per CPU and
 per modulus, and the partial results merged into a canonical order, so a
 report is deterministic for a given config no matter how the work was split.
+The pool and the sampler are imported only when a sweep needs them, which
+keeps them out of every other command's start-up.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .descent import descent_steps, run_descent
 from .errors import InvariantError
 from .minimality import is_minimal_pair, minimum_fraction, sqrt_bound_witness
-from .oracle import brute_minimum, brute_pair_minimal
+from .oracle import (
+    DEFAULT_ENUMERATION_CEILING,
+    DEFAULT_PAIR_CHECK_CEILING,
+    brute_minimum,
+    brute_pair_minimal,
+    brute_prefix_minima,
+    resolve_ceiling,
+)
 from .residues import (
     Fraction,
     FractionPair,
@@ -142,11 +155,24 @@ class VerificationReport:
         return line + f" ({self.duration:.2f}s)"
 
 
+class _Params(NamedTuple):
+    """What the per-modulus checks read from a config, ceilings resolved."""
+
+    cap_factor: int
+    seed: int
+    random_pairs: int
+    pair_ceiling: int
+    enumeration_ceiling: int
+
+
+_Part = tuple[int, list[Counterexample], list[Anomaly]]
+
+
 def _replay(m: int, x: int) -> str:
     return f"minfrac trace --modulus {m} --x {x}"
 
 
-def _determinant_m(m: int) -> tuple[int, list[Counterexample], list[Anomaly]]:
+def _determinant_m(m: int, params: _Params) -> _Part:
     passes = 0
     bad: list[Counterexample] = []
     for x in range(m):
@@ -188,7 +214,7 @@ def _step_witness(r: Residue) -> Fraction:
     raise InvariantError(f"the step walk finds no sqrt-bounded representation for {r}")
 
 
-def _sqrt_bound_m(m: int) -> tuple[int, list[Counterexample], list[Anomaly]]:
+def _sqrt_bound_m(m: int, params: _Params) -> _Part:
     passes = 0
     bad: list[Counterexample] = []
     for x in range(m):
@@ -220,21 +246,28 @@ def _sqrt_bound_m(m: int) -> tuple[int, list[Counterexample], list[Anomaly]]:
     return passes, bad, []
 
 
-def _minimality_m(m: int, ceiling: int | None) -> tuple[int, list[Counterexample], list[Anomaly]]:
+def _minimality_m(m: int, params: _Params) -> _Part:
     passes = 0
     bad: list[Counterexample] = []
     for x in range(m):
-        r = Residue(x, m)
-        for p in run_descent(r).pairs:
-            if brute_pair_minimal(p, r, ceiling=ceiling):
+        # One oracle scan per residue; each pair is then two lookups.
+        neg, pos = brute_prefix_minima(Residue(x, m), params.pair_ceiling)
+        for nn, nd, pn, pd, _ in descent_steps(x, m):
+            threshold = pn - nn
+            if neg[nd] >= threshold and pos[pd] >= threshold:
                 passes += 1
             else:
-                bad.append(Counterexample(m, x, f"trace pair {p} is not pair-minimal", _replay(m, x)))
+                bad.append(
+                    Counterexample(
+                        m, x, f"trace pair ({nn}/{nd}, {pn}/{pd}) is not pair-minimal",
+                        _replay(m, x),
+                    )
+                )
     return passes, bad, []
 
 
-def _progress_m(m: int, cap_factor: int) -> tuple[int, list[Counterexample], list[Anomaly]]:
-    cap = cap_factor * m.bit_length()
+def _progress_m(m: int, params: _Params) -> _Part:
+    cap = params.cap_factor * m.bit_length()
     passes = 0
     bad: list[Counterexample] = []
     anomalies: list[Anomaly] = []
@@ -261,21 +294,21 @@ def _progress_m(m: int, cap_factor: int) -> tuple[int, list[Counterexample], lis
             prev_max = pn if pn > -nn else -nn
         if npairs > cap:
             anomalies.append(
-                Anomaly(m, x, f"{npairs} pairs exceeds cap {cap} ({cap_factor} * bit_length)")
+                Anomaly(
+                    m, x, f"{npairs} pairs exceeds cap {cap} ({params.cap_factor} * bit_length)"
+                )
             )
     return passes, bad, anomalies
 
 
-def _agreement_m(
-    m: int, seed: int, random_pairs: int, ceiling: int | None
-) -> tuple[int, list[Counterexample], list[Anomaly]]:
+def _agreement_m(m: int, params: _Params) -> _Part:
     passes = 0
     bad: list[Counterexample] = []
 
     def compare_pair(p: FractionPair, r: Residue) -> None:
         nonlocal passes
         fast = bool(is_minimal_pair(p, r))
-        slow = brute_pair_minimal(p, r, ceiling=ceiling)
+        slow = brute_pair_minimal(p, r, ceiling=params.pair_ceiling)
         if fast == slow:
             passes += 1
         else:
@@ -291,7 +324,7 @@ def _agreement_m(
         r = Residue(x, m)
         run_min = minimum_fraction(r)
         step_min = _step_minimum(r)
-        slow_min = brute_minimum(r, ceiling=ceiling)
+        slow_min = brute_minimum(r, ceiling=params.enumeration_ceiling)
         if run_min == step_min == slow_min:
             passes += 1
         else:
@@ -305,10 +338,12 @@ def _agreement_m(
             )
         for p in run_descent(r).pairs:
             compare_pair(p, r)
-    if random_pairs:
+    if params.random_pairs:
+        import random
+
         # Seeded per modulus so the sample is independent of chunking.
-        rng = random.Random(f"{seed}:{m}")
-        for _ in range(random_pairs):
+        rng = random.Random(f"{params.seed}:{m}")
+        for _ in range(params.random_pairs):
             r = Residue(rng.randrange(m), m)
             p = FractionPair(
                 neg=residue_fraction(r, rng.randrange(0, m), ResidueClass.NEGATIVE),
@@ -318,22 +353,26 @@ def _agreement_m(
     return passes, bad, []
 
 
-def _chunk_worker(task: tuple) -> tuple[int, list[Counterexample], list[Anomaly]]:
-    check, ms, cap_factor, seed, random_pairs, ceiling = task
+_CHECKS = {
+    "determinant": _determinant_m,
+    "minimality": _minimality_m,
+    "sqrt_bound": _sqrt_bound_m,
+    "progress": _progress_m,
+    "agreement": _agreement_m,
+}
+
+# Checks that call the oracle, and so need its ceilings.
+_ORACLE_CHECKS = ("minimality", "agreement")
+
+
+def _chunk_worker(task: tuple[str, tuple[int, ...], _Params]) -> _Part:
+    check, ms, params = task
+    check_m = _CHECKS[check]
     passes = 0
     bad: list[Counterexample] = []
     anomalies: list[Anomaly] = []
     for m in ms:
-        if check == "determinant":
-            part = _determinant_m(m)
-        elif check == "minimality":
-            part = _minimality_m(m, ceiling)
-        elif check == "sqrt_bound":
-            part = _sqrt_bound_m(m)
-        elif check == "progress":
-            part = _progress_m(m, cap_factor)
-        else:
-            part = _agreement_m(m, seed, random_pairs, ceiling)
+        part = check_m(m, params)
         passes += part[0]
         bad.extend(part[1])
         anomalies.extend(part[2])
@@ -346,14 +385,20 @@ def _run_one_check(check: str, cfg: SweepConfig) -> VerificationReport:
     # More workers than CPUs or moduli only adds processes; the merged
     # report does not depend on the split.
     workers = min(cfg.parallelism, os.cpu_count() or 1, len(ms))
-    tasks = [
-        (check, ms[i::workers], cfg.trace_cap_factor, cfg.seed,
-         cfg.random_pairs_per_m, cfg.ceiling)
-        for i in range(workers)
-    ]
+    pair_ceiling = enumeration_ceiling = 0
+    if check in _ORACLE_CHECKS:
+        # $MINFRAC_CEILING is read here, once, not on every oracle call.
+        pair_ceiling = resolve_ceiling(cfg.ceiling, DEFAULT_PAIR_CHECK_CEILING)
+        enumeration_ceiling = resolve_ceiling(cfg.ceiling, DEFAULT_ENUMERATION_CEILING)
+    params = _Params(
+        cfg.trace_cap_factor, cfg.seed, cfg.random_pairs_per_m, pair_ceiling, enumeration_ceiling
+    )
+    tasks = [(check, ms[i::workers], params) for i in range(workers)]
     if workers == 1:
         parts = [_chunk_worker(tasks[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_chunk_worker, tasks))
     passes = sum(p for p, _, _ in parts)

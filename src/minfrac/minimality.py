@@ -78,17 +78,23 @@ def is_minimal_pair(p: FractionPair, r: Residue) -> MinimalityVerdict:
     pair's denominator of the matching class.  Denominators at or above the
     matching-class denominator satisfy the condition trivially, so only the
     smaller ones are scanned: the negative side first, then the positive
-    side, each in increasing order.
+    side, each in increasing order.  A negative-side scan that runs past
+    denominator M - 1 raises ValueError, as neg_residue would.
     """
     for f in (p.neg, p.pos):
         if not represents(r, f):
             raise ValueError(f"{f} does not represent {r}")
+    x, m = r.x, r.m
     threshold = -p.neg.n + p.pos.n  # |neg.n| + |pos.n|
-    for d in range(0, p.neg.d):
-        if -neg_residue(r, d) < threshold:
+    # The residues are computed inline: this scan is the harness's hot loop.
+    for d in range(0, min(p.neg.d, m)):
+        if m - (x * d) % m < threshold:  # |negative residue|
             return MinimalityVerdict(False, d)
+    if p.neg.d > m:
+        neg_residue(r, m)  # raises: m is outside the negative class
+    # Residue 0 at d = m is below any threshold, so this scan never passes m.
     for d in range(1, p.pos.d):
-        if pos_residue(r, d) < threshold:
+        if (x * d) % m < threshold:
             return MinimalityVerdict(False, d)
     return MinimalityVerdict(True)
 

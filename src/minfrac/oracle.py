@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import CeilingExceeded
 from .residues import Fraction, FractionPair, Residue, ResidueClass
@@ -28,7 +29,8 @@ DEFAULT_PAIR_CHECK_CEILING = 10**4
 CEILING_ENV_VAR = "MINFRAC_CEILING"
 
 
-def _resolve_ceiling(explicit: int | None, default: int) -> int:
+def resolve_ceiling(explicit: int | None, default: int) -> int:
+    """The ceiling in force: `explicit` if given, else $MINFRAC_CEILING, else `default`."""
     if explicit is not None:
         return explicit
     env = os.environ.get(CEILING_ENV_VAR)
@@ -47,7 +49,7 @@ def check_ceiling(size: int, explicit: int | None, default: int, what: str) -> N
 
     The ceiling is `explicit` if given, else $MINFRAC_CEILING, else `default`.
     """
-    ceiling = _resolve_ceiling(explicit, default)
+    ceiling = resolve_ceiling(explicit, default)
     if size > ceiling:
         raise CeilingExceeded(size, ceiling, what)
 
@@ -126,3 +128,23 @@ def brute_pair_minimal(p: FractionPair, r: Residue, ceiling: int | None = None) 
         if d < neg_d and m - (x * d) % m < threshold:
             return False
     return True
+
+
+def brute_prefix_minima(r: Residue, ceiling: int | None = None) -> tuple[list[int], list[int]]:
+    """Running minima of both classes' residue magnitudes, from one scan.
+
+    Returns (neg, pos): neg[D] is the smallest |negative residue| over
+    0 <= d < D, and pos[D] the smallest positive residue over 1 <= d < D,
+    for every denominator D a pair can carry (0..M).  An empty range reads
+    2M, above every pair threshold |neg.n| + |pos.n| < 2M.  A pair is
+    minimal iff neg[neg.d] and pos[pos.d] are both at least its threshold:
+    the same definition brute_pair_minimal evaluates, with the scan over
+    d shared by every pair of one residue.  Gated by the pair-check ceiling.
+    """
+    check_ceiling(r.m, ceiling, DEFAULT_PAIR_CHECK_CEILING, "pair-minimality check: modulus")
+    x, m = r.x, r.m
+    empty = 2 * m
+    neg = list(accumulate((m - (x * d) % m for d in range(0, m)), min, initial=empty))
+    pos = [empty]
+    pos.extend(accumulate(((x * d) % m for d in range(1, m)), min, initial=empty))
+    return neg, pos

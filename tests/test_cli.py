@@ -1,7 +1,12 @@
 """End-to-end CLI tests: output text, JSON schema, exit codes."""
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -256,7 +261,7 @@ def test_verify_workers_are_clamped(capsys, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     argv = ["verify", "--m-min", "2", "--m-max", "30", "--checks", "determinant",
             "--workers", str(10**9), "--format", "json"]
@@ -269,6 +274,36 @@ def test_verify_workers_are_clamped(capsys, monkeypatch):
     assert run(capsys, "verify", "--m-min", "2", "--m-max", "4", "--checks", "determinant",
                "--workers", str(10**9))[0] == 0
     assert pools == [4, 3]  # bounded by the number of moduli
+
+
+def test_verify_ceilings_env_and_override(capsys, monkeypatch):
+    monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
+    code, out, err = run(capsys, "verify", "--m-min", "10001", "--m-max", "10001",
+                         "--checks", "minimality")
+    assert (code, out) == (4, "")
+    assert err == ("error: pair-minimality check: modulus 10001 exceeds the ceiling 10000; "
+                   "raise the ceiling explicitly to proceed\n")
+    monkeypatch.setenv(CEILING_ENV_VAR, "10")
+    for check in ("minimality", "agreement"):
+        for workers in ("1", "2"):
+            code, out, err = run(capsys, "verify", "--m-min", "9", "--m-max", "11",
+                                 "--checks", check, "--workers", workers)
+            assert (code, out) == (4, "")
+            assert "modulus 11 exceeds the ceiling 10" in err
+        code, out, _ = run(capsys, "verify", "--m-min", "9", "--m-max", "11",
+                           "--checks", check, "--ceiling-override", "11")
+        assert code == 0 and "fail=0" in out
+
+
+def test_import_leaves_the_process_pool_out():
+    # concurrent.futures is a third of the CLI's import time; only a
+    # parallel verify needs it.
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, minfrac.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_verify_json_schema(capsys):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import minfrac.harness as harness
 from minfrac.descent import descent_steps
 from minfrac.errors import InvariantError
 from minfrac.harness import (
@@ -92,6 +93,26 @@ def test_determinant_pass_count_matches_recount():
 def test_minimality_and_sqrt_bound_small_ranges():
     assert check_minimality((2, 30)).ok
     assert check_sqrt_bound((2, 30)).ok
+
+
+def test_minimality_reports_a_planted_non_minimal_pair(monkeypatch):
+    # (-10/1, 4/3) represents 7 mod 17 but is not pair-minimal: d = 1 gives
+    # the positive residue 7, below 10 + 4 with 1 < 3.
+    real_steps = descent_steps
+
+    def planted(x, m):
+        yield from real_steps(x, m)
+        if (x, m) == (7, 17):
+            yield -10, 1, 4, 3, None
+
+    monkeypatch.setattr(harness, "descent_steps", planted)
+    report = check_minimality((17, 17))
+    assert report.failures == 1
+    assert report.passes == sum(len(list(real_steps(x, 17))) for x in range(17))
+    (ce,) = report.counterexamples
+    assert (ce.m, ce.x) == (17, 7)
+    assert ce.detail == "trace pair (-10/1, 4/3) is not pair-minimal"
+    assert ce.replay == "minfrac trace --modulus 17 --x 7"
 
 
 def test_progress_flags_long_traces_as_anomalies():

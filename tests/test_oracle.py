@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minfrac.descent import descent_steps
 from minfrac.errors import CeilingExceeded
 from minfrac.oracle import (
     CEILING_ENV_VAR,
@@ -11,6 +12,7 @@ from minfrac.oracle import (
     DEFAULT_PAIR_CHECK_CEILING,
     brute_minimum,
     brute_pair_minimal,
+    brute_prefix_minima,
     enumerate_class,
     representation_table,
 )
@@ -112,6 +114,46 @@ def test_pair_check_ceiling(monkeypatch):
         brute_pair_minimal(p, r)
     # explicit ceiling unlocks it
     assert brute_pair_minimal(p, r, ceiling=m)
+
+
+def test_brute_prefix_minima_example():
+    # |negative residues| of 7 mod 17 for d = 0..16: 17 10 3 13 6 16 9 2 12 5 ...;
+    # positive residues for d = 1..16: 7 14 4 11 1 ...; an empty range reads 2M
+    neg, pos = brute_prefix_minima(Residue(7, 17))
+    assert neg == [34, 17, 10] + [3] * 5 + [2] * 5 + [1] * 5
+    assert pos == [34, 34, 7, 7, 4, 4] + [1] * 12
+
+
+def test_prefix_minima_ceiling(monkeypatch):
+    monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
+    m = DEFAULT_PAIR_CHECK_CEILING + 1
+    with pytest.raises(CeilingExceeded) as exc:
+        brute_prefix_minima(Residue(1, m))
+    assert str(exc.value).startswith(f"pair-minimality check: modulus {m} exceeds")
+    neg, pos = brute_prefix_minima(Residue(1, m), ceiling=m)
+    assert len(neg) == len(pos) == m + 1
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_prefix_minima_verdict_matches_brute_pair_minimal(data):
+    m = data.draw(st.integers(2, 300))
+    x = data.draw(st.integers(0, m - 1))
+    r = Residue(x, m)
+    if data.draw(st.booleans()):
+        # a descent pair: minimal, so both verdicts should be True
+        steps = list(descent_steps(x, m))
+        nn, nd, pn, pd, _ = steps[data.draw(st.integers(0, len(steps) - 1))]
+        p = _pair(nn, nd, pn, pd)
+    else:
+        p = FractionPair(
+            neg=residue_fraction(r, data.draw(st.integers(0, m - 1)), ResidueClass.NEGATIVE),
+            pos=residue_fraction(r, data.draw(st.integers(1, m)), ResidueClass.POSITIVE),
+        )
+    neg, pos = brute_prefix_minima(r)
+    threshold = p.pos.n - p.neg.n
+    verdict = neg[p.neg.d] >= threshold and pos[p.pos.d] >= threshold
+    assert verdict == brute_pair_minimal(p, r)
 
 
 def test_explicit_ceiling_argument():
