@@ -6,15 +6,7 @@ brute-force oracle for cross-checking, and ships a sweep harness plus a CLI
 (`minfrac`) on top of both.
 """
 
-from .descent import (
-    DescentTrace,
-    descend_step,
-    descent_runs,
-    descent_steps,
-    initial_pair,
-    minimal_fractions,
-    run_descent,
-)
+from .descent import DescentTrace, descent_runs, descent_steps, run_descent
 from .errors import CeilingExceeded, InvariantError
 from .harness import (
     CHECK_NAMES,
@@ -41,12 +33,10 @@ from .oracle import (
     CEILING_ENV_VAR,
     DEFAULT_ENUMERATION_CEILING,
     DEFAULT_PAIR_CHECK_CEILING,
-    RepresentationTable,
     brute_minimum,
     brute_pair_minimal,
     brute_prefix_minima,
     enumerate_class,
-    representation_table,
 )
 from .residues import (
     Fraction,
@@ -77,7 +67,6 @@ __all__ = [
     "FractionPair",
     "InvariantError",
     "MinimalityVerdict",
-    "RepresentationTable",
     "Residue",
     "ResidueClass",
     "SweepConfig",
@@ -92,20 +81,16 @@ __all__ = [
     "check_progress",
     "check_sqrt_bound",
     "criterion_key",
-    "descend_step",
     "descent_runs",
     "descent_steps",
     "enumerate_class",
-    "initial_pair",
     "is_minimal_in_class",
     "is_minimal_pair",
     "mediant",
-    "minimal_fractions",
     "minimum_fraction",
     "neg_residue",
     "parse_fraction",
     "pos_residue",
-    "representation_table",
     "represents",
     "residue_fraction",
     "run_checks",

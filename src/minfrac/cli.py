@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes are part of the contract: 0 success, 1 a sweep or cross-check
 found a counterexample, 2 usage error, 3 internal invariant failure,
-4 ceiling exceeded (a brute-force scan, or a trace too long to print).
+4 ceiling exceeded (a brute-force scan, or a trace or table too long to print).
 
 Integer arguments accept decimal or 0x-prefixed hex, so cryptographic-scale
 moduli paste in directly.  JSON output for identical inputs is identical
@@ -35,7 +35,7 @@ exit codes:
   1  counterexample found (verify, table --cross-check)
   2  usage error
   3  internal invariant failure
-  4  ceiling exceeded: brute-force scan or trace length
+  4  ceiling exceeded: brute-force scan, trace length or table size
      (see --ceiling-override / MINFRAC_CEILING)
 """
 
@@ -52,6 +52,23 @@ def render_fraction(f: Fraction, bare_units: bool = False) -> str:
     if bare_units and f.d == 1:
         return str(f.n)
     return f"{f.n}/{f.d}"
+
+
+# One `trace` JSON entry as json.dumps(indent=2) lays it out in the payload;
+# entries are written one by one, so a long trace is never one string.
+_TRACE_ENTRY = """\
+    {{
+      "neg": {{
+        "n": {},
+        "d": {}
+      }},
+      "pos": {{
+        "n": {},
+        "d": {}
+      }},
+      "det": {},
+      "replaced": {}
+    }}"""
 
 
 def _frac_dict(f: Fraction) -> dict:
@@ -122,19 +139,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     check_ceiling(pairs, args.ceiling_override, DEFAULT_ENUMERATION_CEILING, "trace: pair count")
     trace = run_descent(r)
     if args.format == "json":
-        _emit({
-            "modulus": m,
-            "x": r.x,
-            "trace": [
-                {
-                    "neg": _frac_dict(p.neg),
-                    "pos": _frac_dict(p.pos),
-                    "det": p.determinant(),
-                    "replaced": rep.value if rep is not None else None,
-                }
-                for p, rep in zip(trace.pairs, trace.replaced)
-            ],
-        })
+        sys.stdout.write(f'{{\n  "modulus": {m},\n  "x": {r.x},\n  "trace": [\n')
+        sep = ""
+        for p, rep in zip(trace.pairs, trace.replaced):
+            replaced = "null" if rep is None else f'"{rep.value}"'
+            sys.stdout.write(sep + _TRACE_ENTRY.format(
+                p.neg.n, p.neg.d, p.pos.n, p.pos.d, p.determinant(), replaced))
+            sep = ",\n"
+        sys.stdout.write("\n  ]\n}\n")
     else:
         for p, rep in zip(trace.pairs, trace.replaced):
             suffix = "" if rep is None else f" replaced={rep.value}"
@@ -145,6 +157,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     m = args.modulus
     check_modulus(m)
+    check_ceiling(m - 1, args.ceiling_override, DEFAULT_ENUMERATION_CEILING, "table: entry count")
     entries = [minimum_fraction(Residue(x, m)) for x in range(1, m)]
     if args.cross_check:
         for x, f in enumerate(entries, start=1):

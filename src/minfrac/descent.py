@@ -23,18 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .residues import Fraction, FractionPair, Residue, ResidueClass, neg_residue, pos_residue
+from .residues import Fraction, FractionPair, Residue, ResidueClass
 
 RawStep = tuple[int, int, int, int, "ResidueClass | None"]
-
-
-def _advance(nn: int, nd: int, pn: int, pd: int) -> tuple[int, int, int, int, ResidueClass]:
-    """One descent transition on raw integers (nn/nd negative, pn/pd positive)."""
-    mn = nn + pn
-    md = nd + pd
-    if -nn > pn:
-        return mn, md, pn, pd, ResidueClass.NEGATIVE
-    return nn, nd, mn, md, ResidueClass.POSITIVE
 
 
 def descent_steps(x: int, m: int) -> Iterator[RawStep]:
@@ -42,16 +33,23 @@ def descent_steps(x: int, m: int) -> Iterator[RawStep]:
 
     Yields (neg_n, neg_d, pos_n, pos_d, replaced) for every pair from the
     initial one to the terminal one; `replaced` is None for the initial pair.
-    Requires 0 <= x < m.  This is the reference implementation of the walk;
-    the object-level API below and the sweep harness both consume it.
+    Requires 0 <= x < m.  This is the one implementation of the step;
+    run_descent and the sweep harness both consume it.
     """
     if not 0 <= x < m:
         raise ValueError(f"residue {x} out of range [0, {m})")
+    neg, pos = ResidueClass.NEGATIVE, ResidueClass.POSITIVE
     nn, nd, pn, pd = -m, 0, x, 1
     yield nn, nd, pn, pd, None
     while pn != 0:
-        nn, nd, pn, pd, rep = _advance(nn, nd, pn, pd)
-        yield nn, nd, pn, pd, rep
+        if -nn > pn:
+            nn += pn
+            nd += pd
+            yield nn, nd, pn, pd, neg
+        else:
+            pn += nn
+            pd += nd
+            yield nn, nd, pn, pd, pos
 
 
 def descent_runs(x: int, m: int) -> Iterator[tuple[int, int, int, int, ResidueClass, int]]:
@@ -90,48 +88,6 @@ class DescentTrace:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    @property
-    def terminal(self) -> FractionPair:
-        return self.pairs[-1]
-
-    def determinants(self) -> list[int]:
-        return [p.determinant() for p in self.pairs]
-
-    def fractions(self) -> list[Fraction]:
-        """Distinct fractions visited, in order of first appearance (neg before pos)."""
-        seen: set[tuple[int, int]] = set()
-        out: list[Fraction] = []
-        for p in self.pairs:
-            for f in (p.neg, p.pos):
-                key = (f.n, f.d)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(f)
-        return out
-
-
-def initial_pair(r: Residue) -> FractionPair:
-    """The trivially minimal starting pair (-M/0, x/1)."""
-    return FractionPair(
-        neg=Fraction(neg_residue(r, 0), 0),
-        pos=Fraction(pos_residue(r, 1), 1),
-    )
-
-
-def descend_step(p: FractionPair, r: Residue) -> tuple[FractionPair, ResidueClass]:
-    """Replace the larger-magnitude-numerator side of p with the mediant.
-
-    Returns the new pair and which side was replaced.  Raises ValueError on
-    a terminal pair (pos.n == 0) or a pair that breaks the determinant
-    invariant for r's modulus.
-    """
-    if p.pos.n == 0:
-        raise ValueError(f"descend_step called on terminal pair {p}")
-    if p.determinant() != r.m:
-        raise ValueError(f"pair {p} has determinant {p.determinant()}, expected {r.m}")
-    nn, nd, pn, pd, rep = _advance(p.neg.n, p.neg.d, p.pos.n, p.pos.d)
-    return FractionPair(neg=Fraction(nn, nd), pos=Fraction(pn, pd)), rep
-
 
 def run_descent(r: Residue) -> DescentTrace:
     """Run the full descent for r and materialize the trace."""
@@ -141,8 +97,3 @@ def run_descent(r: Residue) -> DescentTrace:
         pairs.append(FractionPair(neg=Fraction(nn, nd), pos=Fraction(pn, pd)))
         replaced.append(rep)
     return DescentTrace(residue=r, pairs=tuple(pairs), replaced=tuple(replaced))
-
-
-def minimal_fractions(r: Residue) -> list[Fraction]:
-    """All distinct fractions the descent visits, in order of first appearance."""
-    return run_descent(r).fractions()

@@ -77,6 +77,8 @@ class SweepConfig:
             raise ValueError(f"m_min must be >= 2, got {self.m_min}")
         if self.m_max < self.m_min:
             raise ValueError(f"empty modulus range [{self.m_min}, {self.m_max}]")
+        if not self.checks:
+            raise ValueError(f"no checks requested; known: {list(CHECK_NAMES)}")
         unknown = sorted(set(self.checks) - set(CHECK_NAMES))
         if unknown:
             raise ValueError(f"unknown checks {unknown}; known: {list(CHECK_NAMES)}")

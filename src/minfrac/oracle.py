@@ -8,14 +8,13 @@ helpers.
 
 Brute-force work is gated behind ceilings so a typo'd modulus cannot start
 an hours-long run by accident; exceeding a ceiling raises CeilingExceeded
-rather than silently proceeding.  The CLI's `trace` holds its pair count
-against the enumeration ceiling through the same gate.
+rather than silently proceeding.  The CLI's `trace` and `table` hold their
+pair and entry counts against the enumeration ceiling through the same gate.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import CeilingExceeded
@@ -65,23 +64,6 @@ def enumerate_class(r: Residue, cls: ResidueClass, ceiling: int | None = None) -
     if cls is ResidueClass.POSITIVE:
         return [Fraction((x * d) % m, d) for d in range(1, m + 1)]
     return [Fraction((x * d) % m - m, d) for d in range(0, m)]
-
-
-@dataclass(frozen=True)
-class RepresentationTable:
-    """Both full enumeration lists for one residue."""
-
-    x: Residue
-    pos: tuple[Fraction, ...]
-    neg: tuple[Fraction, ...]
-
-
-def representation_table(r: Residue, ceiling: int | None = None) -> RepresentationTable:
-    return RepresentationTable(
-        x=r,
-        pos=tuple(enumerate_class(r, ResidueClass.POSITIVE, ceiling)),
-        neg=tuple(enumerate_class(r, ResidueClass.NEGATIVE, ceiling)),
-    )
 
 
 def brute_minimum(r: Residue, ceiling: int | None = None) -> Fraction:

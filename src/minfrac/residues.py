@@ -42,12 +42,6 @@ class Residue:
         if not 0 <= self.x < self.m:
             raise ValueError(f"residue {self.x} out of range [0, {self.m})")
 
-    @classmethod
-    def reduce(cls, x: int, m: int) -> "Residue":
-        """Build a residue from an arbitrary integer, reducing it mod m."""
-        check_modulus(m)
-        return cls(x % m, m)
-
     def __str__(self) -> str:
         return f"{self.x} (mod {self.m})"
 

@@ -12,8 +12,9 @@ import pytest
 
 import minfrac.harness as harness
 from minfrac.cli import main, render_fraction
+from minfrac.descent import run_descent
 from minfrac.oracle import CEILING_ENV_VAR
-from minfrac.residues import Fraction, parse_fraction
+from minfrac.residues import Fraction, Residue, parse_fraction
 
 TABLE_17 = "1, 2, 3, 4, -2/3, 1/3, -3/2, -1/2, 1/2, 3/2, -1/3, 2/3, -4, -3, -2, -1"
 
@@ -196,6 +197,24 @@ def test_trace_json_matches_text(capsys):
         assert rest.split()[0] == "101"
 
 
+def test_trace_json_is_laid_out_as_json_dumps(capsys):
+    # `trace` writes its JSON pair by pair; the bytes must be json.dumps' own.
+    for m, x in ((17, 7), (17, 0), (2, 1)):
+        code, out, _ = run(capsys, "trace", "-m", str(m), "--x", str(x), "--format", "json")
+        assert code == 0
+        t = run_descent(Residue(x, m))
+        payload = {"modulus": m, "x": x, "trace": [
+            {
+                "neg": {"n": p.neg.n, "d": p.neg.d},
+                "pos": {"n": p.pos.n, "d": p.pos.d},
+                "det": p.determinant(),
+                "replaced": None if rep is None else rep.value,
+            }
+            for p, rep in zip(t.pairs, t.replaced)
+        ]}
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_table_17(capsys):
     code, out, _ = run(capsys, "table", "-m", "17")
     assert code == 0
@@ -215,6 +234,31 @@ def test_table_cross_check(capsys):
     code, _, err = run(capsys, "table", "-m", "97", "--cross-check", "--ceiling-override", "50")
     assert code == 4
     assert "ceiling" in err
+
+
+def test_table_refuses_more_entries_than_the_ceiling(capsys, monkeypatch):
+    monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", "-m", "0x10000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert out == ""
+    assert err == (
+        f"error: table: entry count {2**40 - 1} exceeds the ceiling 1000000; "
+        "raise the ceiling explicitly to proceed\n"
+    )
+    # M = 18 has 17 entries
+    assert run(capsys, "table", "-m", "18", "--ceiling-override", "16")[0] == 4
+    code, out, _ = run(capsys, "table", "-m", "18", "--ceiling-override", "17")
+    assert code == 0
+    assert len(out.split(", ")) == 17
+    monkeypatch.setenv(CEILING_ENV_VAR, "16")
+    assert run(capsys, "table", "-m", "18")[0] == 4
+    assert run(capsys, "table", "-m", "18", "--ceiling-override", "17")[0] == 0
+    # 96 entries pass; the cross-check's scan of modulus 97 does not
+    code, _, err = run(capsys, "table", "-m", "97", "--cross-check", "--ceiling-override", "96")
+    assert code == 4
+    assert "minimum enumeration: modulus 97 exceeds the ceiling 96" in err
 
 
 def test_table_json_matches_text(capsys):
@@ -325,6 +369,11 @@ def test_verify_usage_errors(capsys):
     assert "error" in err
     code, _, err = run(capsys, "verify", "--m-min", "2", "--m-max", "10", "--checks", "bogus")
     assert code == 2
+    # a sweep that would check nothing must not report success
+    code, out, err = run(capsys, "verify", "--m-min", "2", "--m-max", "5", "--checks", ",")
+    assert code == 2
+    assert out == ""
+    assert "no checks requested" in err
 
 
 def test_usage_exit_codes(capsys):

@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minfrac.descent import (
-    descend_step,
-    descent_runs,
-    descent_steps,
-    initial_pair,
-    minimal_fractions,
-    run_descent,
-)
-from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, represents
+from minfrac.descent import descent_runs, descent_steps, run_descent
+from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, mediant, represents
 
 NEG = ResidueClass.NEGATIVE
 POS = ResidueClass.POSITIVE
@@ -36,18 +29,13 @@ TRACE_7_MOD_17 = [
 ]
 
 
-def test_initial_pair():
-    assert initial_pair(Residue(7, 17)) == _pair(-17, 0, 7, 1)
-    assert initial_pair(Residue(0, 5)) == _pair(-5, 0, 0, 1)
-
-
 def test_run_descent_reproduces_frozen_trace():
     t = run_descent(Residue(7, 17))
     assert list(t.pairs) == [p for p, _ in TRACE_7_MOD_17]
     assert list(t.replaced) == [rep for _, rep in TRACE_7_MOD_17]
     assert len(t) == 8
-    assert t.terminal == _pair(-1, 12, 0, 17)
-    assert t.determinants() == [17] * 8
+    assert t.pairs[-1] == _pair(-1, 12, 0, 17)
+    assert [p.determinant() for p in t.pairs] == [17] * 8
 
 
 def test_descent_steps_matches_object_level_trace():
@@ -102,23 +90,6 @@ def test_descent_runs_rejects_out_of_range_residue():
         list(descent_runs(-1, 17))
 
 
-def test_descend_step_example():
-    new, rep = descend_step(_pair(-3, 2, 7, 1), Residue(7, 17))
-    assert new == _pair(-3, 2, 4, 3)
-    assert rep is POS
-
-
-def test_descend_step_on_terminal_pair_fails():
-    with pytest.raises(ValueError):
-        descend_step(_pair(-1, 12, 0, 17), Residue(7, 17))
-
-
-def test_descend_step_rejects_wrong_determinant():
-    # a perfectly valid pair, but for modulus 17, not 19
-    with pytest.raises(ValueError):
-        descend_step(_pair(-3, 2, 7, 1), Residue(7, 19))
-
-
 def test_zero_residue_is_immediately_terminal():
     t = run_descent(Residue(0, 17))
     assert list(t.pairs) == [_pair(-17, 0, 0, 1)]
@@ -138,15 +109,6 @@ def test_tie_replaces_the_positive_side():
     assert t.replaced[-1] is POS
 
 
-def test_minimal_fractions_for_7_mod_17():
-    expected = [
-        Fraction(-17, 0), Fraction(7, 1), Fraction(-10, 1), Fraction(-3, 2),
-        Fraction(4, 3), Fraction(1, 5), Fraction(-2, 7), Fraction(-1, 12),
-        Fraction(0, 17),
-    ]
-    assert minimal_fractions(Residue(7, 17)) == expected
-
-
 @given(st.data())
 @settings(deadline=None)
 def test_descent_invariants(data):
@@ -154,10 +116,10 @@ def test_descent_invariants(data):
     x = data.draw(st.integers(0, m - 1))
     r = Residue(x, m)
     t = run_descent(r)
-    assert t.pairs[0] == initial_pair(r)
+    assert t.pairs[0] == FractionPair(Fraction(-m, 0), Fraction(x, 1))
     assert t.replaced[0] is None
-    assert t.terminal.pos.n == 0
-    assert t.determinants() == [m] * len(t)
+    assert t.pairs[-1].pos.n == 0
+    assert [p.determinant() for p in t.pairs] == [m] * len(t)
     for p in t.pairs:
         assert represents(r, p.neg)
         assert represents(r, p.pos)
@@ -168,13 +130,15 @@ def test_descent_invariants(data):
 
 @given(st.data())
 @settings(deadline=None)
-def test_replaying_descend_step_recovers_the_trace(data):
+def test_each_step_replaces_the_larger_numerator_with_the_mediant(data):
     m = data.draw(st.integers(2, 500))
     x = data.draw(st.integers(0, m - 1))
-    r = Residue(x, m)
-    t = run_descent(r)
-    pair = t.pairs[0]
-    for expected, expected_rep in zip(t.pairs[1:], t.replaced[1:]):
-        pair, rep = descend_step(pair, r)
-        assert pair == expected
-        assert rep is expected_rep
+    t = run_descent(Residue(x, m))
+    for prev, new, rep in zip(t.pairs, t.pairs[1:], t.replaced[1:]):
+        med = mediant(prev.neg, prev.pos)
+        if -prev.neg.n > prev.pos.n:
+            assert rep is NEG
+            assert new == FractionPair(neg=med, pos=prev.pos)
+        else:  # ties go to the positive slot
+            assert rep is POS
+            assert new == FractionPair(neg=prev.neg, pos=med)

@@ -40,6 +40,8 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(2, 10, checks=("determinant", "nope"))
     with pytest.raises(ValueError):
+        SweepConfig(2, 10, checks=())
+    with pytest.raises(ValueError):
         SweepConfig(2, 10, parallelism=0)
     with pytest.raises(ValueError):
         SweepConfig(2, 10, random_pairs_per_m=-1)

@@ -14,7 +14,6 @@ from minfrac.oracle import (
     brute_pair_minimal,
     brute_prefix_minima,
     enumerate_class,
-    representation_table,
 )
 from minfrac.residues import (
     Fraction,
@@ -62,16 +61,6 @@ def test_enumerate_class_agrees_with_residue_functions():
             assert enumerate_class(r, ResidueClass.NEGATIVE) == [
                 residue_fraction(r, d, ResidueClass.NEGATIVE) for d in range(0, m)
             ]
-
-
-def test_representation_table():
-    t = representation_table(Residue(7, 17))
-    assert t.x == Residue(7, 17)
-    assert len(t.pos) == 17 and len(t.neg) == 17
-    assert t.pos[2] == Fraction(4, 3)
-    assert t.neg[0] == Fraction(-17, 0)
-    for f in t.pos + t.neg:
-        assert represents(t.x, f)
 
 
 def test_brute_minimum_examples():
