@@ -27,6 +27,7 @@ from .minimality import (
     is_minimal_in_class,
     is_minimal_pair,
     minimum_fraction,
+    minimum_table,
     sqrt_bound_witness,
 )
 from .oracle import (
@@ -88,6 +89,7 @@ __all__ = [
     "is_minimal_pair",
     "mediant",
     "minimum_fraction",
+    "minimum_table",
     "neg_residue",
     "parse_fraction",
     "pos_residue",

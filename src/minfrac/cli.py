@@ -4,12 +4,15 @@ Subcommands:
     repr       minimum fraction and a sqrt(M)-bounded witness for one residue
     enumerate  full per-class representation lists
     trace      the descent pair sequence with determinants
-    table      minimum fractions for x = 1..M-1
+    table      minimum fractions for x = 1..M-1, read off one sieve
     verify     invariant sweeps over a modulus range
 
 Exit codes are part of the contract: 0 success, 1 a sweep or cross-check
 found a counterexample, 2 usage error, 3 internal invariant failure,
 4 ceiling exceeded (a brute-force scan, or a trace or table too long to print).
+
+`table --cross-check` holds every sieve entry to two independent routes,
+the per-x run-length descent and the brute-force oracle.
 
 Integer arguments accept decimal or 0x-prefixed hex, so cryptographic-scale
 moduli paste in directly.  JSON output for identical inputs is identical
@@ -25,7 +28,7 @@ import sys
 from .descent import descent_runs, run_descent
 from .errors import CeilingExceeded, InvariantError
 from .harness import CHECK_NAMES, SweepConfig, run_checks
-from .minimality import minimum_fraction, sqrt_bound_witness
+from .minimality import minimum_fraction, minimum_table, sqrt_bound_witness
 from .oracle import DEFAULT_ENUMERATION_CEILING, brute_minimum, check_ceiling, enumerate_class
 from .residues import Fraction, Residue, ResidueClass, check_modulus, represents
 
@@ -68,6 +71,13 @@ _TRACE_ENTRY = """\
       }},
       "det": {},
       "replaced": {}
+    }}"""
+
+# One `table` JSON entry, laid out the same way.
+_TABLE_ENTRY = """\
+    {{
+      "n": {},
+      "d": {}
     }}"""
 
 
@@ -158,21 +168,28 @@ def _cmd_table(args: argparse.Namespace) -> int:
     m = args.modulus
     check_modulus(m)
     check_ceiling(m - 1, args.ceiling_override, DEFAULT_ENUMERATION_CEILING, "table: entry count")
-    entries = [minimum_fraction(Residue(x, m)) for x in range(1, m)]
+    entries = minimum_table(m)
     if args.cross_check:
         for x, f in enumerate(entries, start=1):
             r = Residue(x, m)
             if not represents(r, f):
                 raise InvariantError(f"table entry {f} does not represent {x} mod {m}")
+            descent = minimum_fraction(r)
             expected = brute_minimum(r, ceiling=args.ceiling_override)
-            if f != expected:
+            if not f == descent == expected:
                 print(
-                    f"cross-check failed at x={x}: table has {f}, oracle says {expected}",
+                    f"cross-check failed at x={x}: table has {f}, oracle says {expected}, "
+                    f"descent says {descent}",
                     file=sys.stderr,
                 )
                 return 1
     if args.format == "json":
-        _emit({"modulus": m, "fractions": [_frac_dict(f) for f in entries]})
+        sys.stdout.write(f'{{\n  "modulus": {m},\n  "fractions": [\n')
+        sep = ""
+        for f in entries:
+            sys.stdout.write(sep + _TABLE_ENTRY.format(f.n, f.d))
+            sep = ",\n"
+        sys.stdout.write("\n  ]\n}\n")
     else:
         print(", ".join(render_fraction(f, bare_units=True) for f in entries))
     return 0
@@ -245,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="minimum fractions for x = 1..M-1")
     _add_common(p, x=False)
     p.add_argument("--cross-check", action="store_true",
-                   help="verify every entry against the brute-force oracle")
+                   help="check every entry against per-x descent and the brute-force oracle")
     p.add_argument("--ceiling-override", type=_int_arg, default=None)
     p.set_defaults(func=_cmd_table)
 

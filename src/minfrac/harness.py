@@ -10,6 +10,8 @@ step bound.
 minimum_fraction and sqrt_bound_witness walk the descent by runs; the
 agreement and sqrt_bound checks compare them with scans of the step walk,
 kept here as their slow twins, as well as with the oracle and the bound.
+The agreement check also holds each modulus's minimum_table, the sieve
+behind `minfrac table`, to the same minima.
 
 The minimality check scans each residue's class residues once, from the
 oracle's prefix minima, and then tests every trace pair in O(1); the
@@ -33,7 +35,7 @@ from typing import NamedTuple
 
 from .descent import descent_steps, run_descent
 from .errors import InvariantError
-from .minimality import is_minimal_pair, minimum_fraction, sqrt_bound_witness
+from .minimality import is_minimal_pair, minimum_fraction, minimum_table, sqrt_bound_witness
 from .oracle import (
     DEFAULT_ENUMERATION_CEILING,
     DEFAULT_PAIR_CHECK_CEILING,
@@ -322,19 +324,21 @@ def _agreement_m(m: int, params: _Params) -> _Part:
                 )
             )
 
+    sieve = [None, *minimum_table(m)]  # the sieve has no entry for x = 0
     for x in range(m):
         r = Residue(x, m)
+        sieve_min = sieve[x]
         run_min = minimum_fraction(r)
         step_min = _step_minimum(r)
         slow_min = brute_minimum(r, ceiling=params.enumeration_ceiling)
-        if run_min == step_min == slow_min:
+        if run_min == step_min == slow_min and (x == 0 or sieve_min == run_min):
             passes += 1
         else:
             bad.append(
                 Counterexample(
                     m, x,
-                    f"run minimum {run_min}, step minimum {step_min} and "
-                    f"enumerated minimum {slow_min} differ",
+                    f"sieve minimum {sieve_min}, run minimum {run_min}, step minimum "
+                    f"{step_min} and enumerated minimum {slow_min} differ",
                     f"minfrac repr --modulus {m} --x {x}",
                 )
             )
@@ -470,8 +474,9 @@ def check_agreement(
 ) -> VerificationReport:
     """The fast paths agree with the brute-force oracle.
 
-    Compares minimum_fraction (run-length walk) against a scan of the step
-    walk and against brute_minimum for every residue, and is_minimal_pair
+    Compares minimum_fraction (run-length walk) against minimum_table (the
+    sieve), a scan of the step walk and brute_minimum for every residue
+    (x = 0 has no sieve entry), and is_minimal_pair
     against brute_pair_minimal on every trace pair plus an optional seeded
     sample of random pairs per modulus.
     """

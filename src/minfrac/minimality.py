@@ -11,7 +11,7 @@ smaller denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 from .descent import descent_runs
 from .errors import InvariantError
@@ -20,6 +20,7 @@ from .residues import (
     FractionPair,
     Residue,
     ResidueClass,
+    check_modulus,
     neg_residue,
     pos_residue,
     represents,
@@ -161,5 +162,52 @@ def sqrt_bound_witness(r: Residue) -> Fraction:
             return Fraction(sign * (an - j * bn), ad + j * bd)
     raise InvariantError(
         f"no sqrt-bounded representation found for {r}; "
+        f"this falsifies the existence bound and should be reported"
+    )
+
+
+def minimum_table(m: int) -> list[Fraction]:
+    """minimum_fraction for x = 1..M-1, from one pass over small candidates.
+
+    Every x has a representation with |n| <= isqrt(M) and d <= isqrt(M), so
+    its minimum is among those.  They are walked in criterion_key order:
+    max coefficient c = 1, 2, ..., then d = 1..c, then the positive
+    numerator before the negative one (for d < c the numerator is +-c, for
+    d = c it is 0..c and then -1..-c).  A candidate n/d represents x iff
+    x*d = n (mod M): with g = gcd(d, M) that needs g | n, and then holds for
+    every x = (n/g) * (d/g)^-1 (mod M/g).  The first candidate to reach x is
+    its minimum.  The walk stops once every x is reached, after about M
+    candidates; x = 0 is reached first, by 0/1, and left out of the result.
+    If some x is never reached that falsifies the bound and is raised as an
+    InvariantError.
+    """
+    check_modulus(m)
+    table: list[Fraction | None] = [None] * m
+    left = m
+    per_d = [(0, 0, 0)]  # per denominator d: (g, (d/g)^-1 mod M/g, M/g)
+    for c in range(1, isqrt(m) + 1):
+        g = gcd(c, m)
+        per_d.append((g, pow(c // g, -1, m // g), m // g))
+        for d in range(1, c + 1):
+            g, inv, step = per_d[d]
+            numerators = (c, -c) if d < c else (*range(c + 1), *range(-1, -c - 1, -1))
+            if g == 1:
+                # The common case, one x per candidate.
+                for n in numerators:
+                    x = n * inv % m
+                    if table[x] is None:
+                        table[x] = Fraction(n, d)
+                        left -= 1
+            else:
+                for n in numerators:
+                    if n % g == 0:
+                        for x in range(n // g * inv % step, m, step):
+                            if table[x] is None:
+                                table[x] = Fraction(n, d)
+                                left -= 1
+            if not left:
+                return table[1:]
+    raise InvariantError(
+        f"no sqrt-bounded representation found for {table.index(None)} (mod {m}); "
         f"this falsifies the existence bound and should be reported"
     )

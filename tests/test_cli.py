@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import minfrac.cli as cli
 import minfrac.harness as harness
 from minfrac.cli import main, render_fraction
 from minfrac.descent import run_descent
+from minfrac.minimality import minimum_fraction
 from minfrac.oracle import CEILING_ENV_VAR
 from minfrac.residues import Fraction, Residue, parse_fraction
 
@@ -234,6 +236,34 @@ def test_table_cross_check(capsys):
     code, _, err = run(capsys, "table", "-m", "97", "--cross-check", "--ceiling-override", "50")
     assert code == 4
     assert "ceiling" in err
+
+
+def test_table_cross_check_names_a_planted_entry(capsys, monkeypatch):
+    real_table = cli.minimum_table
+
+    def planted(m):
+        table = real_table(m)
+        table[7 - 1] = Fraction(4, 3)  # represents 7 mod 17; the minimum is -3/2
+        return table
+
+    monkeypatch.setattr(cli, "minimum_table", planted)
+    code, out, err = run(capsys, "table", "-m", "17", "--cross-check")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "cross-check failed at x=7: table has 4/3, oracle says -3/2, descent says -3/2\n"
+    )
+
+
+def test_table_json_is_laid_out_as_json_dumps(capsys):
+    # `table` writes its JSON entry by entry; the bytes must be json.dumps' own.
+    for m in (2, 3, 17, 18):
+        code, out, _ = run(capsys, "table", "-m", str(m), "--format", "json")
+        assert code == 0
+        payload = {"modulus": m, "fractions": [
+            {"n": f.n, "d": f.d} for f in (minimum_fraction(Residue(x, m)) for x in range(1, m))
+        ]}
+        assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_table_refuses_more_entries_than_the_ceiling(capsys, monkeypatch):

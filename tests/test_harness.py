@@ -20,6 +20,7 @@ from minfrac.harness import (
     check_sqrt_bound,
     run_checks,
 )
+from minfrac.residues import Fraction
 
 # Pass counts over M in [2, 60], frozen from an exhaustive run.  The sweep
 # is deterministic, so any change here means the algorithm changed.
@@ -115,6 +116,30 @@ def test_minimality_reports_a_planted_non_minimal_pair(monkeypatch):
     assert (ce.m, ce.x) == (17, 7)
     assert ce.detail == "trace pair (-10/1, 4/3) is not pair-minimal"
     assert ce.replay == "minfrac trace --modulus 17 --x 7"
+
+
+def test_agreement_reports_a_planted_sieve_entry(monkeypatch):
+    # 7 mod 17 has minimum -3/2; plant 4/3, another representation of 7.
+    real_table = harness.minimum_table
+
+    def planted(m):
+        table = real_table(m)
+        if m == 17:
+            table[7 - 1] = Fraction(4, 3)
+        return table
+
+    base = check_agreement((17, 17))
+    monkeypatch.setattr(harness, "minimum_table", planted)
+    report = check_agreement((17, 17))
+    assert report.failures == 1
+    assert report.passes == base.passes - 1
+    (ce,) = report.counterexamples
+    assert (ce.m, ce.x) == (17, 7)
+    assert ce.detail == (
+        "sieve minimum 4/3, run minimum -3/2, step minimum -3/2 "
+        "and enumerated minimum -3/2 differ"
+    )
+    assert ce.replay == "minfrac repr --modulus 17 --x 7"
 
 
 def test_progress_flags_long_traces_as_anomalies():

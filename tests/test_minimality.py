@@ -11,6 +11,7 @@ from minfrac.minimality import (
     is_minimal_in_class,
     is_minimal_pair,
     minimum_fraction,
+    minimum_table,
     sqrt_bound_witness,
 )
 from minfrac.oracle import brute_minimum
@@ -48,6 +49,20 @@ def test_minimum_fraction_examples():
 
 def test_minimum_table_mod_17():
     assert [minimum_fraction(Residue(x, 17)) for x in range(1, 17)] == MIN_TABLE_17
+    assert minimum_table(17) == MIN_TABLE_17
+
+
+def test_minimum_table_matches_per_residue_minimum():
+    # 1024, 2310, 4096, 9984 and 10080 share many factors with small
+    # denominators, so the sieve's gcd(d, M) > 1 branch and its g | n skip
+    # carry much of the table.
+    for m in [*range(2, 301), 1024, 2310, 4096, 9984, 10080]:
+        assert minimum_table(m) == [minimum_fraction(Residue(x, m)) for x in range(1, m)], m
+
+
+def test_minimum_table_rejects_bad_moduli():
+    with pytest.raises(ValueError):
+        minimum_table(1)
 
 
 def test_is_minimal_in_class():
