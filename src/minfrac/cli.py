@@ -17,17 +17,22 @@ the per-x run-length descent and the brute-force oracle.
 Integer arguments accept decimal or 0x-prefixed hex, so cryptographic-scale
 moduli paste in directly.  JSON output for identical inputs is identical
 across runs (no timestamps or durations).
+
+Start-up is most of a short call, so each subcommand imports only what it
+runs: the harness is loaded when `verify` runs (its `SweepConfig` and
+`run_checks` are still attributes of this module), and `json` when a
+payload is printed with `--format json`; `trace` and `table` write theirs
+entry by entry without it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+from .check_names import CHECK_NAMES
 from .descent import descent_runs, run_descent
 from .errors import CeilingExceeded, InvariantError
-from .harness import CHECK_NAMES, SweepConfig, run_checks
 from .minimality import minimum_fraction, minimum_table, sqrt_bound_witness
 from .oracle import DEFAULT_ENUMERATION_CEILING, brute_minimum, check_ceiling, enumerate_class
 from .residues import Fraction, Residue, ResidueClass, check_modulus, represents
@@ -86,6 +91,8 @@ def _frac_dict(f: Fraction) -> dict:
 
 
 def _emit(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
@@ -195,12 +202,29 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+# Harness names reachable as attributes of this module; only `verify` loads them.
+_HARNESS_NAMES = ("SweepConfig", "run_checks")
+
+
+def __getattr__(name: str):
+    if name not in _HARNESS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import harness
+
+    value = getattr(harness, name)
+    globals()[name] = value
+    return value
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.checks == "all":
         checks = CHECK_NAMES
     else:
         checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
-    config = SweepConfig(
+    # Looked up as module attributes, so a run_checks set onto this module
+    # (as the benchmark's traced run does) is the one that runs.
+    this = sys.modules[__name__]
+    config = this.SweepConfig(
         m_min=args.m_min,
         m_max=args.m_max,
         checks=checks,
@@ -209,7 +233,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ceiling=args.ceiling_override,
         random_pairs_per_m=args.random_pairs,
     )
-    reports = run_checks(config)
+    reports = this.run_checks(config)
     if args.format == "json":
         _emit({"report": [r.to_dict() for r in reports]})
     else:

@@ -20,10 +20,9 @@ step walk `descent_steps` stays as the reference it is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .residues import Fraction, FractionPair, Residue, ResidueClass
+from .residues import Fraction, FractionPair, Record, Residue, ResidueClass
 
 RawStep = tuple[int, int, int, int, "ResidueClass | None"]
 
@@ -77,13 +76,23 @@ def descent_runs(x: int, m: int) -> Iterator[tuple[int, int, int, int, ResidueCl
             pd += k * nd
 
 
-@dataclass(frozen=True)
-class DescentTrace:
-    """Full record of one descent: every pair visited, in order."""
+class DescentTrace(Record):
+    """Full record of one descent: every pair visited, in order.
 
-    residue: Residue
-    pairs: tuple[FractionPair, ...]
-    replaced: tuple[ResidueClass | None, ...]  # replaced[i] made pairs[i]; None at step 0
+    replaced[i] is the side whose replacement made pairs[i]; None at step 0.
+    """
+
+    __slots__ = ("residue", "pairs", "replaced")
+
+    def __init__(
+        self,
+        residue: Residue,
+        pairs: tuple[FractionPair, ...],
+        replaced: tuple[ResidueClass | None, ...],
+    ) -> None:
+        self.residue = residue
+        self.pairs = pairs
+        self.replaced = replaced
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -22,8 +22,10 @@ Sweeps are embarrassingly parallel over moduli; with parallelism > 1 the
 moduli are striped across a process pool of at most one worker per CPU and
 per modulus, and the partial results merged into a canonical order, so a
 report is deterministic for a given config no matter how the work was split.
-The pool and the sampler are imported only when a sweep needs them, which
-keeps them out of every other command's start-up.
+The pool and the sampler are imported only when a sweep needs them.  The
+CLI imports this module only when `verify` runs, and takes the check names
+from the leaf module check_names, so no other command pays for the harness
+or for `dataclasses`, which its records still use.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .check_names import CHECK_NAMES
 from .descent import descent_steps, run_descent
 from .errors import InvariantError
 from .minimality import is_minimal_pair, minimum_fraction, minimum_table, sqrt_bound_witness
@@ -52,8 +55,6 @@ from .residues import (
     represents,
     residue_fraction,
 )
-
-CHECK_NAMES = ("determinant", "minimality", "sqrt_bound", "progress", "agreement")
 
 DEFAULT_TRACE_CAP_FACTOR = 10
 

@@ -10,7 +10,6 @@ smaller denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .descent import descent_runs
@@ -18,6 +17,7 @@ from .errors import InvariantError
 from .residues import (
     Fraction,
     FractionPair,
+    Record,
     Residue,
     ResidueClass,
     check_modulus,
@@ -27,12 +27,14 @@ from .residues import (
 )
 
 
-@dataclass(frozen=True)
-class MinimalityVerdict:
+class MinimalityVerdict(Record):
     """Outcome of a minimality check; carries a violating denominator on failure."""
 
-    holds: bool
-    witness_d: int | None = None
+    __slots__ = ("holds", "witness_d")
+
+    def __init__(self, holds: bool, witness_d: int | None = None) -> None:
+        self.holds = holds
+        self.witness_d = witness_d
 
     def __bool__(self) -> bool:
         return self.holds

@@ -10,7 +10,7 @@ there is no floating point anywhere in this package.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import attrgetter
 
 
 class ResidueClass(enum.Enum):
@@ -30,24 +30,52 @@ def check_modulus(m: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Residue:
+class Record:
+    """Base for the value types: fields are the subclass's __slots__.
+
+    Gives what a frozen dataclass would (field-wise equality within one
+    class, a hash of the fields and a `Name(field=value, ...)` repr) without
+    importing dataclasses.  Fields are set once in __init__ and never
+    reassigned, though nothing enforces that.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls.__slots__)  # a plain callable: _values(obj)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Residue(Record):
     """A residue x in Z/mZ, kept in canonical range 0 <= x < m."""
 
-    x: int
-    m: int
+    __slots__ = ("x", "m")
 
-    def __post_init__(self) -> None:
-        check_modulus(self.m)
-        if not 0 <= self.x < self.m:
-            raise ValueError(f"residue {self.x} out of range [0, {self.m})")
+    def __init__(self, x: int, m: int) -> None:
+        check_modulus(m)
+        if not 0 <= x < m:
+            raise ValueError(f"residue {x} out of range [0, {m})")
+        self.x = x
+        self.m = m
 
     def __str__(self) -> str:
         return f"{self.x} (mod {self.m})"
 
 
-@dataclass(frozen=True)
-class Fraction:
+class Fraction(Record):
     """One candidate representation N/D of some residue.
 
     The numerator is signed; the denominator is never negative.  The residue
@@ -56,14 +84,15 @@ class Fraction:
     zero denominator only occurs for the negative-class fraction -M/0.
     """
 
-    n: int
-    d: int
+    __slots__ = ("n", "d")
 
-    def __post_init__(self) -> None:
-        if self.d < 0:
-            raise ValueError(f"denominator must be >= 0, got {self.d}")
-        if self.n >= 0 and self.d == 0:
+    def __init__(self, n: int, d: int) -> None:
+        if d < 0:
+            raise ValueError(f"denominator must be >= 0, got {d}")
+        if n >= 0 and d == 0:
             raise ValueError("positive-class fractions need a denominator >= 1")
+        self.n = n
+        self.d = d
 
     @property
     def residue_class(self) -> ResidueClass:
@@ -123,8 +152,7 @@ def mediant(f1: Fraction, f2: Fraction) -> Fraction:
     return Fraction(f1.n + f2.n, f1.d + f2.d)
 
 
-@dataclass(frozen=True)
-class FractionPair:
+class FractionPair(Record):
     """A negative-class and a positive-class fraction for the same residue.
 
     Every pair produced by the descent satisfies the determinant identity
@@ -132,14 +160,15 @@ class FractionPair:
     neighbour identity, which equals 1 instead).
     """
 
-    neg: Fraction
-    pos: Fraction
+    __slots__ = ("neg", "pos")
 
-    def __post_init__(self) -> None:
-        if self.neg.n >= 0:
-            raise ValueError(f"neg side must have a negative numerator, got {self.neg}")
-        if self.pos.n < 0:
-            raise ValueError(f"pos side must have a non-negative numerator, got {self.pos}")
+    def __init__(self, neg: Fraction, pos: Fraction) -> None:
+        if neg.n >= 0:
+            raise ValueError(f"neg side must have a negative numerator, got {neg}")
+        if pos.n < 0:
+            raise ValueError(f"pos side must have a non-negative numerator, got {pos}")
+        self.neg = neg
+        self.pos = pos
 
     def determinant(self) -> int:
         return self.pos.n * self.neg.d - self.neg.n * self.pos.d

@@ -380,6 +380,45 @@ def test_import_leaves_the_process_pool_out():
     assert out.strip() == "False"
 
 
+def _imports_of(*args):
+    """Exit code and the modules a fresh interpreter imports to run args."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                          capture_output=True, text=True)
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    # The first line is the column header; each other line names one module.
+    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+
+
+def test_start_up_leaves_the_harness_dataclasses_and_json_out():
+    # Only `verify` runs the harness, and only JSON output needs json.
+    heavy = {"minfrac.harness", "dataclasses", "json"}
+    code, loaded = _imports_of("-c", "import minfrac.cli")
+    assert code == 0 and "minfrac.cli" in loaded and not loaded & heavy
+    code, loaded = _imports_of("-m", "minfrac.cli", "repr", "-m", "17", "--x", "7")
+    assert code == 0 and "minfrac.minimality" in loaded and not loaded & heavy
+    code, loaded = _imports_of("-m", "minfrac.cli", "verify", "--m-min", "2", "--m-max", "5",
+                               "--format", "json")
+    assert code == 0 and heavy <= loaded
+
+
+def test_verify_runs_the_run_checks_set_on_the_module(capsys, monkeypatch):
+    # The benchmark's traced run sets a timing wrapper onto minfrac.cli.run_checks.
+    assert cli.SweepConfig is harness.SweepConfig and cli.run_checks is harness.run_checks
+    seen = []
+
+    def recording(config):
+        seen.append(config.checks)
+        return harness.run_checks(config)
+
+    monkeypatch.setattr(cli, "run_checks", recording)
+    code, _, _ = run(capsys, "verify", "--m-min", "2", "--m-max", "5", "--checks", "progress")
+    assert code == 0 and seen == [("progress",)]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cli.no_such_name
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run(capsys, "verify", "--m-min", "2", "--m-max", "20",
                        "--format", "json")

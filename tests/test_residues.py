@@ -1,9 +1,13 @@
 """Unit and property tests for the residue arithmetic primitives."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minfrac.descent import DescentTrace, run_descent
+from minfrac.minimality import MinimalityVerdict
 from minfrac.residues import (
     Fraction,
     FractionPair,
@@ -144,6 +148,73 @@ def test_fraction_pair():
         FractionPair(neg=Fraction(4, 3), pos=Fraction(4, 3))
     with pytest.raises(ValueError):
         FractionPair(neg=Fraction(-3, 2), pos=Fraction(-1, 2))
+
+
+def _value_types():
+    """One instance of each value type, a copy of it, and each one-field variant."""
+    third, half = Fraction(-1, 3), Fraction(1, 2)
+    pair = FractionPair(neg=third, pos=half)
+    trace = run_descent(Residue(0, 2))
+    return [
+        (Residue(7, 17), Residue(7, 17), [Residue(8, 17), Residue(7, 19)]),
+        (half, Fraction(1, 2), [Fraction(2, 2), Fraction(1, 3)]),
+        (pair, FractionPair(Fraction(-1, 3), Fraction(1, 2)),
+         [FractionPair(Fraction(-2, 3), half), FractionPair(third, Fraction(1, 3))]),
+        (trace, DescentTrace(Residue(0, 2), trace.pairs, trace.replaced),
+         [DescentTrace(Residue(1, 2), trace.pairs, trace.replaced),
+          DescentTrace(Residue(0, 2), (), trace.replaced),
+          DescentTrace(Residue(0, 2), trace.pairs, (ResidueClass.POSITIVE,))]),
+        (MinimalityVerdict(False, 3), MinimalityVerdict(holds=False, witness_d=3),
+         [MinimalityVerdict(True, 3), MinimalityVerdict(False)]),
+    ]
+
+
+def test_value_types_compare_and_hash_by_their_fields():
+    for value, twin, variants in _value_types():
+        assert value == twin and not value != twin and value is not twin
+        assert hash(value) == hash(twin)
+        assert len({value, twin, *variants}) == 1 + len(variants)
+        assert {value: 1}[twin] == 1
+        assert pickle.loads(pickle.dumps(value)) == value
+        for other in variants:
+            assert value != other and not value == other
+    # A value of another class, even with equal fields, is never equal.
+    assert Fraction(1, 2) != Residue(1, 2) and Residue(1, 2) != Fraction(1, 2)
+    assert Fraction(1, 2) != (1, 2) and (1, 2) != Fraction(1, 2)
+    assert MinimalityVerdict(True, None) != (True, None)
+
+
+def test_value_type_reprs_and_keywords():
+    assert repr(Residue(x=7, m=17)) == "Residue(x=7, m=17)"
+    assert repr(Fraction(n=1, d=2)) == "Fraction(n=1, d=2)"
+    assert repr(FractionPair(neg=Fraction(-17, 0), pos=Fraction(7, 1))) == (
+        "FractionPair(neg=Fraction(n=-17, d=0), pos=Fraction(n=7, d=1))"
+    )
+    assert repr(MinimalityVerdict(False, witness_d=3)) == "MinimalityVerdict(holds=False, witness_d=3)"
+    assert repr(MinimalityVerdict(True)) == "MinimalityVerdict(holds=True, witness_d=None)"
+    assert repr(run_descent(Residue(0, 2))) == (
+        "DescentTrace(residue=Residue(x=0, m=2), "
+        "pairs=(FractionPair(neg=Fraction(n=-2, d=0), pos=Fraction(n=0, d=1)),), "
+        "replaced=(None,))"
+    )
+
+
+def test_value_type_validation_messages():
+    cases = [
+        (lambda: Residue(0, 1), "modulus must be >= 2, got 1"),
+        (lambda: Residue(-1, 17), "residue -1 out of range [0, 17)"),
+        (lambda: Residue(17, 17), "residue 17 out of range [0, 17)"),
+        (lambda: Fraction(1, -1), "denominator must be >= 0, got -1"),
+        (lambda: Fraction(0, 0), "positive-class fractions need a denominator >= 1"),
+        (lambda: FractionPair(neg=Fraction(4, 3), pos=Fraction(4, 3)),
+         "neg side must have a negative numerator, got 4/3"),
+        (lambda: FractionPair(neg=Fraction(-3, 2), pos=Fraction(-1, 2)),
+         "pos side must have a non-negative numerator, got -1/2"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 def _draw_residue(data, moduli=BIG_MODULI):
