@@ -20,20 +20,19 @@ _HOMES = {
     "errors": ("CeilingExceeded", "InvariantError"),
     "harness": (
         "Anomaly", "Counterexample", "SweepConfig", "VerificationReport", "check_agreement",
-        "check_determinant", "check_minimality", "check_progress", "check_sqrt_bound",
-        "run_checks",
+        "check_determinant", "check_progress", "check_sqrt_bound", "run_checks",
     ),
     "minimality": (
-        "MinimalityVerdict", "criterion_key", "is_minimal_in_class", "is_minimal_pair",
-        "minimum_fraction", "minimum_table", "sqrt_bound_witness",
+        "criterion_key", "is_minimal_pair", "minimum_fraction", "minimum_table",
+        "sqrt_bound_witness",
     ),
     "oracle": (
         "CEILING_ENV_VAR", "DEFAULT_ENUMERATION_CEILING", "DEFAULT_PAIR_CHECK_CEILING",
         "brute_minimum", "brute_pair_minimal", "brute_prefix_minima", "enumerate_class",
     ),
     "residues": (
-        "Fraction", "FractionPair", "Residue", "ResidueClass", "check_modulus", "mediant",
-        "neg_residue", "parse_fraction", "pos_residue", "represents", "residue_fraction",
+        "Fraction", "FractionPair", "Residue", "ResidueClass", "check_modulus", "neg_residue",
+        "pos_residue", "represents", "residue_fraction",
     ),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -3,9 +3,9 @@
 Each check packages one theorem as an exhaustive scan over every residue of
 every modulus in a range and reduces the outcome to a VerificationReport:
 pass/fail counts plus replayable counterexamples.  A failure is a falsified
-invariant.  Anomalies (currently only unusually long traces) are flagged for
-inspection but never fail a report, because termination carries no stated
-step bound.
+invariant.  Anomalies (currently only traces of more than TRACE_CAP_FACTOR
+pairs per bit of M) are flagged for inspection but never fail a report,
+because termination carries no stated step bound.
 
 minimum_fraction and sqrt_bound_witness walk the descent by runs; the
 agreement and sqrt_bound checks compare them with scans of the step walk,
@@ -15,7 +15,9 @@ behind `minfrac table`, to the same minima.
 
 The minimality check scans each residue's class residues once, from the
 oracle's prefix minima, and then tests every trace pair in O(1); the
-agreement check keeps the oracle's literal per-pair scan.  Brute-force
+agreement check keeps the oracle's literal per-pair scan.  Only pair
+minimality is checked: it implies each side's per-class minimality, since
+the pair's threshold is at least either side's magnitude.  Brute-force
 ceilings are resolved once per check run, so workers get plain integers.
 
 Sweeps are embarrassingly parallel over moduli; with parallelism > 1 the
@@ -56,7 +58,8 @@ from .residues import (
     residue_fraction,
 )
 
-DEFAULT_TRACE_CAP_FACTOR = 10
+# The progress check flags a trace of more than this many pairs per bit of M.
+TRACE_CAP_FACTOR = 10
 
 # Reports keep at most this many anomalies; the full count is always kept.
 ANOMALY_SAMPLE_CAP = 50
@@ -72,7 +75,6 @@ class SweepConfig:
     parallelism: int = 1
     seed: int = 0
     ceiling: int | None = None
-    trace_cap_factor: int = DEFAULT_TRACE_CAP_FACTOR
     random_pairs_per_m: int = 0
 
     def __post_init__(self) -> None:
@@ -163,7 +165,6 @@ class VerificationReport:
 class _Params(NamedTuple):
     """What the per-modulus checks read from a config, ceilings resolved."""
 
-    cap_factor: int
     seed: int
     random_pairs: int
     pair_ceiling: int
@@ -272,7 +273,7 @@ def _minimality_m(m: int, params: _Params) -> _Part:
 
 
 def _progress_m(m: int, params: _Params) -> _Part:
-    cap = params.cap_factor * m.bit_length()
+    cap = TRACE_CAP_FACTOR * m.bit_length()
     passes = 0
     bad: list[Counterexample] = []
     anomalies: list[Anomaly] = []
@@ -299,9 +300,7 @@ def _progress_m(m: int, params: _Params) -> _Part:
             prev_max = pn if pn > -nn else -nn
         if npairs > cap:
             anomalies.append(
-                Anomaly(
-                    m, x, f"{npairs} pairs exceeds cap {cap} ({params.cap_factor} * bit_length)"
-                )
+                Anomaly(m, x, f"{npairs} pairs exceeds cap {cap} ({TRACE_CAP_FACTOR} * bit_length)")
             )
     return passes, bad, anomalies
 
@@ -312,7 +311,7 @@ def _agreement_m(m: int, params: _Params) -> _Part:
 
     def compare_pair(p: FractionPair, r: Residue) -> None:
         nonlocal passes
-        fast = bool(is_minimal_pair(p, r))
+        fast = is_minimal_pair(p, r)
         slow = brute_pair_minimal(p, r, ceiling=params.pair_ceiling)
         if fast == slow:
             passes += 1
@@ -397,9 +396,7 @@ def _run_one_check(check: str, cfg: SweepConfig) -> VerificationReport:
         # $MINFRAC_CEILING is read here, once, not on every oracle call.
         pair_ceiling = resolve_ceiling(cfg.ceiling, DEFAULT_PAIR_CHECK_CEILING)
         enumeration_ceiling = resolve_ceiling(cfg.ceiling, DEFAULT_ENUMERATION_CEILING)
-    params = _Params(
-        cfg.trace_cap_factor, cfg.seed, cfg.random_pairs_per_m, pair_ceiling, enumeration_ceiling
-    )
+    params = _Params(cfg.seed, cfg.random_pairs_per_m, pair_ceiling, enumeration_ceiling)
     tasks = [(check, ms[i::workers], params) for i in range(workers)]
     if workers == 1:
         parts = [_chunk_worker(tasks[0])]
@@ -443,26 +440,13 @@ def check_sqrt_bound(m_range: tuple[int, int], parallelism: int = 1) -> Verifica
     return run_checks(cfg)[0]
 
 
-def check_minimality(
-    m_range: tuple[int, int], parallelism: int = 1, ceiling: int | None = None
-) -> VerificationReport:
-    """Every trace pair passes the exhaustive pair-minimality scan."""
-    cfg = SweepConfig(
-        m_range[0], m_range[1], checks=("minimality",), parallelism=parallelism, ceiling=ceiling
-    )
-    return run_checks(cfg)[0]
+def check_progress(m_range: tuple[int, int], parallelism: int = 1) -> VerificationReport:
+    """Magnitude sums strictly decrease at every step.
 
-
-def check_progress(
-    m_range: tuple[int, int],
-    parallelism: int = 1,
-    trace_cap_factor: int = DEFAULT_TRACE_CAP_FACTOR,
-) -> VerificationReport:
-    """Magnitude sums strictly decrease at every step; long traces get flagged."""
-    cfg = SweepConfig(
-        m_range[0], m_range[1], checks=("progress",),
-        parallelism=parallelism, trace_cap_factor=trace_cap_factor,
-    )
+    A trace of more than TRACE_CAP_FACTOR * bit_length(M) pairs is flagged
+    as an anomaly, not a failure.
+    """
+    cfg = SweepConfig(m_range[0], m_range[1], checks=("progress",), parallelism=parallelism)
     return run_checks(cfg)[0]
 
 

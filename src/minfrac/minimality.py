@@ -1,11 +1,13 @@
-"""The three minimality notions and the sqrt(M) bound witness.
+"""Pair minimality, the minimum fraction and the sqrt(M) bound witness.
 
-Per-class minimality: no smaller denominator in the same residue class gives
-a numerator of smaller magnitude.  Pair minimality generalizes this to a
-(negative, positive) pair via a sum-of-magnitudes threshold and is the
-invariant the descent preserves.  The global minimum fraction is the
-representation with the smallest maximum coefficient, ties broken by the
-smaller denominator.
+Pair minimality is the invariant the descent preserves: no denominator
+below the pair's own in either class gives a residue magnitude under the
+threshold |neg.n| + |pos.n|.  Per-class minimality of each side (no smaller
+same-class denominator gives a numerator of smaller magnitude) follows from
+it, because the threshold is at least either side's magnitude, so it needs
+no check of its own.  The global minimum fraction is the representation
+with the smallest maximum coefficient, ties broken by the smaller
+denominator.
 """
 
 from __future__ import annotations
@@ -17,27 +19,11 @@ from .errors import InvariantError
 from .residues import (
     Fraction,
     FractionPair,
-    Record,
     Residue,
     ResidueClass,
     check_modulus,
-    neg_residue,
-    pos_residue,
     represents,
 )
-
-
-class MinimalityVerdict(Record):
-    """Outcome of a minimality check; carries a violating denominator on failure."""
-
-    __slots__ = ("holds", "witness_d")
-
-    def __init__(self, holds: bool, witness_d: int | None = None) -> None:
-        self.holds = holds
-        self.witness_d = witness_d
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def criterion_key(f: Fraction) -> tuple[int, int, int]:
@@ -50,30 +36,7 @@ def criterion_key(f: Fraction) -> tuple[int, int, int]:
     return (max(abs(f.n), f.d), f.d, 0 if f.n >= 0 else 1)
 
 
-def is_minimal_in_class(f: Fraction, r: Residue) -> MinimalityVerdict:
-    """Check that no smaller same-class denominator beats |f.n|.
-
-    Denominators are scanned in increasing order, so a failing verdict
-    carries the smallest violating denominator.
-    """
-    if not represents(r, f):
-        raise ValueError(f"{f} does not represent {r}")
-    if f.residue_class is ResidueClass.POSITIVE:
-        lo, residue_of = 1, pos_residue
-        if not lo <= f.d <= r.m:
-            raise ValueError(f"denominator {f.d} out of positive-class range [1, {r.m}]")
-    else:
-        lo, residue_of = 0, neg_residue
-        if not lo <= f.d <= r.m - 1:
-            raise ValueError(f"denominator {f.d} out of negative-class range [0, {r.m - 1}]")
-    bound = abs(f.n)
-    for d in range(lo, f.d):
-        if abs(residue_of(r, d)) < bound:
-            return MinimalityVerdict(False, d)
-    return MinimalityVerdict(True)
-
-
-def is_minimal_pair(p: FractionPair, r: Residue) -> MinimalityVerdict:
+def is_minimal_pair(p: FractionPair, r: Residue) -> bool:
     """Check the generalized pair-minimality condition.
 
     The pair is minimal iff any denominator whose residue magnitude (in
@@ -81,25 +44,26 @@ def is_minimal_pair(p: FractionPair, r: Residue) -> MinimalityVerdict:
     pair's denominator of the matching class.  Denominators at or above the
     matching-class denominator satisfy the condition trivially, so only the
     smaller ones are scanned: the negative side first, then the positive
-    side, each in increasing order.  A negative-side scan that runs past
-    denominator M - 1 raises ValueError, as neg_residue would.
+    side, each in increasing order.  A side that does not represent r, or
+    whose denominator is outside its class's range, raises ValueError.
     """
+    x, m = r.x, r.m
     for f in (p.neg, p.pos):
         if not represents(r, f):
             raise ValueError(f"{f} does not represent {r}")
-    x, m = r.x, r.m
+    if not 0 <= p.neg.d <= m - 1:
+        raise ValueError(f"negative-class denominator {p.neg.d} out of range [0, {m - 1}]")
+    if not 1 <= p.pos.d <= m:
+        raise ValueError(f"positive-class denominator {p.pos.d} out of range [1, {m}]")
     threshold = -p.neg.n + p.pos.n  # |neg.n| + |pos.n|
     # The residues are computed inline: this scan is the harness's hot loop.
-    for d in range(0, min(p.neg.d, m)):
+    for d in range(0, p.neg.d):
         if m - (x * d) % m < threshold:  # |negative residue|
-            return MinimalityVerdict(False, d)
-    if p.neg.d > m:
-        neg_residue(r, m)  # raises: m is outside the negative class
-    # Residue 0 at d = m is below any threshold, so this scan never passes m.
+            return False
     for d in range(1, p.pos.d):
         if (x * d) % m < threshold:
-            return MinimalityVerdict(False, d)
-    return MinimalityVerdict(True)
+            return False
+    return True
 
 
 def minimum_fraction(r: Residue) -> Fraction:

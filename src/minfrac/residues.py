@@ -94,21 +94,8 @@ class Fraction(Record):
         self.n = n
         self.d = d
 
-    @property
-    def residue_class(self) -> ResidueClass:
-        return ResidueClass.NEGATIVE if self.n < 0 else ResidueClass.POSITIVE
-
     def __str__(self) -> str:
         return f"{self.n}/{self.d}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Parse "n/d" (or a bare integer, meaning denominator 1) into a Fraction."""
-    s = text.strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s), 1)
 
 
 def pos_residue(r: Residue, d: int) -> int:
@@ -141,15 +128,6 @@ def residue_fraction(r: Residue, d: int, cls: ResidueClass) -> Fraction:
 def represents(r: Residue, f: Fraction) -> bool:
     """True iff x*D is congruent to N (mod M)."""
     return (r.x * f.d - f.n) % r.m == 0
-
-
-def mediant(f1: Fraction, f2: Fraction) -> Fraction:
-    """The mediant (N1+N2)/(D1+D2).
-
-    If both inputs represent the same residue x, so does the mediant; this
-    is the Farey-sequence mediant property carried over to Z/MZ.
-    """
-    return Fraction(f1.n + f2.n, f1.d + f2.d)
 
 
 class FractionPair(Record):

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: output text, JSON schema, exit codes."""
 
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -16,11 +17,17 @@ from minfrac.cli import main, render_fraction
 from minfrac.descent import run_descent
 from minfrac.minimality import minimum_fraction
 from minfrac.oracle import CEILING_ENV_VAR
-from minfrac.residues import Fraction, Residue, parse_fraction
+from minfrac.residues import Fraction, Residue
 
 TABLE_17 = "1, 2, 3, 4, -2/3, 1/3, -3/2, -1/2, 1/2, 3/2, -1/3, 2/3, -4, -3, -2, -1"
 
 SECP256K1_P = 2**256 - 2**32 - 977
+
+
+def _parse_fraction(text):
+    """Parse "n/d" (or a bare integer, meaning denominator 1) into a Fraction."""
+    num, _, den = text.strip().partition("/")
+    return Fraction(int(num), int(den or 1))
 
 
 def run(capsys, *argv):
@@ -63,8 +70,8 @@ def test_repr_json_matches_text(capsys):
     minimum, witness = payload["fractions"]
     code, out, _ = run(capsys, "repr", "-m", "17", "--x", "12")
     lines = out.splitlines()
-    assert parse_fraction(lines[0]) == Fraction(minimum["n"], minimum["d"])
-    assert parse_fraction(lines[1].removeprefix("witness: ")) == Fraction(witness["n"], witness["d"])
+    assert _parse_fraction(lines[0]) == Fraction(minimum["n"], minimum["d"])
+    assert _parse_fraction(lines[1].removeprefix("witness: ")) == Fraction(witness["n"], witness["d"])
 
 
 def test_repr_256_bit_near_small_rationals(capsys):
@@ -76,7 +83,7 @@ def test_repr_256_bit_near_small_rationals(capsys):
         assert code == 0
         minimum, witness = out.splitlines()
         assert minimum == expected
-        w = parse_fraction(witness.removeprefix("witness: "))
+        w = _parse_fraction(witness.removeprefix("witness: "))
         assert w.n * w.n <= p and w.d * w.d <= p
         assert (x * w.d - w.n) % p == 0
     assert time.perf_counter() - start < 1.0
@@ -295,7 +302,7 @@ def test_table_json_matches_text(capsys):
     code, out, _ = run(capsys, "table", "-m", "17", "--format", "json")
     payload = json.loads(out)
     code, text_out, _ = run(capsys, "table", "-m", "17")
-    rendered = [parse_fraction(s) for s in text_out.strip().split(", ")]
+    rendered = [_parse_fraction(s) for s in text_out.strip().split(", ")]
     assert rendered == [Fraction(f["n"], f["d"]) for f in payload["fractions"]]
 
 
@@ -432,6 +439,19 @@ def test_verify_json_schema(capsys):
         assert r["fail"] == 0 and r["pass"] > 0
 
 
+def test_verify_json_is_pinned_byte_for_byte(capsys):
+    # Includes all 14 progress anomaly texts, such as "61 pairs exceeds cap
+    # 60 (10 * bit_length)", so the trace cap is pinned too.
+    code, out, err = run(capsys, "verify", "--format", "json", "--m-min", "2", "--m-max", "72",
+                         "--random-pairs", "4")
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert len(data) == 2525
+    assert hashlib.sha256(data).hexdigest() == (
+        "1a93f0982adf81d52b5752d908b3227dcafe83c610bf61700d6f74d310134685"
+    )
+
+
 def test_verify_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--m-min", "1", "--m-max", "0")
     assert code == 2
@@ -458,4 +478,4 @@ def test_render_fraction_helper():
     assert render_fraction(Fraction(-4, 1), bare_units=True) == "-4"
     assert render_fraction(Fraction(-4, 1)) == "-4/1"
     assert render_fraction(Fraction(0, 2), bare_units=True) == "0/2"
-    assert parse_fraction(render_fraction(Fraction(-3, 2))) == Fraction(-3, 2)
+    assert _parse_fraction(render_fraction(Fraction(-3, 2))) == Fraction(-3, 2)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minfrac.descent import descent_runs, descent_steps, run_descent
-from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, mediant, represents
+from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, represents
 
 NEG = ResidueClass.NEGATIVE
 POS = ResidueClass.POSITIVE
@@ -135,7 +135,7 @@ def test_each_step_replaces_the_larger_numerator_with_the_mediant(data):
     x = data.draw(st.integers(0, m - 1))
     t = run_descent(Residue(x, m))
     for prev, new, rep in zip(t.pairs, t.pairs[1:], t.replaced[1:]):
-        med = mediant(prev.neg, prev.pos)
+        med = Fraction(prev.neg.n + prev.pos.n, prev.neg.d + prev.pos.d)
         if -prev.neg.n > prev.pos.n:
             assert rep is NEG
             assert new == FractionPair(neg=med, pos=prev.pos)

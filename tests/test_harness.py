@@ -15,7 +15,6 @@ from minfrac.harness import (
     VerificationReport,
     check_agreement,
     check_determinant,
-    check_minimality,
     check_progress,
     check_sqrt_bound,
     run_checks,
@@ -93,8 +92,12 @@ def test_determinant_pass_count_matches_recount():
     assert report.passes == sum(len(list(descent_steps(x, 17))) for x in range(17))
 
 
+def _check_minimality(m_range):
+    return run_checks(SweepConfig(m_range[0], m_range[1], checks=("minimality",)))[0]
+
+
 def test_minimality_and_sqrt_bound_small_ranges():
-    assert check_minimality((2, 30)).ok
+    assert _check_minimality((2, 30)).ok
     assert check_sqrt_bound((2, 30)).ok
 
 
@@ -109,7 +112,7 @@ def test_minimality_reports_a_planted_non_minimal_pair(monkeypatch):
             yield -10, 1, 4, 3, None
 
     monkeypatch.setattr(harness, "descent_steps", planted)
-    report = check_minimality((17, 17))
+    report = _check_minimality((17, 17))
     assert report.failures == 1
     assert report.passes == sum(len(list(real_steps(x, 17))) for x in range(17))
     (ce,) = report.counterexamples
@@ -152,9 +155,10 @@ def test_progress_flags_long_traces_as_anomalies():
 
 
 def test_anomaly_sample_is_capped():
-    report = check_progress((2, 80), trace_cap_factor=1)
+    # At 10 pairs per bit, [2, 100] has 70 traces over the cap.
+    report = check_progress((2, 100))
     assert report.ok
-    assert report.anomaly_count > ANOMALY_SAMPLE_CAP
+    assert report.anomaly_count == 70 > ANOMALY_SAMPLE_CAP
     assert len(report.anomalies) == ANOMALY_SAMPLE_CAP
 
 

@@ -8,13 +8,12 @@ from minfrac.descent import run_descent
 from minfrac.harness import _step_minimum, _step_witness
 from minfrac.minimality import (
     criterion_key,
-    is_minimal_in_class,
     is_minimal_pair,
     minimum_fraction,
     minimum_table,
     sqrt_bound_witness,
 )
-from minfrac.oracle import brute_minimum
+from minfrac.oracle import brute_minimum, brute_prefix_minima
 from minfrac.residues import Fraction, FractionPair, Residue, represents
 
 # Minimum fractions for x = 1..16 mod 17, frozen.
@@ -65,22 +64,6 @@ def test_minimum_table_rejects_bad_moduli():
         minimum_table(1)
 
 
-def test_is_minimal_in_class():
-    r = Residue(7, 17)
-    assert is_minimal_in_class(Fraction(4, 3), r)
-    assert is_minimal_in_class(Fraction(-3, 2), r)
-    # 11/4 is beaten already at d=1, where the residue is 7
-    verdict = is_minimal_in_class(Fraction(11, 4), r)
-    assert not verdict
-    assert verdict.witness_d == 1
-
-
-def test_is_minimal_in_class_rejects_bad_inputs():
-    r = Residue(7, 17)
-    with pytest.raises(ValueError):
-        is_minimal_in_class(Fraction(5, 3), r)  # not a representation
-
-
 def test_is_minimal_pair_holds_on_trace_pairs():
     r = Residue(7, 17)
     for p in run_descent(r).pairs:
@@ -92,9 +75,7 @@ def test_is_minimal_pair_counterexample():
     # 3 < 6+4, so the pair is not minimal
     r = Residue(7, 17)
     p = FractionPair(neg=Fraction(-6, 4), pos=Fraction(4, 3))
-    verdict = is_minimal_pair(p, r)
-    assert not verdict
-    assert verdict.witness_d == 2
+    assert not is_minimal_pair(p, r)
 
 
 def test_is_minimal_pair_rejects_non_representations():
@@ -102,10 +83,27 @@ def test_is_minimal_pair_rejects_non_representations():
         is_minimal_pair(FractionPair(neg=Fraction(-1, 2), pos=Fraction(4, 3)), Residue(7, 17))
 
 
-def test_verdict_is_truthy():
+def test_is_minimal_pair_rejects_out_of_class_denominators():
+    # Both pairs represent their residue, but -n/18 lies outside the
+    # negative class (denominators 0..M-1).  The first would pass the scan
+    # and the second fail it at d = 1; both are refused before any scan.
+    cases = [
+        (FractionPair(neg=Fraction(-17, 18), pos=Fraction(0, 1)), Residue(0, 17)),
+        (FractionPair(neg=Fraction(-10, 18), pos=Fraction(7, 1)), Residue(7, 17)),
+    ]
+    for p, r in cases:
+        with pytest.raises(ValueError, match=r"^negative-class denominator 18 out of range \[0, 16\]$"):
+            is_minimal_pair(p, r)
+    # The positive class takes denominators 1..M, so 7/18 is outside it.
+    p = FractionPair(neg=Fraction(-3, 2), pos=Fraction(7, 18))
+    with pytest.raises(ValueError, match=r"^positive-class denominator 18 out of range \[1, 17\]$"):
+        is_minimal_pair(p, Residue(7, 17))
+
+
+def test_is_minimal_pair_returns_a_plain_bool():
     r = Residue(7, 17)
-    assert bool(is_minimal_in_class(Fraction(4, 3), r)) is True
-    assert is_minimal_in_class(Fraction(4, 3), r).witness_d is None
+    assert is_minimal_pair(FractionPair(neg=Fraction(-3, 2), pos=Fraction(4, 3)), r) is True
+    assert is_minimal_pair(FractionPair(neg=Fraction(-6, 4), pos=Fraction(4, 3)), r) is False
 
 
 def test_sqrt_bound_witness_examples():
@@ -125,15 +123,30 @@ def test_sqrt_bound_witness_small_moduli_exhaustive():
             assert represents(r, w)
 
 
+def _class_minimal(f, prefix_minima):
+    """n/d is per-class minimal iff its class's prefix minimum at d is >= |n|."""
+    neg, pos = prefix_minima
+    return (neg if f.n < 0 else pos)[f.d] >= abs(f.n)
+
+
+def test_is_minimal_in_class():
+    minima = brute_prefix_minima(Residue(7, 17))
+    assert _class_minimal(Fraction(4, 3), minima)  # positive residues 7, 14 before d = 3
+    assert _class_minimal(Fraction(-3, 2), minima)  # negative magnitudes 17, 10 before d = 2
+    # the positive prefix minimum at d = 4 is 4 (from 4/3), below 11
+    assert not _class_minimal(Fraction(11, 4), minima)
+
+
 def test_trace_fractions_are_class_minimal():
     # pair minimality of every trace pair implies per-class minimality of
     # each component
     for m in (2, 3, 17, 60, 97):
         for x in range(m):
             r = Residue(x, m)
+            minima = brute_prefix_minima(r)
             for p in run_descent(r).pairs:
-                assert is_minimal_in_class(p.neg, r)
-                assert is_minimal_in_class(p.pos, r)
+                assert _class_minimal(p.neg, minima)
+                assert _class_minimal(p.pos, minima)
 
 
 @given(st.data())

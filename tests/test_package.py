@@ -17,26 +17,25 @@ HOMES = {
     "minfrac.errors": ["CeilingExceeded", "InvariantError"],
     "minfrac.harness": [
         "Anomaly", "Counterexample", "SweepConfig", "VerificationReport", "check_agreement",
-        "check_determinant", "check_minimality", "check_progress", "check_sqrt_bound",
-        "run_checks",
+        "check_determinant", "check_progress", "check_sqrt_bound", "run_checks",
     ],
     "minfrac.minimality": [
-        "MinimalityVerdict", "criterion_key", "is_minimal_in_class", "is_minimal_pair",
-        "minimum_fraction", "minimum_table", "sqrt_bound_witness",
+        "criterion_key", "is_minimal_pair", "minimum_fraction", "minimum_table",
+        "sqrt_bound_witness",
     ],
     "minfrac.oracle": [
         "CEILING_ENV_VAR", "DEFAULT_ENUMERATION_CEILING", "DEFAULT_PAIR_CHECK_CEILING",
         "brute_minimum", "brute_pair_minimal", "brute_prefix_minima", "enumerate_class",
     ],
     "minfrac.residues": [
-        "Fraction", "FractionPair", "Residue", "ResidueClass", "check_modulus", "mediant",
-        "neg_residue", "parse_fraction", "pos_residue", "represents", "residue_fraction",
+        "Fraction", "FractionPair", "Residue", "ResidueClass", "check_modulus", "neg_residue",
+        "pos_residue", "represents", "residue_fraction",
     ],
 }
 
 
 def test_every_public_name_is_its_home_modules_object():
-    assert len(minfrac.__all__) == 42
+    assert len(minfrac.__all__) == 37
     assert sorted(minfrac.__all__) == sorted(name for names in HOMES.values() for name in names)
     for module_name, names in HOMES.items():
         module = importlib.import_module(module_name)
@@ -57,6 +56,11 @@ def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         minfrac.no_such_name
     assert not hasattr(minfrac, "Record")
+    # Names that only tests ever called are gone from the package.
+    for name in ("is_minimal_in_class", "MinimalityVerdict", "mediant", "parse_fraction",
+                 "check_minimality"):
+        with pytest.raises(AttributeError):
+            getattr(minfrac, name)
     assert "minimum_fraction" in dir(minfrac)
 
 

@@ -7,16 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minfrac.descent import DescentTrace, run_descent
-from minfrac.minimality import MinimalityVerdict
 from minfrac.residues import (
     Fraction,
     FractionPair,
     Residue,
     ResidueClass,
     check_modulus,
-    mediant,
     neg_residue,
-    parse_fraction,
     pos_residue,
     represents,
     residue_fraction,
@@ -94,15 +91,25 @@ def test_represents_examples():
 
 
 def test_mediant_examples():
-    assert mediant(Fraction(-17, 0), Fraction(7, 1)) == Fraction(-10, 1)
-    assert mediant(Fraction(-3, 2), Fraction(7, 1)) == Fraction(4, 3)
-    assert mediant(Fraction(-3, 2), Fraction(4, 3)) == Fraction(1, 5)
+    # The first mediants of the walk for 7 mod 17 represent 7 as well.
+    r = Residue(7, 17)
+    for f1, f2, med in [
+        (Fraction(-17, 0), Fraction(7, 1), Fraction(-10, 1)),
+        (Fraction(-3, 2), Fraction(7, 1), Fraction(4, 3)),
+        (Fraction(-3, 2), Fraction(4, 3), Fraction(1, 5)),
+    ]:
+        assert Fraction(f1.n + f2.n, f1.d + f2.d) == med
+        assert represents(r, f1) and represents(r, f2) and represents(r, med)
 
 
 def test_mediant_zero_numerator_is_positive_class():
-    z = mediant(Fraction(-1, 12), Fraction(1, 5))
+    # The mediant of -1/12 and 1/5 is 0/17; a zero numerator counts as
+    # positive, so it fills a pair's positive slot and never the negative.
+    z = Fraction(-1 + 1, 12 + 5)
     assert z == Fraction(0, 17)
-    assert z.residue_class is ResidueClass.POSITIVE
+    assert FractionPair(neg=Fraction(-1, 12), pos=z).pos == z
+    with pytest.raises(ValueError):
+        FractionPair(neg=z, pos=Fraction(1, 5))
 
 
 def test_fraction_validation():
@@ -114,24 +121,17 @@ def test_fraction_validation():
     with pytest.raises(ValueError):
         Fraction(0, 0)
     # the d=0 anchor of the negative class is legal
-    assert Fraction(-17, 0).residue_class is ResidueClass.NEGATIVE
+    assert Fraction(-17, 0).d == 0
 
 
 def test_fraction_class_and_rendering():
-    assert Fraction(4, 3).residue_class is ResidueClass.POSITIVE
-    assert Fraction(0, 17).residue_class is ResidueClass.POSITIVE
-    assert Fraction(-3, 2).residue_class is ResidueClass.NEGATIVE
+    # The numerator's sign is the class: 0 counts as positive, so 0/17 can
+    # only fill a pair's positive slot.
+    assert FractionPair(neg=Fraction(-3, 2), pos=Fraction(0, 17)).pos == Fraction(0, 17)
+    with pytest.raises(ValueError):
+        FractionPair(neg=Fraction(0, 17), pos=Fraction(4, 3))
     assert str(Fraction(-3, 2)) == "-3/2"
     assert str(Fraction(7, 1)) == "7/1"
-
-
-def test_parse_fraction():
-    assert parse_fraction("4/3") == Fraction(4, 3)
-    assert parse_fraction("-17/0") == Fraction(-17, 0)
-    assert parse_fraction(" -4 ") == Fraction(-4, 1)
-    assert parse_fraction("12") == Fraction(12, 1)
-    with pytest.raises(ValueError):
-        parse_fraction("x/3")
 
 
 def test_residue_fraction():
@@ -164,8 +164,6 @@ def _value_types():
          [DescentTrace(Residue(1, 2), trace.pairs, trace.replaced),
           DescentTrace(Residue(0, 2), (), trace.replaced),
           DescentTrace(Residue(0, 2), trace.pairs, (ResidueClass.POSITIVE,))]),
-        (MinimalityVerdict(False, 3), MinimalityVerdict(holds=False, witness_d=3),
-         [MinimalityVerdict(True, 3), MinimalityVerdict(False)]),
     ]
 
 
@@ -181,7 +179,6 @@ def test_value_types_compare_and_hash_by_their_fields():
     # A value of another class, even with equal fields, is never equal.
     assert Fraction(1, 2) != Residue(1, 2) and Residue(1, 2) != Fraction(1, 2)
     assert Fraction(1, 2) != (1, 2) and (1, 2) != Fraction(1, 2)
-    assert MinimalityVerdict(True, None) != (True, None)
 
 
 def test_value_type_reprs_and_keywords():
@@ -190,8 +187,6 @@ def test_value_type_reprs_and_keywords():
     assert repr(FractionPair(neg=Fraction(-17, 0), pos=Fraction(7, 1))) == (
         "FractionPair(neg=Fraction(n=-17, d=0), pos=Fraction(n=7, d=1))"
     )
-    assert repr(MinimalityVerdict(False, witness_d=3)) == "MinimalityVerdict(holds=False, witness_d=3)"
-    assert repr(MinimalityVerdict(True)) == "MinimalityVerdict(holds=True, witness_d=None)"
     assert repr(run_descent(Residue(0, 2))) == (
         "DescentTrace(residue=Residue(x=0, m=2), "
         "pairs=(FractionPair(neg=Fraction(n=-2, d=0), pos=Fraction(n=0, d=1)),), "
@@ -247,9 +242,7 @@ def test_mediant_preserves_representation(data):
     r = _draw_residue(data)
     f1 = _draw_fraction(data, r)
     f2 = _draw_fraction(data, r)
-    med = mediant(f1, f2)
-    assert med.n == f1.n + f2.n and med.d == f1.d + f2.d
-    assert represents(r, med)
+    assert represents(r, Fraction(f1.n + f2.n, f1.d + f2.d))
 
 
 @given(st.data())
@@ -266,4 +259,5 @@ def test_residue_value_ranges(data):
 def test_render_parse_round_trip(data):
     r = _draw_residue(data, moduli=st.integers(2, 10**9))
     f = _draw_fraction(data, r)
-    assert parse_fraction(str(f)) == f
+    n, d = str(f).split("/")
+    assert Fraction(int(n), int(d)) == f
