@@ -14,9 +14,11 @@ The agreement check also holds each modulus's minimum_table, the sieve
 behind `minfrac table`, to the same minima.
 
 The minimality check scans each residue's class residues once, from the
-oracle's prefix minima, and then tests every trace pair in O(1); the
-agreement check keeps the oracle's literal per-pair scan.  Only pair
-minimality is checked: it implies each side's per-class minimality, since
+oracle's prefix minima, and then tests every trace pair in O(1).  The
+agreement check walks each residue's steps once: that walk gives the step
+minimum and the trace pairs, and every pair goes both to is_minimal_pair,
+which reads the prefix minima off the descent's runs in O(log M), and to
+the oracle's literal per-pair scan.  Only pair minimality is checked: it implies each side's per-class minimality, since
 the pair's threshold is at least either side's magnitude.  Brute-force
 ceilings are resolved once per check run, so workers get plain integers.
 
@@ -34,11 +36,12 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .check_names import CHECK_NAMES
-from .descent import descent_steps, run_descent
+from .descent import RawStep, descent_steps, run_descent
 from .errors import InvariantError
 from .minimality import is_minimal_pair, minimum_fraction, minimum_table, sqrt_bound_witness
 from .oracle import (
@@ -198,11 +201,16 @@ def _determinant_m(m: int, params: _Params) -> _Part:
 
 def _step_minimum(r: Residue) -> Fraction:
     """Slow twin of minimum_fraction: the criterion scan over every step pair."""
+    return _scan_minimum(descent_steps(r.x, r.m))
+
+
+def _scan_minimum(steps: Iterable[RawStep]) -> Fraction:
     best: tuple[tuple[int, int, int], int, int] | None = None
-    for nn, nd, pn, pd, _ in descent_steps(r.x, r.m):
+    for nn, nd, pn, pd, _ in steps:
         for n, d in ((nn, nd), (pn, pd)):
             if d >= 1:
-                key = (max(-n if n < 0 else n, d), d, 0 if n >= 0 else 1)
+                a = -n if n < 0 else n
+                key = (a if a > d else d, d, 0 if n >= 0 else 1)
                 if best is None or key < best[0]:
                     best = (key, n, d)
     assert best is not None  # trace always contains x/1
@@ -327,9 +335,11 @@ def _agreement_m(m: int, params: _Params) -> _Part:
     sieve = [None, *minimum_table(m)]  # the sieve has no entry for x = 0
     for x in range(m):
         r = Residue(x, m)
+        # One step walk per residue feeds both the step minimum and the pairs.
+        steps = list(descent_steps(x, m))
         sieve_min = sieve[x]
         run_min = minimum_fraction(r)
-        step_min = _step_minimum(r)
+        step_min = _scan_minimum(steps)
         slow_min = brute_minimum(r, ceiling=params.enumeration_ceiling)
         if run_min == step_min == slow_min and (x == 0 or sieve_min == run_min):
             passes += 1
@@ -342,8 +352,8 @@ def _agreement_m(m: int, params: _Params) -> _Part:
                     f"minfrac repr --modulus {m} --x {x}",
                 )
             )
-        for p in run_descent(r).pairs:
-            compare_pair(p, r)
+        for nn, nd, pn, pd, _ in steps:
+            compare_pair(FractionPair(Fraction(nn, nd), Fraction(pn, pd)), r)
     if params.random_pairs:
         import random
 

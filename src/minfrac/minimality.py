@@ -5,7 +5,10 @@ below the pair's own in either class gives a residue magnitude under the
 threshold |neg.n| + |pos.n|.  Per-class minimality of each side (no smaller
 same-class denominator gives a numerator of smaller magnitude) follows from
 it, because the threshold is at least either side's magnitude, so it needs
-no check of its own.  The global minimum fraction is the representation
+no check of its own.  The fractions the descent visits are exactly each
+class's prefix-minimum records, so is_minimal_pair reads both classes'
+minima off the descent's runs in O(log M) rather than scanning every
+smaller denominator.  The global minimum fraction is the representation
 with the smallest maximum coefficient, ties broken by the smaller
 denominator.
 """
@@ -37,32 +40,64 @@ def criterion_key(f: Fraction) -> tuple[int, int, int]:
 
 
 def is_minimal_pair(p: FractionPair, r: Residue) -> bool:
-    """Check the generalized pair-minimality condition.
+    """Check the generalized pair-minimality condition in O(log M) steps.
 
     The pair is minimal iff any denominator whose residue magnitude (in
     either class) drops below |neg.n| + |pos.n| is at least as large as the
-    pair's denominator of the matching class.  Denominators at or above the
-    matching-class denominator satisfy the condition trivially, so only the
-    smaller ones are scanned: the negative side first, then the positive
-    side, each in increasing order.  A side that does not represent r, or
-    whose denominator is outside its class's range, raises ValueError.
+    pair's denominator of the matching class: iff the smallest |negative
+    residue| over 0 <= d < neg.d and the smallest positive residue over
+    1 <= d < pos.d are both at least that threshold.  A side that does not
+    represent r, or whose denominator is outside its class's range, raises
+    ValueError.
+
+    Both minima are read off the descent.  Record argument: let (a, b) be a
+    walk pair whose next step turns a into a + b.  Its determinant is M, the
+    index of the lattice {(n, d) : n = x*d (mod M)}, so a and b are a basis
+    and every representation of r is w = s*a + t*b for integers s, t.  If
+    0 <= w.d < a.d + b.d then s and t are not both positive; s <= 0 < t
+    puts w in b's class, t <= 0 < s gives |w.n| >= |a.n|, and s, t <= 0
+    gives w.d <= 0.  So no denominator strictly between a.d and (a + b).d
+    has a magnitude below |a.n| in a's class: the visited fractions of each
+    class, from -M/0 and x/1 on, are exactly its prefix-minimum records, and
+    the minimum below a bound D is the magnitude of the class's last visited
+    fraction with denominator below D.  In a run that turns a into a + j*b
+    (j = 1..k) that fraction is at j = (D - 1 - a.d) // b.d, clamped to k.
+    Visited denominators rise along the whole walk, so it stops at the
+    first run whose first mediant is past both bounds.  The runs are those
+    of descent_runs, walked inline: this is the harness's hot loop, and the
+    generator would cost about as much as the walk.
     """
     x, m = r.x, r.m
-    for f in (p.neg, p.pos):
-        if not represents(r, f):
+    neg, pos = p.neg, p.pos
+    for f in (neg, pos):
+        if (x * f.d - f.n) % m:  # represents(r, f), inlined for the same reason
             raise ValueError(f"{f} does not represent {r}")
-    if not 0 <= p.neg.d <= m - 1:
-        raise ValueError(f"negative-class denominator {p.neg.d} out of range [0, {m - 1}]")
-    if not 1 <= p.pos.d <= m:
-        raise ValueError(f"positive-class denominator {p.pos.d} out of range [1, {m}]")
-    threshold = -p.neg.n + p.pos.n  # |neg.n| + |pos.n|
-    # The residues are computed inline: this scan is the harness's hot loop.
-    for d in range(0, p.neg.d):
-        if m - (x * d) % m < threshold:  # |negative residue|
-            return False
-    for d in range(1, p.pos.d):
-        if (x * d) % m < threshold:
-            return False
+    neg_bound, pos_bound = neg.d, pos.d
+    if not 0 <= neg_bound <= m - 1:
+        raise ValueError(f"negative-class denominator {neg_bound} out of range [0, {m - 1}]")
+    if not 1 <= pos_bound <= m:
+        raise ValueError(f"positive-class denominator {pos_bound} out of range [1, {m}]")
+    threshold = pos.n - neg.n  # |neg.n| + |pos.n|
+    # -M/0 and x/1, the first record of each class.
+    if neg_bound > 0 and m < threshold or pos_bound > 1 and x < threshold:
+        return False
+    last = neg_bound if neg_bound > pos_bound else pos_bound
+    nm, nd, pn, pd = m, 0, x, 1  # nm = |neg.n|
+    while pn and nd + pd < last:
+        if nm > pn:  # a negative run: nm/nd becomes (nm - j*pn)/(nd + j*pd)
+            k = (nm - 1) // pn
+            j = (neg_bound - 1 - nd) // pd  # the run's last mediant below the bound
+            if j >= 1 and nm - (j if j < k else k) * pn < threshold:
+                return False
+            nm -= k * pn
+            nd += k * pd
+        else:  # a positive run, ties included: pn/pd becomes (pn - j*nm)/(pd + j*nd)
+            k = pn // nm
+            j = (pos_bound - 1 - pd) // nd
+            if j >= 1 and pn - (j if j < k else k) * nm < threshold:
+                return False
+            pn -= k * nm
+            pd += k * nd
     return True
 
 

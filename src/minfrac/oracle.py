@@ -79,7 +79,8 @@ def brute_minimum(r: Residue, ceiling: int | None = None) -> Fraction:
     for d in range(1, m + 1):
         rp = (x * d) % m
         for n in (rp, rp - m) if d < m else (rp,):
-            maxc = max(n if n >= 0 else -n, d)
+            a = n if n >= 0 else -n
+            maxc = a if a > d else d
             if (
                 best_max is None
                 or maxc < best_max
@@ -91,23 +92,33 @@ def brute_minimum(r: Residue, ceiling: int | None = None) -> Fraction:
 
 
 def brute_pair_minimal(p: FractionPair, r: Residue, ceiling: int | None = None) -> bool:
-    """Evaluate the pair-minimality definition literally, over every denominator.
+    """Evaluate the pair-minimality definition literally, denominator by denominator.
 
     For each d, if the residue magnitude in either class is below the sum of
     the pair's numerator magnitudes, d must be >= the pair's denominator of
-    that class.
+    that class.  At or above that denominator the implication holds whatever
+    the residue, so each class is scanned only below it: positive residues
+    for d = 1..pos.d-1, negative ones for d = 0..neg.d-1.  The domain is
+    is_minimal_pair's: both sides must represent r, with the negative
+    denominator in 0..M-1 and the positive one in 1..M, else ValueError with
+    the same messages.
     """
     check_ceiling(r.m, ceiling, DEFAULT_PAIR_CHECK_CEILING, "pair-minimality check: modulus")
     x, m = r.x, r.m
-    threshold = -p.neg.n + p.pos.n
+    for f in (p.neg, p.pos):
+        if (x * f.d - f.n) % m:
+            raise ValueError(f"{f} does not represent {r}")
     neg_d, pos_d = p.neg.d, p.pos.d
-    # The implication can only fail when d is below a pair denominator, so
-    # test that first; past both denominators each iteration is two integer
-    # comparisons.  Same truth value as evaluating the residue side first.
-    for d in range(0, m + 1):
-        if d < pos_d and 1 <= d and (x * d) % m < threshold:
+    if not 0 <= neg_d <= m - 1:
+        raise ValueError(f"negative-class denominator {neg_d} out of range [0, {m - 1}]")
+    if not 1 <= pos_d <= m:
+        raise ValueError(f"positive-class denominator {pos_d} out of range [1, {m}]")
+    threshold = -p.neg.n + p.pos.n
+    for d in range(1, pos_d):
+        if (x * d) % m < threshold:
             return False
-        if d < neg_d and m - (x * d) % m < threshold:
+    for d in range(0, neg_d):
+        if m - (x * d) % m < threshold:
             return False
     return True
 

@@ -19,7 +19,7 @@ from minfrac.harness import (
     check_sqrt_bound,
     run_checks,
 )
-from minfrac.residues import Fraction
+from minfrac.residues import Fraction, FractionPair, Residue
 
 # Pass counts over M in [2, 60], frozen from an exhaustive run.  The sweep
 # is deterministic, so any change here means the algorithm changed.
@@ -143,6 +143,34 @@ def test_agreement_reports_a_planted_sieve_entry(monkeypatch):
         "and enumerated minimum -3/2 differ"
     )
     assert ce.replay == "minfrac repr --modulus 17 --x 7"
+
+
+def test_agreement_reports_a_planted_pair_verdict(monkeypatch):
+    # Flip is_minimal_pair's verdict on one trace pair of 7 mod 17: exactly
+    # that pair must come back as a counterexample, and every trace pair in
+    # the range must still be compared.
+    real = harness.is_minimal_pair
+    target = (FractionPair(neg=Fraction(-3, 2), pos=Fraction(4, 3)), Residue(7, 17))
+    seen = []
+
+    def planted(p, r):
+        seen.append((p, r))
+        verdict = real(p, r)
+        return not verdict if (p, r) == target else verdict
+
+    base = check_agreement((2, 30))
+    monkeypatch.setattr(harness, "is_minimal_pair", planted)
+    report = check_agreement((2, 30))
+    assert len(seen) == sum(len(list(descent_steps(x, m))) for m in range(2, 31) for x in range(m))
+    assert seen.count(target) == 1
+    assert report.failures == 1
+    assert report.passes == base.passes - 1
+    (ce,) = report.counterexamples
+    assert (ce.m, ce.x) == (17, 7)
+    assert ce.detail == (
+        "is_minimal_pair says False but the exhaustive scan says True for (-3/2, 4/3)"
+    )
+    assert ce.replay == "minfrac trace --modulus 17 --x 7"
 
 
 def test_progress_flags_long_traces_as_anomalies():

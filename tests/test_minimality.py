@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minfrac.descent import run_descent
+from minfrac.descent import descent_steps, run_descent
 from minfrac.harness import _step_minimum, _step_witness
 from minfrac.minimality import (
     criterion_key,
@@ -13,8 +13,8 @@ from minfrac.minimality import (
     minimum_table,
     sqrt_bound_witness,
 )
-from minfrac.oracle import brute_minimum, brute_prefix_minima
-from minfrac.residues import Fraction, FractionPair, Residue, represents
+from minfrac.oracle import brute_minimum, brute_pair_minimal, brute_prefix_minima
+from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, represents
 
 # Minimum fractions for x = 1..16 mod 17, frozen.
 MIN_TABLE_17 = [
@@ -98,6 +98,58 @@ def test_is_minimal_pair_rejects_out_of_class_denominators():
     p = FractionPair(neg=Fraction(-3, 2), pos=Fraction(7, 18))
     with pytest.raises(ValueError, match=r"^positive-class denominator 18 out of range \[1, 17\]$"):
         is_minimal_pair(p, Residue(7, 17))
+
+
+def test_is_minimal_pair_matches_the_oracle_on_every_in_class_pair():
+    # Every representing pair with a negative denominator in 0..M-1 and a
+    # positive one in 1..M, for every residue of every M <= 24.
+    for m in range(2, 25):
+        for x in range(m):
+            r = Residue(x, m)
+            for nd in range(m):
+                neg = Fraction((x * nd) % m - m, nd)
+                for pd in range(1, m + 1):
+                    p = FractionPair(neg=neg, pos=Fraction((x * pd) % m, pd))
+                    assert is_minimal_pair(p, r) == brute_pair_minimal(p, r), (p, r)
+
+
+# The acceptance input: the secp256k1 field prime and the first 77 decimal
+# digits of pi, whose walk has 2457 pairs.
+P256 = 2**256 - 2**32 - 977
+X256 = 31415926535897932384626433832795028841971693993751058209749445923078164062862
+
+
+def test_is_minimal_pair_holds_on_every_256_bit_trace_pair():
+    r = Residue(X256, P256)
+    pairs = [FractionPair(neg=Fraction(nn, nd), pos=Fraction(pn, pd))
+             for nn, nd, pn, pd, _ in descent_steps(X256, P256)]
+    assert len(pairs) == 2457
+    assert all(is_minimal_pair(p, r) for p in pairs)
+
+
+def test_is_minimal_pair_refuses_a_256_bit_pair_at_the_first_denominator():
+    # (x-M)/1 and 2x/2 both represent x, and with 2x < M the threshold is
+    # M + x, above the magnitude M of -M/0 at d = 0 < 1.
+    for x in (1, X256, P256 // 3):
+        r = Residue(x, P256)
+        p = FractionPair(neg=Fraction(x - P256, 1), pos=Fraction(2 * x, 2))
+        assert not is_minimal_pair(p, r)
+
+
+def test_is_minimal_pair_refuses_a_256_bit_pair_with_a_deep_witness():
+    # The walk's last new negative fraction is a = prev + pos.  Paired with
+    # the positive trace fraction visited just before pos, whose numerator
+    # is larger, a has a threshold above |prev.n| = |a.n| + pos.n, so prev
+    # is a witness.  The threshold is small, so every witness lies far past
+    # the reach of a scan over smaller denominators.
+    r = Residue(X256, P256)
+    steps = list(descent_steps(X256, P256))
+    i = max(i for i, step in enumerate(steps) if step[4] is ResidueClass.NEGATIVE)
+    prev_n, prev_d, pos_n, _, _ = steps[i - 1]
+    a_n, a_d = steps[i][:2]
+    pn, pd = min((pn, pd) for _, _, pn, pd, _ in steps if pn > pos_n)
+    assert -prev_n < pn - a_n and 2**200 < prev_d < a_d
+    assert not is_minimal_pair(FractionPair(neg=Fraction(a_n, a_d), pos=Fraction(pn, pd)), r)
 
 
 def test_is_minimal_pair_returns_a_plain_bool():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from minfrac.descent import descent_steps
 from minfrac.errors import CeilingExceeded
+from minfrac.minimality import is_minimal_pair
 from minfrac.oracle import (
     CEILING_ENV_VAR,
     DEFAULT_ENUMERATION_CEILING,
@@ -76,6 +77,21 @@ def test_brute_pair_minimal_examples():
     assert brute_pair_minimal(_pair(-3, 2, 4, 3), r)
     assert brute_pair_minimal(_pair(-1, 12, 0, 17), r)
     assert not brute_pair_minimal(_pair(-6, 4, 4, 3), r)
+
+
+def test_pair_routes_share_one_domain():
+    # -1/2 does not represent 7 mod 17; -17/18 represents 0 mod 17 but lies
+    # outside the negative class (denominators 0..16).  The oracle and the
+    # fast path refuse both with the same message.
+    cases = [
+        (_pair(-1, 2, 4, 3), Residue(7, 17), r"^-1/2 does not represent 7 \(mod 17\)$"),
+        (_pair(-17, 18, 0, 1), Residue(0, 17),
+         r"^negative-class denominator 18 out of range \[0, 16\]$"),
+    ]
+    for p, r, message in cases:
+        for route in (is_minimal_pair, brute_pair_minimal):
+            with pytest.raises(ValueError, match=message):
+                route(p, r)
 
 
 def test_default_ceilings():
