@@ -16,11 +16,15 @@ behind `minfrac table`, to the same minima.
 The minimality check scans each residue's class residues once, from the
 oracle's prefix minima, and then tests every trace pair in O(1).  The
 agreement check walks each residue's steps once: that walk gives the step
-minimum and the trace pairs, and every pair goes both to is_minimal_pair,
-which reads the prefix minima off the descent's runs in O(log M), and to
-the oracle's literal per-pair scan.  Only pair minimality is checked: it implies each side's per-class minimality, since
-the pair's threshold is at least either side's magnitude.  Brute-force
-ceilings are resolved once per check run, so workers get plain integers.
+minimum and the trace pairs.  Each pair's four integers go straight to
+pair_minimal (is_minimal_pair's loop), which reads the prefix minima off
+the descent's runs in O(log M), and to brute_pair_scan, the oracle's
+literal per-pair scan; a FractionPair is built only for a counterexample's
+text.  Random pairs go through is_minimal_pair and brute_pair_minimal.
+Only pair minimality is checked: it implies each side's per-class
+minimality, since the pair's threshold is at least either side's
+magnitude.  Brute-force ceilings are resolved once per check run, so
+workers get plain integers, and the pair ceiling is held once per residue.
 
 Sweeps are embarrassingly parallel over moduli; with parallelism > 1 the
 moduli are striped across a process pool of at most one worker per CPU and
@@ -42,13 +46,20 @@ from typing import NamedTuple
 
 from .check_names import CHECK_NAMES
 from .descent import RawStep, descent_steps, run_descent
-from .errors import InvariantError
-from .minimality import is_minimal_pair, minimum_fraction, minimum_table, sqrt_bound_witness
+from .errors import CeilingExceeded, InvariantError
+from .minimality import (
+    is_minimal_pair,
+    minimum_fraction,
+    minimum_table,
+    pair_minimal,
+    sqrt_bound_witness,
+)
 from .oracle import (
     DEFAULT_ENUMERATION_CEILING,
     DEFAULT_PAIR_CHECK_CEILING,
     brute_minimum,
     brute_pair_minimal,
+    brute_pair_scan,
     brute_prefix_minima,
     resolve_ceiling,
 )
@@ -205,16 +216,19 @@ def _step_minimum(r: Residue) -> Fraction:
 
 
 def _scan_minimum(steps: Iterable[RawStep]) -> Fraction:
-    best: tuple[tuple[int, int, int], int, int] | None = None
+    """The criterion_key minimum over both sides of every step pair, spelled out."""
+    steps = iter(steps)
+    _, _, best_n, best_d, _ = next(steps)  # the walk starts at (-M/0, x/1)
+    best_max = best_n if best_n > 1 else 1
     for nn, nd, pn, pd, _ in steps:
-        for n, d in ((nn, nd), (pn, pd)):
-            if d >= 1:
-                a = -n if n < 0 else n
-                key = (a if a > d else d, d, 0 if n >= 0 else 1)
-                if best is None or key < best[0]:
-                    best = (key, n, d)
-    assert best is not None  # trace always contains x/1
-    return Fraction(best[1], best[2])
+        # The negative side (-M/0 excluded); it never wins a class tie.
+        a = -nn if -nn > nd else nd
+        if nd and (a < best_max or a == best_max and nd < best_d):
+            best_n, best_d, best_max = nn, nd, a
+        a = pn if pn > pd else pd
+        if a < best_max or a == best_max and (pd < best_d or pd == best_d and best_n < 0):
+            best_n, best_d, best_max = pn, pd, a
+    return Fraction(best_n, best_d)
 
 
 def _step_witness(r: Residue) -> Fraction:
@@ -313,25 +327,17 @@ def _progress_m(m: int, params: _Params) -> _Part:
     return passes, bad, anomalies
 
 
+def _pair_counterexample(m: int, x: int, fast: bool, slow: bool, p: FractionPair) -> Counterexample:
+    return Counterexample(
+        m, x, f"is_minimal_pair says {fast} but the exhaustive scan says {slow} for {p}",
+        _replay(m, x),
+    )
+
+
 def _agreement_m(m: int, params: _Params) -> _Part:
     passes = 0
     bad: list[Counterexample] = []
-
-    def compare_pair(p: FractionPair, r: Residue) -> None:
-        nonlocal passes
-        fast = is_minimal_pair(p, r)
-        slow = brute_pair_minimal(p, r, ceiling=params.pair_ceiling)
-        if fast == slow:
-            passes += 1
-        else:
-            bad.append(
-                Counterexample(
-                    r.m, r.x,
-                    f"is_minimal_pair says {fast} but the exhaustive scan says {slow} for {p}",
-                    _replay(r.m, r.x),
-                )
-            )
-
+    pair_ceiling = params.pair_ceiling
     sieve = [None, *minimum_table(m)]  # the sieve has no entry for x = 0
     for x in range(m):
         r = Residue(x, m)
@@ -352,8 +358,18 @@ def _agreement_m(m: int, params: _Params) -> _Part:
                     f"minfrac repr --modulus {m} --x {x}",
                 )
             )
+        # The trace pairs go to both pair routes as plain integers; the
+        # oracle's scans are gated here, as brute_pair_minimal gates them.
+        if m > pair_ceiling:
+            raise CeilingExceeded(m, pair_ceiling, "pair-minimality check: modulus")
         for nn, nd, pn, pd, _ in steps:
-            compare_pair(FractionPair(Fraction(nn, nd), Fraction(pn, pd)), r)
+            fast = pair_minimal(x, m, nn, nd, pn, pd)
+            slow = brute_pair_scan(x, m, nn, nd, pn, pd)
+            if fast == slow:
+                passes += 1
+            else:
+                p = FractionPair(Fraction(nn, nd), Fraction(pn, pd))
+                bad.append(_pair_counterexample(m, x, fast, slow, p))
     if params.random_pairs:
         import random
 
@@ -365,7 +381,12 @@ def _agreement_m(m: int, params: _Params) -> _Part:
                 neg=residue_fraction(r, rng.randrange(0, m), ResidueClass.NEGATIVE),
                 pos=residue_fraction(r, rng.randrange(1, m + 1), ResidueClass.POSITIVE),
             )
-            compare_pair(p, r)
+            fast = is_minimal_pair(p, r)
+            slow = brute_pair_minimal(p, r, ceiling=pair_ceiling)
+            if fast == slow:
+                passes += 1
+            else:
+                bad.append(_pair_counterexample(m, r.x, fast, slow, p))
     return passes, bad, []
 
 
@@ -381,7 +402,7 @@ _CHECKS = {
 _ORACLE_CHECKS = ("minimality", "agreement")
 
 
-def _chunk_worker(task: tuple[str, tuple[int, ...], _Params]) -> _Part:
+def _chunk_worker(task: tuple[str, range, _Params]) -> _Part:
     check, ms, params = task
     check_m = _CHECKS[check]
     passes = 0
@@ -397,17 +418,17 @@ def _chunk_worker(task: tuple[str, tuple[int, ...], _Params]) -> _Part:
 
 def _run_one_check(check: str, cfg: SweepConfig) -> VerificationReport:
     start = time.perf_counter()
-    ms = tuple(range(cfg.m_min, cfg.m_max + 1))
     # More workers than CPUs or moduli only adds processes; the merged
     # report does not depend on the split.
-    workers = min(cfg.parallelism, os.cpu_count() or 1, len(ms))
+    workers = min(cfg.parallelism, os.cpu_count() or 1, cfg.m_max - cfg.m_min + 1)
     pair_ceiling = enumeration_ceiling = 0
     if check in _ORACLE_CHECKS:
         # $MINFRAC_CEILING is read here, once, not on every oracle call.
         pair_ceiling = resolve_ceiling(cfg.ceiling, DEFAULT_PAIR_CHECK_CEILING)
         enumeration_ceiling = resolve_ceiling(cfg.ceiling, DEFAULT_ENUMERATION_CEILING)
     params = _Params(cfg.seed, cfg.random_pairs_per_m, pair_ceiling, enumeration_ceiling)
-    tasks = [(check, ms[i::workers], params) for i in range(workers)]
+    # Lazy ranges, striped: a typo'd --m-max allocates nothing before the checks run.
+    tasks = [(check, range(cfg.m_min + i, cfg.m_max + 1, workers), params) for i in range(workers)]
     if workers == 1:
         parts = [_chunk_worker(tasks[0])]
     else:

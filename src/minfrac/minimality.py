@@ -48,52 +48,62 @@ def is_minimal_pair(p: FractionPair, r: Residue) -> bool:
     residue| over 0 <= d < neg.d and the smallest positive residue over
     1 <= d < pos.d are both at least that threshold.  A side that does not
     represent r, or whose denominator is outside its class's range, raises
-    ValueError.
-
-    Both minima are read off the descent.  Record argument: let (a, b) be a
-    walk pair whose next step turns a into a + b.  Its determinant is M, the
-    index of the lattice {(n, d) : n = x*d (mod M)}, so a and b are a basis
-    and every representation of r is w = s*a + t*b for integers s, t.  If
-    0 <= w.d < a.d + b.d then s and t are not both positive; s <= 0 < t
-    puts w in b's class, t <= 0 < s gives |w.n| >= |a.n|, and s, t <= 0
-    gives w.d <= 0.  So no denominator strictly between a.d and (a + b).d
-    has a magnitude below |a.n| in a's class: the visited fractions of each
-    class, from -M/0 and x/1 on, are exactly its prefix-minimum records, and
-    the minimum below a bound D is the magnitude of the class's last visited
-    fraction with denominator below D.  In a run that turns a into a + j*b
-    (j = 1..k) that fraction is at j = (D - 1 - a.d) // b.d, clamped to k.
-    Visited denominators rise along the whole walk, so it stops at the
-    first run whose first mediant is past both bounds.  The runs are those
-    of descent_runs, walked inline: this is the harness's hot loop, and the
-    generator would cost about as much as the walk.
+    ValueError.  The work is done by pair_minimal, on the pair's four
+    integers; the harness calls that directly on the raw walk's tuples.
     """
-    x, m = r.x, r.m
     neg, pos = p.neg, p.pos
-    for f in (neg, pos):
-        if (x * f.d - f.n) % m:  # represents(r, f), inlined for the same reason
-            raise ValueError(f"{f} does not represent {r}")
-    neg_bound, pos_bound = neg.d, pos.d
-    if not 0 <= neg_bound <= m - 1:
-        raise ValueError(f"negative-class denominator {neg_bound} out of range [0, {m - 1}]")
-    if not 1 <= pos_bound <= m:
-        raise ValueError(f"positive-class denominator {pos_bound} out of range [1, {m}]")
-    threshold = pos.n - neg.n  # |neg.n| + |pos.n|
+    return pair_minimal(r.x, r.m, neg.n, neg.d, pos.n, pos.d)
+
+
+def pair_minimal(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: int) -> bool:
+    """is_minimal_pair on plain integers: the pair (neg_n/neg_d, pos_n/pos_d) of x mod m.
+
+    The sides are taken as a FractionPair would hold them (neg_n < 0 <=
+    pos_n); representation and denominator ranges are checked here, with
+    is_minimal_pair's messages.
+
+    Both classes' minima are read off the descent.  Record argument: let
+    (a, b) be a walk pair whose next step turns a into a + b.  Its
+    determinant is M, the index of the lattice {(n, d) : n = x*d (mod M)},
+    so a and b are a basis and every representation of r is w = s*a + t*b
+    for integers s, t.  If 0 <= w.d < a.d + b.d then s and t are not both
+    positive; s <= 0 < t puts w in b's class, t <= 0 < s gives
+    |w.n| >= |a.n|, and s, t <= 0 gives w.d <= 0.  So no denominator
+    strictly between a.d and (a + b).d has a magnitude below |a.n| in a's
+    class: the visited fractions of each class, from -M/0 and x/1 on, are
+    exactly its prefix-minimum records, and the minimum below a bound D is
+    the magnitude of the class's last visited fraction with denominator
+    below D.  In a run that turns a into a + j*b (j = 1..k) that fraction
+    is at j = (D - 1 - a.d) // b.d, clamped to k.  Visited denominators rise
+    along the whole walk, so it stops at the first run whose first mediant
+    is past both bounds.  The runs are those of descent_runs, walked inline:
+    this is the harness's hot loop, and the generator would cost about as
+    much as the walk.
+    """
+    for n, d in ((neg_n, neg_d), (pos_n, pos_d)):
+        if (x * d - n) % m:  # represents(), inlined for the same reason
+            raise ValueError(f"{n}/{d} does not represent {x} (mod {m})")
+    if not 0 <= neg_d <= m - 1:
+        raise ValueError(f"negative-class denominator {neg_d} out of range [0, {m - 1}]")
+    if not 1 <= pos_d <= m:
+        raise ValueError(f"positive-class denominator {pos_d} out of range [1, {m}]")
+    threshold = pos_n - neg_n  # |neg.n| + |pos.n|
     # -M/0 and x/1, the first record of each class.
-    if neg_bound > 0 and m < threshold or pos_bound > 1 and x < threshold:
+    if neg_d > 0 and m < threshold or pos_d > 1 and x < threshold:
         return False
-    last = neg_bound if neg_bound > pos_bound else pos_bound
+    last = neg_d if neg_d > pos_d else pos_d
     nm, nd, pn, pd = m, 0, x, 1  # nm = |neg.n|
     while pn and nd + pd < last:
         if nm > pn:  # a negative run: nm/nd becomes (nm - j*pn)/(nd + j*pd)
             k = (nm - 1) // pn
-            j = (neg_bound - 1 - nd) // pd  # the run's last mediant below the bound
+            j = (neg_d - 1 - nd) // pd  # the run's last mediant below the bound
             if j >= 1 and nm - (j if j < k else k) * pn < threshold:
                 return False
             nm -= k * pn
             nd += k * pd
         else:  # a positive run, ties included: pn/pd becomes (pn - j*nm)/(pd + j*nd)
             k = pn // nm
-            j = (pos_bound - 1 - pd) // nd
+            j = (pos_d - 1 - pd) // nd
             if j >= 1 and pn - (j if j < k else k) * nm < threshold:
                 return False
             pn -= k * nm

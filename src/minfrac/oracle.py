@@ -72,48 +72,57 @@ def brute_minimum(r: Residue, ceiling: int | None = None) -> Fraction:
     Applies the same order as minimality.criterion_key -- smallest maximum
     coefficient, then smaller denominator, then positive class -- but spelled
     out locally so this path shares no code with the module it checks.
+    Denominators run downwards, and each one's negative candidate comes
+    before its positive one, so every tie on the maximum coefficient goes to
+    the later candidate through the denominator or the class tie-break:
+    none of the order is left to the scan.
     """
     check_ceiling(r.m, ceiling, DEFAULT_ENUMERATION_CEILING, "minimum enumeration: modulus")
     x, m = r.x, r.m
-    best_n = best_d = best_max = None
-    for d in range(1, m + 1):
+    best_n, best_d, best_max = 0, m, m  # d = M has only the positive candidate, 0/M
+    for d in range(m - 1, 0, -1):
         rp = (x * d) % m
-        for n in (rp, rp - m) if d < m else (rp,):
-            a = n if n >= 0 else -n
-            maxc = a if a > d else d
-            if (
-                best_max is None
-                or maxc < best_max
-                or (maxc == best_max and d < best_d)
-                or (maxc == best_max and d == best_d and n >= 0 > best_n)
-            ):
-                best_n, best_d, best_max = n, d, maxc
+        a = m - rp  # the negative candidate, rp - M
+        maxc = a if a > d else d
+        if maxc < best_max or maxc == best_max and d < best_d:
+            best_n, best_d, best_max = rp - m, d, maxc
+        maxc = rp if rp > d else d  # the positive candidate, rp
+        if maxc < best_max or maxc == best_max and (d < best_d or d == best_d and best_n < 0):
+            best_n, best_d, best_max = rp, d, maxc
     return Fraction(best_n, best_d)
 
 
 def brute_pair_minimal(p: FractionPair, r: Residue, ceiling: int | None = None) -> bool:
     """Evaluate the pair-minimality definition literally, denominator by denominator.
 
+    The scan is brute_pair_scan, on the pair's four integers, gated by the
+    pair-check ceiling.
+    """
+    check_ceiling(r.m, ceiling, DEFAULT_PAIR_CHECK_CEILING, "pair-minimality check: modulus")
+    neg, pos = p.neg, p.pos
+    return brute_pair_scan(r.x, r.m, neg.n, neg.d, pos.n, pos.d)
+
+
+def brute_pair_scan(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: int) -> bool:
+    """brute_pair_minimal on plain integers, with no ceiling: callers gate the scan.
+
     For each d, if the residue magnitude in either class is below the sum of
     the pair's numerator magnitudes, d must be >= the pair's denominator of
     that class.  At or above that denominator the implication holds whatever
     the residue, so each class is scanned only below it: positive residues
-    for d = 1..pos.d-1, negative ones for d = 0..neg.d-1.  The domain is
-    is_minimal_pair's: both sides must represent r, with the negative
+    for d = 1..pos_d-1, negative ones for d = 0..neg_d-1.  The domain is
+    is_minimal_pair's: both sides must represent x, with the negative
     denominator in 0..M-1 and the positive one in 1..M, else ValueError with
     the same messages.
     """
-    check_ceiling(r.m, ceiling, DEFAULT_PAIR_CHECK_CEILING, "pair-minimality check: modulus")
-    x, m = r.x, r.m
-    for f in (p.neg, p.pos):
-        if (x * f.d - f.n) % m:
-            raise ValueError(f"{f} does not represent {r}")
-    neg_d, pos_d = p.neg.d, p.pos.d
+    for n, d in ((neg_n, neg_d), (pos_n, pos_d)):
+        if (x * d - n) % m:
+            raise ValueError(f"{n}/{d} does not represent {x} (mod {m})")
     if not 0 <= neg_d <= m - 1:
         raise ValueError(f"negative-class denominator {neg_d} out of range [0, {m - 1}]")
     if not 1 <= pos_d <= m:
         raise ValueError(f"positive-class denominator {pos_d} out of range [1, {m}]")
-    threshold = -p.neg.n + p.pos.n
+    threshold = -neg_n + pos_n
     for d in range(1, pos_d):
         if (x * d) % m < threshold:
             return False
@@ -137,7 +146,8 @@ def brute_prefix_minima(r: Residue, ceiling: int | None = None) -> tuple[list[in
     check_ceiling(r.m, ceiling, DEFAULT_PAIR_CHECK_CEILING, "pair-minimality check: modulus")
     x, m = r.x, r.m
     empty = 2 * m
-    neg = list(accumulate((m - (x * d) % m for d in range(0, m)), min, initial=empty))
+    residues = [(x * d) % m for d in range(m)]
+    neg = list(accumulate([m - rp for rp in residues], min, initial=empty))
     pos = [empty]
-    pos.extend(accumulate(((x * d) % m for d in range(1, m)), min, initial=empty))
+    pos.extend(accumulate(residues[1:], min, initial=empty))
     return neg, pos

@@ -19,7 +19,7 @@ from minfrac.harness import (
     check_sqrt_bound,
     run_checks,
 )
-from minfrac.residues import Fraction, FractionPair, Residue
+from minfrac.residues import Fraction
 
 # Pass counts over M in [2, 60], frozen from an exhaustive run.  The sweep
 # is deterministic, so any change here means the algorithm changed.
@@ -145,21 +145,21 @@ def test_agreement_reports_a_planted_sieve_entry(monkeypatch):
     assert ce.replay == "minfrac repr --modulus 17 --x 7"
 
 
-def test_agreement_reports_a_planted_pair_verdict(monkeypatch):
-    # Flip is_minimal_pair's verdict on one trace pair of 7 mod 17: exactly
-    # that pair must come back as a counterexample, and every trace pair in
-    # the range must still be compared.
-    real = harness.is_minimal_pair
-    target = (FractionPair(neg=Fraction(-3, 2), pos=Fraction(4, 3)), Residue(7, 17))
+def _assert_planted_pair_verdict(monkeypatch, route, detail):
+    # Flip one pair route's verdict on the trace pair (-3/2, 4/3) of 7 mod
+    # 17: exactly that pair must come back as a counterexample, and every
+    # trace pair in the range must still be compared, once.
+    real = getattr(harness, route)
+    target = (7, 17, -3, 2, 4, 3)
     seen = []
 
-    def planted(p, r):
-        seen.append((p, r))
-        verdict = real(p, r)
-        return not verdict if (p, r) == target else verdict
+    def planted(*pair):
+        seen.append(pair)
+        verdict = real(*pair)
+        return not verdict if pair == target else verdict
 
     base = check_agreement((2, 30))
-    monkeypatch.setattr(harness, "is_minimal_pair", planted)
+    monkeypatch.setattr(harness, route, planted)
     report = check_agreement((2, 30))
     assert len(seen) == sum(len(list(descent_steps(x, m))) for m in range(2, 31) for x in range(m))
     assert seen.count(target) == 1
@@ -167,10 +167,20 @@ def test_agreement_reports_a_planted_pair_verdict(monkeypatch):
     assert report.passes == base.passes - 1
     (ce,) = report.counterexamples
     assert (ce.m, ce.x) == (17, 7)
-    assert ce.detail == (
-        "is_minimal_pair says False but the exhaustive scan says True for (-3/2, 4/3)"
-    )
+    assert ce.detail == f"{detail} for (-3/2, 4/3)"
     assert ce.replay == "minfrac trace --modulus 17 --x 7"
+
+
+def test_agreement_reports_a_planted_pair_verdict(monkeypatch):
+    _assert_planted_pair_verdict(
+        monkeypatch, "pair_minimal", "is_minimal_pair says False but the exhaustive scan says True"
+    )
+
+
+def test_agreement_reports_a_planted_oracle_verdict(monkeypatch):
+    _assert_planted_pair_verdict(
+        monkeypatch, "brute_pair_scan", "is_minimal_pair says True but the exhaustive scan says False"
+    )
 
 
 def test_progress_flags_long_traces_as_anomalies():
@@ -188,6 +198,23 @@ def test_anomaly_sample_is_capped():
     assert report.ok
     assert report.anomaly_count == 70 > ANOMALY_SAMPLE_CAP
     assert len(report.anomalies) == ANOMALY_SAMPLE_CAP
+
+
+def test_a_huge_modulus_range_is_striped_lazily(monkeypatch):
+    # The moduli reach the workers as lazy ranges, so a typo'd --m-max
+    # allocates nothing before the first check runs.
+    tasks = []
+
+    def record(task):
+        tasks.append(task)
+        return 0, [], []
+
+    monkeypatch.setattr(harness, "_chunk_worker", record)
+    check_determinant((2, 10**15))
+    ((check, ms, _),) = tasks
+    assert check == "determinant"
+    assert ms == range(2, 10**15 + 1)
+    assert len(ms) == 10**15 - 1
 
 
 def test_parallel_sweep_matches_serial():

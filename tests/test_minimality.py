@@ -11,9 +11,10 @@ from minfrac.minimality import (
     is_minimal_pair,
     minimum_fraction,
     minimum_table,
+    pair_minimal,
     sqrt_bound_witness,
 )
-from minfrac.oracle import brute_minimum, brute_pair_minimal, brute_prefix_minima
+from minfrac.oracle import brute_minimum, brute_pair_minimal, brute_pair_scan, brute_prefix_minima
 from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, represents
 
 # Minimum fractions for x = 1..16 mod 17, frozen.
@@ -102,15 +103,20 @@ def test_is_minimal_pair_rejects_out_of_class_denominators():
 
 def test_is_minimal_pair_matches_the_oracle_on_every_in_class_pair():
     # Every representing pair with a negative denominator in 0..M-1 and a
-    # positive one in 1..M, for every residue of every M <= 24.
+    # positive one in 1..M, for every residue of every M <= 24.  Each route
+    # gives its wrapper's verdict on the same four integers.
     for m in range(2, 25):
         for x in range(m):
             r = Residue(x, m)
             for nd in range(m):
-                neg = Fraction((x * nd) % m - m, nd)
+                nn = (x * nd) % m - m
                 for pd in range(1, m + 1):
-                    p = FractionPair(neg=neg, pos=Fraction((x * pd) % m, pd))
-                    assert is_minimal_pair(p, r) == brute_pair_minimal(p, r), (p, r)
+                    pn = (x * pd) % m
+                    p = FractionPair(neg=Fraction(nn, nd), pos=Fraction(pn, pd))
+                    fast = is_minimal_pair(p, r)
+                    assert fast == brute_pair_minimal(p, r), (p, r)
+                    assert fast == pair_minimal(x, m, nn, nd, pn, pd), (p, r)
+                    assert fast == brute_pair_scan(x, m, nn, nd, pn, pd), (p, r)
 
 
 # The acceptance input: the secp256k1 field prime and the first 77 decimal

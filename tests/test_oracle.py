@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 from minfrac.descent import descent_steps
 from minfrac.errors import CeilingExceeded
-from minfrac.minimality import is_minimal_pair
+from minfrac.harness import _step_minimum
+from minfrac.minimality import criterion_key, is_minimal_pair, pair_minimal
 from minfrac.oracle import (
     CEILING_ENV_VAR,
     DEFAULT_ENUMERATION_CEILING,
     DEFAULT_PAIR_CHECK_CEILING,
     brute_minimum,
     brute_pair_minimal,
+    brute_pair_scan,
     brute_prefix_minima,
     enumerate_class,
 )
@@ -81,14 +83,20 @@ def test_brute_pair_minimal_examples():
 
 def test_pair_routes_share_one_domain():
     # -1/2 does not represent 7 mod 17; -17/18 represents 0 mod 17 but lies
-    # outside the negative class (denominators 0..16).  The oracle and the
-    # fast path refuse both with the same message.
+    # outside the negative class (denominators 0..16), and 0/18 outside the
+    # positive one (1..17).  The oracle and the fast path refuse each with
+    # the same message, on Fractions and on plain integers alike.
     cases = [
         (_pair(-1, 2, 4, 3), Residue(7, 17), r"^-1/2 does not represent 7 \(mod 17\)$"),
         (_pair(-17, 18, 0, 1), Residue(0, 17),
          r"^negative-class denominator 18 out of range \[0, 16\]$"),
+        (_pair(-17, 0, 0, 18), Residue(0, 17),
+         r"^positive-class denominator 18 out of range \[1, 17\]$"),
     ]
     for p, r, message in cases:
+        for route in (pair_minimal, brute_pair_scan):
+            with pytest.raises(ValueError, match=message):
+                route(r.x, r.m, p.neg.n, p.neg.d, p.pos.n, p.pos.d)
         for route in (is_minimal_pair, brute_pair_minimal):
             with pytest.raises(ValueError, match=message):
                 route(p, r)
@@ -194,15 +202,14 @@ def test_oracle_lists_are_representations(data):
         assert (f.n < 0) == (cls is ResidueClass.NEGATIVE)
 
 
-@given(st.data())
-@settings(deadline=None, max_examples=50)
-def test_brute_minimum_is_a_minimal_representation(data):
-    m = data.draw(st.integers(2, 150))
-    x = data.draw(st.integers(0, m - 1))
-    r = Residue(x, m)
-    f = brute_minimum(r)
-    assert represents(r, f)
-    best = min(max(abs(g.n), g.d)
-               for cls in ResidueClass
-               for g in enumerate_class(r, cls) if g.d >= 1)
-    assert max(abs(f.n), f.d) == best
+def test_brute_minimum_is_a_minimal_representation():
+    # The whole criterion, not just the max coefficient: a broken tie-break
+    # on the denominator or on the class changes some residue's minimum.
+    # The step scan, minimum_fraction's slow twin, is held to it too.
+    for m in range(2, 101):
+        for x in range(m):
+            r = Residue(x, m)
+            candidates = [f for cls in ResidueClass for f in enumerate_class(r, cls) if f.d >= 1]
+            expected = min(candidates, key=criterion_key)
+            assert brute_minimum(r) == expected, r
+            assert _step_minimum(r) == expected, r
