@@ -49,7 +49,7 @@ def is_minimal_pair(p: FractionPair, r: Residue) -> bool:
     1 <= d < pos.d are both at least that threshold.  A side that does not
     represent r, or whose denominator is outside its class's range, raises
     ValueError.  The work is done by pair_minimal, on the pair's four
-    integers; the harness calls that directly on the raw walk's tuples.
+    integers; the harness calls that directly on every pair it checks.
     """
     neg, pos = p.neg, p.pos
     return pair_minimal(r.x, r.m, neg.n, neg.d, pos.n, pos.d)

@@ -53,6 +53,11 @@ def check_ceiling(size: int, explicit: int | None, default: int, what: str) -> N
         raise CeilingExceeded(size, ceiling, what)
 
 
+def check_pair_ceiling(m: int, ceiling: int | None = None) -> None:
+    """The pair-minimality gate: raise CeilingExceeded if modulus m is above its ceiling."""
+    check_ceiling(m, ceiling, DEFAULT_PAIR_CHECK_CEILING, "pair-minimality check: modulus")
+
+
 def enumerate_class(r: Residue, cls: ResidueClass, ceiling: int | None = None) -> list[Fraction]:
     """Every class-c representation of r, one per denominator, in denominator order.
 
@@ -98,7 +103,7 @@ def brute_pair_minimal(p: FractionPair, r: Residue, ceiling: int | None = None) 
     The scan is brute_pair_scan, on the pair's four integers, gated by the
     pair-check ceiling.
     """
-    check_ceiling(r.m, ceiling, DEFAULT_PAIR_CHECK_CEILING, "pair-minimality check: modulus")
+    check_pair_ceiling(r.m, ceiling)
     neg, pos = p.neg, p.pos
     return brute_pair_scan(r.x, r.m, neg.n, neg.d, pos.n, pos.d)
 
@@ -143,7 +148,7 @@ def brute_prefix_minima(r: Residue, ceiling: int | None = None) -> tuple[list[in
     the same definition brute_pair_minimal evaluates, with the scan over
     d shared by every pair of one residue.  Gated by the pair-check ceiling.
     """
-    check_ceiling(r.m, ceiling, DEFAULT_PAIR_CHECK_CEILING, "pair-minimality check: modulus")
+    check_pair_ceiling(r.m, ceiling)
     x, m = r.x, r.m
     empty = 2 * m
     residues = [(x * d) % m for d in range(m)]
