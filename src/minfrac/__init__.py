@@ -19,8 +19,7 @@ _HOMES = {
     "descent": ("DescentTrace", "descent_runs", "descent_steps", "run_descent"),
     "errors": ("CeilingExceeded", "InvariantError"),
     "harness": (
-        "Anomaly", "Counterexample", "SweepConfig", "VerificationReport", "check_agreement",
-        "check_determinant", "check_progress", "check_sqrt_bound", "run_checks",
+        "Anomaly", "Counterexample", "SweepConfig", "VerificationReport", "run_checks",
     ),
     "minimality": (
         "criterion_key", "is_minimal_pair", "minimum_fraction", "minimum_table",
@@ -31,8 +30,7 @@ _HOMES = {
         "brute_minimum", "brute_pair_minimal", "brute_prefix_minima", "enumerate_class",
     ),
     "residues": (
-        "Fraction", "FractionPair", "Residue", "ResidueClass", "check_modulus", "neg_residue",
-        "pos_residue", "represents", "residue_fraction",
+        "Fraction", "FractionPair", "Residue", "ResidueClass", "check_modulus", "represents",
     ),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -55,9 +55,9 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
-def render_fraction(f: Fraction, bare_units: bool = False) -> str:
-    """Fraction as text; with bare_units, d = 1 prints as a plain integer."""
-    if bare_units and f.d == 1:
+def render_fraction(f: Fraction) -> str:
+    """Fraction as text; d = 1 prints as a plain integer."""
+    if f.d == 1:
         return str(f.n)
     return f"{f.n}/{f.d}"
 
@@ -113,8 +113,8 @@ def _cmd_repr(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit({"modulus": m, "x": r.x, "fractions": [_frac_dict(minimum), _frac_dict(witness)]})
     else:
-        print(render_fraction(minimum, bare_units=True))
-        print(f"witness: {render_fraction(witness, bare_units=True)}")
+        print(render_fraction(minimum))
+        print(f"witness: {render_fraction(witness)}")
     return 0
 
 
@@ -198,7 +198,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             sep = ",\n"
         sys.stdout.write("\n  ]\n}\n")
     else:
-        print(", ".join(render_fraction(f, bare_units=True) for f in entries))
+        print(", ".join(render_fraction(f) for f in entries))
     return 0
 
 

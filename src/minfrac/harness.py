@@ -24,7 +24,8 @@ built only for a counterexample's text.
 Only pair minimality is checked: it implies each side's per-class
 minimality, since the pair's threshold is at least either side's
 magnitude.  Brute-force ceilings are resolved once per check run, so
-workers get plain integers, and the pair ceiling is held once per residue.
+workers get plain integers, and the agreement check holds the pair ceiling
+once per modulus, before it builds the sieve.
 
 Sweeps are embarrassingly parallel over moduli; with parallelism > 1 the
 moduli are striped across a process pool of at most one worker per CPU and
@@ -202,11 +203,6 @@ def _determinant_m(m: int, params: _Params) -> _Part:
     return passes, bad, []
 
 
-def _step_minimum(r: Residue) -> Fraction:
-    """Slow twin of minimum_fraction: the criterion scan over every step pair."""
-    return _scan_minimum(descent_steps(r.x, r.m))
-
-
 def _scan_minimum(steps: Iterable[RawStep]) -> Fraction:
     """The criterion_key minimum over both sides of every step pair, spelled out."""
     steps = iter(steps)
@@ -322,7 +318,9 @@ def _progress_m(m: int, params: _Params) -> _Part:
 def _agreement_m(m: int, params: _Params) -> _Part:
     passes = 0
     bad: list[Counterexample] = []
-    pair_ceiling = params.pair_ceiling
+    # brute_pair_scan has no gate of its own; brute_pair_minimal's is held
+    # here, before the sieve is built, so a refused modulus costs nothing.
+    check_pair_ceiling(m, params.pair_ceiling)
     sieve = [None, *minimum_table(m)]  # the sieve has no entry for x = 0
     # The random pairs are drawn up front, in the sample's order, and checked
     # with their residue's trace pairs, as (neg.n, neg.d, pos.n, pos.d, None).
@@ -356,8 +354,6 @@ def _agreement_m(m: int, params: _Params) -> _Part:
                     f"minfrac repr --modulus {m} --x {x}",
                 )
             )
-        # brute_pair_scan has no gate of its own; brute_pair_minimal's is held here.
-        check_pair_ceiling(m, pair_ceiling)
         for nn, nd, pn, pd, _ in steps + random_pairs.get(x, []):
             fast = pair_minimal(x, m, nn, nd, pn, pd)
             slow = brute_pair_scan(x, m, nn, nd, pn, pd)
@@ -438,51 +434,3 @@ def _run_one_check(check: str, cfg: SweepConfig) -> VerificationReport:
 def run_checks(config: SweepConfig) -> tuple[VerificationReport, ...]:
     """Run every requested check over the configured range, in canonical order."""
     return tuple(_run_one_check(check, config) for check in config.checks)
-
-
-def check_determinant(m_range: tuple[int, int], parallelism: int = 1) -> VerificationReport:
-    """Every trace pair of every residue has determinant M."""
-    cfg = SweepConfig(m_range[0], m_range[1], checks=("determinant",), parallelism=parallelism)
-    return run_checks(cfg)[0]
-
-
-def check_sqrt_bound(m_range: tuple[int, int], parallelism: int = 1) -> VerificationReport:
-    """Every residue has a representation with n^2 <= M and d^2 <= M.
-
-    The witness from the run-length walk must equal the first qualifying
-    fraction of the step walk, represent x, and meet the bound.
-    """
-    cfg = SweepConfig(m_range[0], m_range[1], checks=("sqrt_bound",), parallelism=parallelism)
-    return run_checks(cfg)[0]
-
-
-def check_progress(m_range: tuple[int, int], parallelism: int = 1) -> VerificationReport:
-    """Magnitude sums strictly decrease at every step.
-
-    A trace of more than TRACE_CAP_FACTOR * bit_length(M) pairs is flagged
-    as an anomaly, not a failure.
-    """
-    cfg = SweepConfig(m_range[0], m_range[1], checks=("progress",), parallelism=parallelism)
-    return run_checks(cfg)[0]
-
-
-def check_agreement(
-    m_range: tuple[int, int],
-    parallelism: int = 1,
-    seed: int = 0,
-    random_pairs_per_m: int = 0,
-    ceiling: int | None = None,
-) -> VerificationReport:
-    """The fast paths agree with the brute-force oracle.
-
-    Compares minimum_fraction (run-length walk) against minimum_table (the
-    sieve), a scan of the step walk and brute_minimum for every residue
-    (x = 0 has no sieve entry), and is_minimal_pair against
-    brute_pair_minimal, on their int-level forms, for every trace pair plus
-    an optional seeded sample of random pairs per modulus.
-    """
-    cfg = SweepConfig(
-        m_range[0], m_range[1], checks=("agreement",), parallelism=parallelism,
-        seed=seed, random_pairs_per_m=random_pairs_per_m, ceiling=ceiling,
-    )
-    return run_checks(cfg)[0]

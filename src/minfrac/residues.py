@@ -19,9 +19,6 @@ class ResidueClass(enum.Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 def check_modulus(m: int) -> int:
     """Validate a modulus (an integer >= 2) and return it."""
@@ -96,33 +93,6 @@ class Fraction(Record):
 
     def __str__(self) -> str:
         return f"{self.n}/{self.d}"
-
-
-def pos_residue(r: Residue, d: int) -> int:
-    """Positive residue of r for denominator d: (x*d) mod M, in [0, M).
-
-    Defined for denominators 1..M inclusive.
-    """
-    if not 1 <= d <= r.m:
-        raise ValueError(f"positive-class denominator {d} out of range [1, {r.m}]")
-    return (r.x * d) % r.m
-
-
-def neg_residue(r: Residue, d: int) -> int:
-    """Negative residue of r for denominator d: ((x*d) mod M) - M, in [-M, -1].
-
-    Defined for denominators 0..M-1 inclusive.
-    """
-    if not 0 <= d <= r.m - 1:
-        raise ValueError(f"negative-class denominator {d} out of range [0, {r.m - 1}]")
-    return (r.x * d) % r.m - r.m
-
-
-def residue_fraction(r: Residue, d: int, cls: ResidueClass) -> Fraction:
-    """The class-c fraction with denominator d that represents r."""
-    if cls is ResidueClass.POSITIVE:
-        return Fraction(pos_residue(r, d), d)
-    return Fraction(neg_residue(r, d), d)
 
 
 def represents(r: Residue, f: Fraction) -> bool:

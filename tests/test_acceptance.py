@@ -12,12 +12,7 @@ import time
 
 from minfrac.cli import main
 from minfrac.descent import descent_steps, run_descent
-from minfrac.harness import (
-    check_agreement,
-    check_determinant,
-    check_progress,
-    check_sqrt_bound,
-)
+from minfrac.harness import SweepConfig, run_checks
 from minfrac.minimality import criterion_key, minimum_fraction, sqrt_bound_witness
 from minfrac.oracle import enumerate_class
 from minfrac.residues import Fraction, Residue, ResidueClass, represents
@@ -53,6 +48,11 @@ MIN_256 = Fraction(
     -75622257097465905355031210995094932918,
     36095810821130842525104322795443031189,
 )
+
+
+def _check(name, lo, hi, **config):
+    """The report of one check over [lo, hi], as `verify --checks name` makes it."""
+    return run_checks(SweepConfig(lo, hi, checks=(name,), **config))[0]
 
 
 def _verdict(n: int, label: str, body) -> None:
@@ -110,7 +110,7 @@ def test_criterion_05_minimum_table(capsys):
 
 def test_criterion_06_determinant_sweep():
     def body():
-        report = check_determinant((2, 200))
+        report = _check("determinant", 2, 200)
         assert report.failures == 0, report.counterexamples[:3]
         assert report.passes == DETERMINANT_PAIRS_2_200
         assert report.duration < 30.0
@@ -120,7 +120,7 @@ def test_criterion_06_determinant_sweep():
 
 def test_criterion_07_sqrt_bound_sweep():
     def body():
-        report = check_sqrt_bound((2, 2000))
+        report = _check("sqrt_bound", 2, 2000)
         assert report.failures == 0, report.counterexamples[:3]
         assert report.passes == SQRT_RESIDUES_2_2000
         assert report.duration < 180.0
@@ -133,11 +133,11 @@ def test_criterion_07_sqrt_bound_sweep():
 
 def test_criterion_08_oracle_equivalence():
     def body():
-        report = check_agreement((2, 200))
+        report = _check("agreement", 2, 200)
         assert report.failures == 0, report.counterexamples[:3]
         assert report.passes == AGREEMENT_COMPARISONS_2_200
         for m in (17, 97, 101):
-            sampled = check_agreement((m, m), random_pairs_per_m=1000, seed=0)
+            sampled = _check("agreement", m, m, random_pairs_per_m=1000, seed=0)
             assert sampled.failures == 0, sampled.counterexamples[:3]
             assert sampled.passes >= 1000
 
@@ -147,7 +147,7 @@ def test_criterion_08_oracle_equivalence():
 
 def test_criterion_09_progress():
     def body():
-        report = check_progress((2, 500))
+        report = _check("progress", 2, 500)
         assert report.failures == 0, report.counterexamples[:3]
         assert report.passes == PROGRESS_TRANSITIONS_2_500
         sums = [-p.neg.n + p.pos.n for p in run_descent(Residue(7, 17)).pairs]

@@ -371,6 +371,10 @@ def test_verify_ceilings_env_and_override(capsys, monkeypatch):
                                  "--checks", check, "--workers", workers)
             assert (code, out) == (4, "")
             assert "modulus 11 exceeds the ceiling 10" in err
+            if check == "agreement":
+                # Refused before the sieve is built, with the pair gate's message.
+                assert err == ("error: pair-minimality check: modulus 11 exceeds the "
+                               "ceiling 10; raise the ceiling explicitly to proceed\n")
         code, out, _ = run(capsys, "verify", "--m-min", "9", "--m-max", "11",
                            "--checks", check, "--ceiling-override", "11")
         assert code == 0 and "fail=0" in out
@@ -475,7 +479,6 @@ def test_usage_exit_codes(capsys):
 
 
 def test_render_fraction_helper():
-    assert render_fraction(Fraction(-4, 1), bare_units=True) == "-4"
-    assert render_fraction(Fraction(-4, 1)) == "-4/1"
-    assert render_fraction(Fraction(0, 2), bare_units=True) == "0/2"
+    assert render_fraction(Fraction(-4, 1)) == "-4"
+    assert render_fraction(Fraction(0, 2)) == "0/2"
     assert _parse_fraction(render_fraction(Fraction(-3, 2))) == Fraction(-3, 2)

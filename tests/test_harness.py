@@ -6,17 +6,13 @@ import pytest
 
 import minfrac.harness as harness
 from minfrac.descent import descent_steps
-from minfrac.errors import InvariantError
+from minfrac.errors import CeilingExceeded, InvariantError
 from minfrac.harness import (
     ANOMALY_SAMPLE_CAP,
     CHECK_NAMES,
     Counterexample,
     SweepConfig,
     VerificationReport,
-    check_agreement,
-    check_determinant,
-    check_progress,
-    check_sqrt_bound,
     run_checks,
 )
 from minfrac.residues import Fraction
@@ -30,6 +26,11 @@ FROZEN_COUNTS_2_60 = {
     "progress": 21132,
     "agreement": 24790,
 }
+
+
+def _check(name, lo, hi, **config):
+    """The report of one check over [lo, hi], as `verify --checks name` makes it."""
+    return run_checks(SweepConfig(lo, hi, checks=(name,), **config))[0]
 
 
 def test_sweep_config_validation():
@@ -87,18 +88,14 @@ def test_full_sweep_2_60_is_clean():
 
 
 def test_determinant_pass_count_matches_recount():
-    report = check_determinant((17, 17))
+    report = _check("determinant", 17, 17)
     assert report.ok
     assert report.passes == sum(len(list(descent_steps(x, 17))) for x in range(17))
 
 
-def _check_minimality(m_range):
-    return run_checks(SweepConfig(m_range[0], m_range[1], checks=("minimality",)))[0]
-
-
 def test_minimality_and_sqrt_bound_small_ranges():
-    assert _check_minimality((2, 30)).ok
-    assert check_sqrt_bound((2, 30)).ok
+    assert _check("minimality", 2, 30).ok
+    assert _check("sqrt_bound", 2, 30).ok
 
 
 def test_minimality_reports_a_planted_non_minimal_pair(monkeypatch):
@@ -112,7 +109,7 @@ def test_minimality_reports_a_planted_non_minimal_pair(monkeypatch):
             yield -10, 1, 4, 3, None
 
     monkeypatch.setattr(harness, "descent_steps", planted)
-    report = _check_minimality((17, 17))
+    report = _check("minimality", 17, 17)
     assert report.failures == 1
     assert report.passes == sum(len(list(real_steps(x, 17))) for x in range(17))
     (ce,) = report.counterexamples
@@ -131,9 +128,9 @@ def test_agreement_reports_a_planted_sieve_entry(monkeypatch):
             table[7 - 1] = Fraction(4, 3)
         return table
 
-    base = check_agreement((17, 17))
+    base = _check("agreement", 17, 17)
     monkeypatch.setattr(harness, "minimum_table", planted)
-    report = check_agreement((17, 17))
+    report = _check("agreement", 17, 17)
     assert report.failures == 1
     assert report.passes == base.passes - 1
     (ce,) = report.counterexamples
@@ -143,6 +140,19 @@ def test_agreement_reports_a_planted_sieve_entry(monkeypatch):
         "and enumerated minimum -3/2 differ"
     )
     assert ce.replay == "minfrac repr --modulus 17 --x 7"
+
+
+def test_agreement_refuses_a_modulus_over_the_pair_ceiling_before_the_sieve(monkeypatch):
+    def unreachable(m):
+        raise AssertionError(f"minimum_table({m}) built for a refused modulus")
+
+    monkeypatch.setattr(harness, "minimum_table", unreachable)
+    with pytest.raises(CeilingExceeded) as exc:
+        _check("agreement", 11, 11, ceiling=10)
+    assert str(exc.value) == (
+        "pair-minimality check: modulus 11 exceeds the ceiling 10; "
+        "raise the ceiling explicitly to proceed"
+    )
 
 
 def _assert_planted_pair_verdict(monkeypatch, route, detail):
@@ -158,9 +168,9 @@ def _assert_planted_pair_verdict(monkeypatch, route, detail):
         verdict = real(*pair)
         return not verdict if pair == target else verdict
 
-    base = check_agreement((2, 30))
+    base = _check("agreement", 2, 30)
     monkeypatch.setattr(harness, route, planted)
-    report = check_agreement((2, 30))
+    report = _check("agreement", 2, 30)
     assert len(seen) == sum(len(list(descent_steps(x, m))) for m in range(2, 31) for x in range(m))
     assert seen.count(target) == 1
     assert report.failures == 1
@@ -185,7 +195,7 @@ def test_agreement_reports_a_planted_oracle_verdict(monkeypatch):
 
 def test_progress_flags_long_traces_as_anomalies():
     # x = 1 and x = M-1 walk M steps; for M = 60 that exceeds 10*bit_length
-    report = check_progress((60, 60))
+    report = _check("progress", 60, 60)
     assert report.ok
     assert report.failures == 0
     assert report.anomaly_count == 2
@@ -194,7 +204,7 @@ def test_progress_flags_long_traces_as_anomalies():
 
 def test_anomaly_sample_is_capped():
     # At 10 pairs per bit, [2, 100] has 70 traces over the cap.
-    report = check_progress((2, 100))
+    report = _check("progress", 2, 100)
     assert report.ok
     assert report.anomaly_count == 70 > ANOMALY_SAMPLE_CAP
     assert len(report.anomalies) == ANOMALY_SAMPLE_CAP
@@ -210,7 +220,7 @@ def test_a_huge_modulus_range_is_striped_lazily(monkeypatch):
         return 0, [], []
 
     monkeypatch.setattr(harness, "_chunk_worker", record)
-    check_determinant((2, 10**15))
+    _check("determinant", 2, 10**15)
     ((check, ms, _),) = tasks
     assert check == "determinant"
     assert ms == range(2, 10**15 + 1)
@@ -225,14 +235,14 @@ def test_parallel_sweep_matches_serial():
 
 
 def test_agreement_random_pairs_are_seed_deterministic():
-    one = check_agreement((17, 17), random_pairs_per_m=200, seed=42)
-    two = check_agreement((17, 17), random_pairs_per_m=200, seed=42, parallelism=2)
+    one = _check("agreement", 17, 17, random_pairs_per_m=200, seed=42)
+    two = _check("agreement", 17, 17, random_pairs_per_m=200, seed=42, parallelism=2)
     assert one.ok and two.ok
     assert one.passes == two.passes
     assert one.counterexamples == two.counterexamples
 
 
 def test_agreement_includes_random_pairs_in_pass_count():
-    base = check_agreement((17, 17))
-    extra = check_agreement((17, 17), random_pairs_per_m=200, seed=7)
+    base = _check("agreement", 17, 17)
+    extra = _check("agreement", 17, 17, random_pairs_per_m=200, seed=7)
     assert extra.passes == base.passes + 200

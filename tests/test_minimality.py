@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minfrac.descent import descent_steps, run_descent
-from minfrac.harness import _step_minimum, _step_witness
+from minfrac.harness import _scan_minimum, _step_witness
 from minfrac.minimality import (
     criterion_key,
     is_minimal_pair,
@@ -252,5 +252,5 @@ def test_run_length_paths_match_step_scans_up_to_256_bits(data):
     x = data.draw(st.integers(0, m - 1))
     assume(_euclid_steps(x, m) <= 10**5)  # keeps the step scans bounded
     r = Residue(x, m)
-    assert minimum_fraction(r) == _step_minimum(r)
+    assert minimum_fraction(r) == _scan_minimum(descent_steps(x, m))
     assert sqrt_bound_witness(r) == _step_witness(r)

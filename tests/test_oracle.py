@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from minfrac.descent import descent_steps
 from minfrac.errors import CeilingExceeded
-from minfrac.harness import _step_minimum
+from minfrac.harness import _scan_minimum
 from minfrac.minimality import criterion_key, is_minimal_pair, pair_minimal
 from minfrac.oracle import (
     CEILING_ENV_VAR,
@@ -18,14 +18,7 @@ from minfrac.oracle import (
     brute_prefix_minima,
     enumerate_class,
 )
-from minfrac.residues import (
-    Fraction,
-    FractionPair,
-    Residue,
-    ResidueClass,
-    represents,
-    residue_fraction,
-)
+from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, represents
 
 
 def _pair(nn, nd, pn, pd):
@@ -50,20 +43,6 @@ def test_enumerate_class_small():
     r = Residue(1, 2)
     assert enumerate_class(r, ResidueClass.POSITIVE) == [Fraction(1, 1), Fraction(0, 2)]
     assert enumerate_class(r, ResidueClass.NEGATIVE) == [Fraction(-2, 0), Fraction(-1, 1)]
-
-
-def test_enumerate_class_agrees_with_residue_functions():
-    # same lists, derived through the library's residue helpers instead of
-    # the oracle's inline arithmetic
-    for m in (2, 5, 17, 40):
-        for x in range(m):
-            r = Residue(x, m)
-            assert enumerate_class(r, ResidueClass.POSITIVE) == [
-                residue_fraction(r, d, ResidueClass.POSITIVE) for d in range(1, m + 1)
-            ]
-            assert enumerate_class(r, ResidueClass.NEGATIVE) == [
-                residue_fraction(r, d, ResidueClass.NEGATIVE) for d in range(0, m)
-            ]
 
 
 def test_brute_minimum_examples():
@@ -159,10 +138,9 @@ def test_prefix_minima_verdict_matches_brute_pair_minimal(data):
         nn, nd, pn, pd, _ = steps[data.draw(st.integers(0, len(steps) - 1))]
         p = _pair(nn, nd, pn, pd)
     else:
-        p = FractionPair(
-            neg=residue_fraction(r, data.draw(st.integers(0, m - 1)), ResidueClass.NEGATIVE),
-            pos=residue_fraction(r, data.draw(st.integers(1, m)), ResidueClass.POSITIVE),
-        )
+        nd = data.draw(st.integers(0, m - 1))
+        pd = data.draw(st.integers(1, m))
+        p = _pair(x * nd % m - m, nd, x * pd % m, pd)
     neg, pos = brute_prefix_minima(r)
     threshold = p.pos.n - p.neg.n
     verdict = neg[p.neg.d] >= threshold and pos[p.pos.d] >= threshold
@@ -196,10 +174,15 @@ def test_oracle_lists_are_representations(data):
     r = Residue(x, m)
     cls = data.draw(st.sampled_from(list(ResidueClass)))
     fractions = enumerate_class(r, cls)
-    assert len(fractions) == m
-    for f in fractions:
-        assert represents(r, f)
-        assert (f.n < 0) == (cls is ResidueClass.NEGATIVE)
+    # One fraction per denominator of the class, in order, with the
+    # numerator in the class's range: with `represents`, that fixes the list.
+    if cls is ResidueClass.POSITIVE:
+        assert [f.d for f in fractions] == list(range(1, m + 1))
+        assert all(0 <= f.n < m for f in fractions)
+    else:
+        assert [f.d for f in fractions] == list(range(m))
+        assert all(-m <= f.n <= -1 for f in fractions)
+    assert all(represents(r, f) for f in fractions)
 
 
 def test_brute_minimum_is_a_minimal_representation():
@@ -212,4 +195,4 @@ def test_brute_minimum_is_a_minimal_representation():
             candidates = [f for cls in ResidueClass for f in enumerate_class(r, cls) if f.d >= 1]
             expected = min(candidates, key=criterion_key)
             assert brute_minimum(r) == expected, r
-            assert _step_minimum(r) == expected, r
+            assert _scan_minimum(descent_steps(x, m)) == expected, r

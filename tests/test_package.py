@@ -16,8 +16,7 @@ HOMES = {
     "minfrac.descent": ["DescentTrace", "descent_runs", "descent_steps", "run_descent"],
     "minfrac.errors": ["CeilingExceeded", "InvariantError"],
     "minfrac.harness": [
-        "Anomaly", "Counterexample", "SweepConfig", "VerificationReport", "check_agreement",
-        "check_determinant", "check_progress", "check_sqrt_bound", "run_checks",
+        "Anomaly", "Counterexample", "SweepConfig", "VerificationReport", "run_checks",
     ],
     "minfrac.minimality": [
         "criterion_key", "is_minimal_pair", "minimum_fraction", "minimum_table",
@@ -28,14 +27,13 @@ HOMES = {
         "brute_minimum", "brute_pair_minimal", "brute_prefix_minima", "enumerate_class",
     ],
     "minfrac.residues": [
-        "Fraction", "FractionPair", "Residue", "ResidueClass", "check_modulus", "neg_residue",
-        "pos_residue", "represents", "residue_fraction",
+        "Fraction", "FractionPair", "Residue", "ResidueClass", "check_modulus", "represents",
     ],
 }
 
 
 def test_every_public_name_is_its_home_modules_object():
-    assert len(minfrac.__all__) == 37
+    assert len(minfrac.__all__) == 30
     assert sorted(minfrac.__all__) == sorted(name for names in HOMES.values() for name in names)
     for module_name, names in HOMES.items():
         module = importlib.import_module(module_name)
@@ -58,7 +56,8 @@ def test_unknown_names_raise_attribute_error():
     assert not hasattr(minfrac, "Record")
     # Names that only tests ever called are gone from the package.
     for name in ("is_minimal_in_class", "MinimalityVerdict", "mediant", "parse_fraction",
-                 "check_minimality"):
+                 "check_minimality", "check_determinant", "check_sqrt_bound", "check_progress",
+                 "check_agreement", "pos_residue", "neg_residue", "residue_fraction"):
         with pytest.raises(AttributeError):
             getattr(minfrac, name)
     assert "minimum_fraction" in dir(minfrac)

@@ -3,7 +3,7 @@
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from minfrac.descent import DescentTrace, run_descent
@@ -13,10 +13,7 @@ from minfrac.residues import (
     Residue,
     ResidueClass,
     check_modulus,
-    neg_residue,
-    pos_residue,
     represents,
-    residue_fraction,
 )
 
 # Both full representation lists for 7 mod 17, frozen.
@@ -53,34 +50,15 @@ def test_residue_validation_and_reduce():
         Residue(0, 1)
 
 
-def test_pos_residue_examples():
-    r = Residue(7, 17)
-    assert pos_residue(r, 3) == 4
-    assert pos_residue(r, 17) == 0
-    assert pos_residue(Residue(0, 17), 1) == 0
-
-
-def test_neg_residue_examples():
-    r = Residue(7, 17)
-    assert neg_residue(r, 0) == -17
-    assert neg_residue(r, 2) == -3
-    assert neg_residue(r, 12) == -1
-
-
-def test_residue_denominator_range_errors():
-    r = Residue(7, 17)
-    for d in (0, -1, 18):
-        with pytest.raises(ValueError):
-            pos_residue(r, d)
-    for d in (-1, 17):
-        with pytest.raises(ValueError):
-            neg_residue(r, d)
-
-
 def test_enumerated_lists_match_frozen_values():
+    # One fraction per denominator of each class, and at its denominator the
+    # frozen numerator is the only one in its class's range that represents 7.
     r = Residue(7, 17)
-    assert [(pos_residue(r, d), d) for d in range(1, 18)] == POS_7_MOD_17
-    assert [(neg_residue(r, d), d) for d in range(0, 17)] == NEG_7_MOD_17
+    assert [d for _, d in POS_7_MOD_17] == list(range(1, 18))
+    assert [d for _, d in NEG_7_MOD_17] == list(range(0, 17))
+    for frozen, numerators in ((POS_7_MOD_17, range(0, 17)), (NEG_7_MOD_17, range(-17, 0))):
+        for n, d in frozen:
+            assert [k for k in numerators if represents(r, Fraction(k, d))] == [n]
 
 
 def test_represents_examples():
@@ -132,12 +110,6 @@ def test_fraction_class_and_rendering():
         FractionPair(neg=Fraction(0, 17), pos=Fraction(4, 3))
     assert str(Fraction(-3, 2)) == "-3/2"
     assert str(Fraction(7, 1)) == "7/1"
-
-
-def test_residue_fraction():
-    r = Residue(7, 17)
-    assert residue_fraction(r, 3, ResidueClass.POSITIVE) == Fraction(4, 3)
-    assert residue_fraction(r, 2, ResidueClass.NEGATIVE) == Fraction(-3, 2)
 
 
 def test_fraction_pair():
@@ -219,16 +191,12 @@ def _draw_residue(data, moduli=BIG_MODULI):
 
 
 def _draw_fraction(data, r):
+    """A positive-class (d in 1..M) or negative-class (d in 0..M-1) representation of r."""
     if data.draw(st.booleans()):
-        return residue_fraction(r, data.draw(st.integers(1, r.m)), ResidueClass.POSITIVE)
-    return residue_fraction(r, data.draw(st.integers(0, r.m - 1)), ResidueClass.NEGATIVE)
-
-
-@given(st.data())
-def test_pos_minus_neg_is_modulus(data):
-    r = _draw_residue(data)
-    d = data.draw(st.integers(1, r.m - 1))  # where both classes are defined
-    assert pos_residue(r, d) - neg_residue(r, d) == r.m
+        d = data.draw(st.integers(1, r.m))
+        return Fraction(r.x * d % r.m, d)
+    d = data.draw(st.integers(0, r.m - 1))
+    return Fraction(r.x * d % r.m - r.m, d)
 
 
 @given(st.data())
@@ -243,16 +211,6 @@ def test_mediant_preserves_representation(data):
     f1 = _draw_fraction(data, r)
     f2 = _draw_fraction(data, r)
     assert represents(r, Fraction(f1.n + f2.n, f1.d + f2.d))
-
-
-@given(st.data())
-@settings(deadline=None)
-def test_residue_value_ranges(data):
-    r = _draw_residue(data)
-    dp = data.draw(st.integers(1, r.m))
-    dn = data.draw(st.integers(0, r.m - 1))
-    assert 0 <= pos_residue(r, dp) < r.m
-    assert -r.m <= neg_residue(r, dn) <= -1
 
 
 @given(st.data())
