@@ -45,6 +45,27 @@ def test_enumerate_class_small():
     assert enumerate_class(r, ResidueClass.NEGATIVE) == [Fraction(-2, 0), Fraction(-1, 1)]
 
 
+def test_enumerate_class_agrees_with_residue_functions():
+    # same lists, derived through the library's `represents` instead of the
+    # oracle's inline arithmetic: at each denominator of a class, the one
+    # numerator in the class's range that represents x.
+    for m in (2, 5, 17, 40):
+        for x in range(m):
+            r = Residue(x, m)
+            assert enumerate_class(r, ResidueClass.POSITIVE) == [
+                Fraction(n, d)
+                for d in range(1, m + 1)
+                for n in range(0, m)
+                if represents(r, Fraction(n, d))
+            ]
+            assert enumerate_class(r, ResidueClass.NEGATIVE) == [
+                Fraction(n, d)
+                for d in range(0, m)
+                for n in range(-m, 0)
+                if represents(r, Fraction(n, d))
+            ]
+
+
 def test_brute_minimum_examples():
     assert brute_minimum(Residue(12, 17)) == Fraction(2, 3)
     assert brute_minimum(Residue(7, 17)) == Fraction(-3, 2)

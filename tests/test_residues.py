@@ -3,10 +3,10 @@
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minfrac.descent import DescentTrace, run_descent
+from minfrac.descent import DescentTrace, descent_runs, run_descent
 from minfrac.residues import (
     Fraction,
     FractionPair,
@@ -211,6 +211,30 @@ def test_mediant_preserves_representation(data):
     f1 = _draw_fraction(data, r)
     f2 = _draw_fraction(data, r)
     assert represents(r, Fraction(f1.n + f2.n, f1.d + f2.d))
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_residue_value_ranges(data):
+    # Every pair the descent reaches (each run's start, then the terminal
+    # pair) keeps both numerators in their class's range: 0 <= n < M with
+    # 1 <= d <= M, -M <= n <= -1 with 0 <= d < M.
+    r = _draw_residue(data)
+    m = r.m
+    pairs = []
+    nn, nd, pn, pd = -m, 0, r.x, 1
+    for nn, nd, pn, pd, side, k in descent_runs(r.x, m):
+        pairs.append((nn, nd, pn, pd))
+        if side is ResidueClass.NEGATIVE:
+            nn, nd = nn + k * pn, nd + k * pd
+        else:
+            pn, pd = pn + k * nn, pd + k * nd
+    pairs.append((nn, nd, pn, pd))
+    assert pairs[-1][2] == 0
+    for nn, nd, pn, pd in pairs:
+        assert 0 <= pn < m and 1 <= pd <= m
+        assert -m <= nn <= -1 and 0 <= nd < m
+        assert represents(r, Fraction(pn, pd)) and represents(r, Fraction(nn, nd))
 
 
 @given(st.data())
