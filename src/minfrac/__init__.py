@@ -22,8 +22,7 @@ _HOMES = {
         "Anomaly", "Counterexample", "SweepConfig", "VerificationReport", "run_checks",
     ),
     "minimality": (
-        "criterion_key", "is_minimal_pair", "minimum_fraction", "minimum_table",
-        "sqrt_bound_witness",
+        "is_minimal_pair", "minimum_fraction", "minimum_table", "sqrt_bound_witness",
     ),
     "oracle": (
         "CEILING_ENV_VAR", "DEFAULT_ENUMERATION_CEILING", "DEFAULT_PAIR_CHECK_CEILING",

@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes are part of the contract: 0 success, 1 a sweep or cross-check
 found a counterexample, 2 usage error, 3 internal invariant failure,
-4 ceiling exceeded (a brute-force scan, or a trace or table too long to print).
+4 ceiling exceeded (a brute-force scan, or a trace or table too long to print),
+141 stdout closed early (128 + SIGPIPE, what a shell reports for `yes | head -1`).
 
 `table --cross-check` holds every sieve entry to two independent routes,
 the per-x run-length descent and the brute-force oracle.
@@ -20,22 +21,25 @@ across runs (no timestamps or durations).
 
 Start-up is most of a short call, so each subcommand imports only what it
 runs: the harness is loaded when `verify` runs (its `SweepConfig` and
-`run_checks` are still attributes of this module), and `json` when a
-payload is printed with `--format json`; `trace` and `table` write theirs
-entry by entry without it.
+`run_checks` are still attributes of this module), and `json` only by
+`verify --format json`.  Every listing streams: one writer prints `repr`
+JSON, `enumerate`, `trace` and `table` entry by entry, so memory is flat in M.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from itertools import islice, starmap
 
 from .check_names import CHECK_NAMES
-from .descent import descent_runs, run_descent
+# run_descent is not called here: the benchmark's traced run wraps it by name.
+from .descent import descent_runs, descent_steps, run_descent  # noqa: F401
 from .errors import CeilingExceeded, InvariantError
 from .minimality import minimum_fraction, minimum_table, sqrt_bound_witness
-from .oracle import DEFAULT_ENUMERATION_CEILING, brute_minimum, check_ceiling, enumerate_class
-from .residues import Fraction, Residue, ResidueClass, check_modulus, represents
+from .oracle import DEFAULT_ENUMERATION_CEILING, brute_minimum, check_ceiling
+from .residues import Fraction, Residue, check_modulus, represents
 
 _EXIT_CODES = """\
 exit codes:
@@ -45,6 +49,7 @@ exit codes:
   3  internal invariant failure
   4  ceiling exceeded: brute-force scan, trace length or table size
      (see --ceiling-override / MINFRAC_CEILING)
+  141  stdout closed before all output was written (as by `| head`)
 """
 
 
@@ -57,13 +62,20 @@ def _int_arg(text: str) -> int:
 
 def render_fraction(f: Fraction) -> str:
     """Fraction as text; d = 1 prints as a plain integer."""
-    if f.d == 1:
-        return str(f.n)
-    return f"{f.n}/{f.d}"
+    return _ratio(f.n, f.d)
 
 
-# One `trace` JSON entry as json.dumps(indent=2) lays it out in the payload;
-# entries are written one by one, so a long trace is never one string.
+def _ratio(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+# One fraction, and one trace pair, as json.dumps(indent=2) lays out a list entry.
+_FRACTION_ENTRY = """\
+    {{
+      "n": {},
+      "d": {}
+    }}"""
+
 _TRACE_ENTRY = """\
     {{
       "neg": {{
@@ -78,22 +90,40 @@ _TRACE_ENTRY = """\
       "replaced": {}
     }}"""
 
-# One `table` JSON entry, laid out the same way.
-_TABLE_ENTRY = """\
-    {{
-      "n": {},
-      "d": {}
-    }}"""
+
+def _trace_entry(nn, nd, pn, pd, det, rep) -> str:
+    return _TRACE_ENTRY.format(nn, nd, pn, pd, det, "null" if rep is None else f'"{rep.value}"')
 
 
-def _frac_dict(f: Fraction) -> dict:
-    return {"n": f.n, "d": f.d}
+def _trace_line(nn, nd, pn, pd, det, rep) -> str:
+    return f"({nn}/{nd}, {pn}/{pd}) det={det}" + ("" if rep is None else f" replaced={rep.value}")
 
 
-def _emit(payload: dict) -> None:
-    import json
+def _write_listing(fmt, scalars, lists, entry, item, sep=", "):
+    """Write top-level scalars (ints, plain words) and named lists of int tuples.
 
-    print(json.dumps(payload, indent=2))
+    JSON is json.dumps(payload, indent=2)'s layout with entry(*t) per list entry;
+    no list may be empty.  Text has no scalars: each list is its item(*t) joined
+    by sep, then a newline, "key: " first if there are several.  Items go out
+    1024 per write: one per item is slow, one per list holds it all in memory.
+    """
+    write = sys.stdout.write
+    if fmt == "json":
+        write("{\n" + "".join(f'  "{k}": "{v}",\n' if isinstance(v, str) else f'  "{k}": {v},\n'
+                              for k, v in scalars.items()))
+        heads = [f'  "{k}": [\n' for k in lists]
+        tails = ["\n  ],\n"] * (len(lists) - 1) + ["\n  ]\n}\n"]
+        item, sep = entry, ",\n"
+    else:
+        heads = [f"{k}: " if len(lists) > 1 else "" for k in lists]
+        tails = ["\n"] * len(lists)
+    for head, items, tail in zip(heads, lists.values(), tails):
+        write(head)
+        items, joint = iter(items), ""
+        while batch := list(islice(items, 1024)):
+            write(joint + sep.join(starmap(item, batch)))
+            joint = sep
+        write(tail)
 
 
 def _reduce_x(x: int, m: int) -> int:
@@ -111,7 +141,8 @@ def _cmd_repr(args: argparse.Namespace) -> int:
     minimum = minimum_fraction(r)
     witness = sqrt_bound_witness(r)
     if args.format == "json":
-        _emit({"modulus": m, "x": r.x, "fractions": [_frac_dict(minimum), _frac_dict(witness)]})
+        fractions = {"fractions": [(f.n, f.d) for f in (minimum, witness)]}
+        _write_listing("json", {"modulus": m, "x": r.x}, fractions, _FRACTION_ENTRY.format, None)
     else:
         print(render_fraction(minimum))
         print(f"witness: {render_fraction(witness)}")
@@ -120,54 +151,30 @@ def _cmd_repr(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     m = args.modulus
-    r = Residue(_reduce_x(args.x, m), m)
-    ceiling = args.ceiling_override
-    if args.residue_class == "both":
-        pos = enumerate_class(r, ResidueClass.POSITIVE, ceiling)
-        neg = enumerate_class(r, ResidueClass.NEGATIVE, ceiling)
-        if args.format == "json":
-            _emit({
-                "modulus": m, "x": r.x, "class": "both",
-                "positive": [_frac_dict(f) for f in pos],
-                "negative": [_frac_dict(f) for f in neg],
-            })
-        else:
-            print("positive: " + ", ".join(str(f) for f in pos))
-            print("negative: " + ", ".join(str(f) for f in neg))
-        return 0
-    cls = ResidueClass(args.residue_class)
-    fractions = enumerate_class(r, cls, ceiling)
-    if args.format == "json":
-        _emit({
-            "modulus": m, "x": r.x, "class": cls.value,
-            "fractions": [_frac_dict(f) for f in fractions],
-        })
-    else:
-        print(", ".join(str(f) for f in fractions))
+    x = _reduce_x(args.x, m)
+    check_ceiling(m, args.ceiling_override, DEFAULT_ENUMERATION_CEILING,
+                  "class enumeration: modulus")
+    # One representation per denominator: 1..M positive, 0..M-1 negative.
+    lists = {"positive": ((x * d % m, d) for d in range(1, m + 1)),
+             "negative": ((x * d % m - m, d) for d in range(m))}
+    if args.residue_class != "both":
+        lists = {"fractions": lists[args.residue_class]}
+    _write_listing(args.format, {"modulus": m, "x": x, "class": args.residue_class}, lists,
+                   _FRACTION_ENTRY.format, "{}/{}".format)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     m = args.modulus
-    r = Residue(_reduce_x(args.x, m), m)
+    x = _reduce_x(args.x, m)
     # The trace is linear in steps, which can be of order M: count its pairs
     # from the runs first and refuse a trace too long to print.
-    pairs = 1 + sum(k for *_, k in descent_runs(r.x, m))
+    pairs = 1 + sum(k for *_, k in descent_runs(x, m))
     check_ceiling(pairs, args.ceiling_override, DEFAULT_ENUMERATION_CEILING, "trace: pair count")
-    trace = run_descent(r)
-    if args.format == "json":
-        sys.stdout.write(f'{{\n  "modulus": {m},\n  "x": {r.x},\n  "trace": [\n')
-        sep = ""
-        for p, rep in zip(trace.pairs, trace.replaced):
-            replaced = "null" if rep is None else f'"{rep.value}"'
-            sys.stdout.write(sep + _TRACE_ENTRY.format(
-                p.neg.n, p.neg.d, p.pos.n, p.pos.d, p.determinant(), replaced))
-            sep = ",\n"
-        sys.stdout.write("\n  ]\n}\n")
-    else:
-        for p, rep in zip(trace.pairs, trace.replaced):
-            suffix = "" if rep is None else f" replaced={rep.value}"
-            print(f"{p} det={p.determinant()}{suffix}")
+    steps = ((nn, nd, pn, pd, pn * nd - nn * pd, rep)
+             for nn, nd, pn, pd, rep in descent_steps(x, m))
+    _write_listing(args.format, {"modulus": m, "x": x}, {"trace": steps},
+                   _trace_entry, _trace_line, sep="\n")
     return 0
 
 
@@ -184,21 +191,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
             descent = minimum_fraction(r)
             expected = brute_minimum(r, ceiling=args.ceiling_override)
             if not f == descent == expected:
-                print(
-                    f"cross-check failed at x={x}: table has {f}, oracle says {expected}, "
-                    f"descent says {descent}",
-                    file=sys.stderr,
-                )
+                print(f"cross-check failed at x={x}: table has {f}, oracle says {expected}, "
+                      f"descent says {descent}", file=sys.stderr)
                 return 1
-    if args.format == "json":
-        sys.stdout.write(f'{{\n  "modulus": {m},\n  "fractions": [\n')
-        sep = ""
-        for f in entries:
-            sys.stdout.write(sep + _TABLE_ENTRY.format(f.n, f.d))
-            sep = ",\n"
-        sys.stdout.write("\n  ]\n}\n")
-    else:
-        print(", ".join(render_fraction(f) for f in entries))
+    _write_listing(args.format, {"modulus": m}, {"fractions": ((f.n, f.d) for f in entries)},
+                   _FRACTION_ENTRY.format, _ratio)
     return 0
 
 
@@ -225,17 +222,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # (as the benchmark's traced run does) is the one that runs.
     this = sys.modules[__name__]
     config = this.SweepConfig(
-        m_min=args.m_min,
-        m_max=args.m_max,
-        checks=checks,
-        parallelism=args.workers,
-        seed=args.seed,
-        ceiling=args.ceiling_override,
-        random_pairs_per_m=args.random_pairs,
-    )
+        m_min=args.m_min, m_max=args.m_max, checks=checks, parallelism=args.workers,
+        seed=args.seed, ceiling=args.ceiling_override, random_pairs_per_m=args.random_pairs)
     reports = this.run_checks(config)
     if args.format == "json":
-        _emit({"report": [r.to_dict() for r in reports]})
+        import json
+
+        print(json.dumps({"report": [r.to_dict() for r in reports]}, indent=2))
     else:
         for r in reports:
             print(r.summary())
@@ -313,7 +306,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Silence the interpreter's final flush of what is still buffered.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -204,7 +204,8 @@ def _determinant_m(m: int, params: _Params) -> _Part:
 
 
 def _scan_minimum(steps: Iterable[RawStep]) -> Fraction:
-    """The criterion_key minimum over both sides of every step pair, spelled out."""
+    """The minimum over both sides of every step pair, with its order spelled out:
+    smallest max(|n|, d), then the smaller denominator, then the positive class."""
     steps = iter(steps)
     _, _, best_n, best_d, _ = next(steps)  # the walk starts at (-M/0, x/1)
     best_max = best_n if best_n > 1 else 1

@@ -10,7 +10,8 @@ class's prefix-minimum records, so is_minimal_pair reads both classes'
 minima off the descent's runs in O(log M) rather than scanning every
 smaller denominator.  The global minimum fraction is the representation
 with the smallest maximum coefficient, ties broken by the smaller
-denominator.
+denominator and then by the positive class (a tie of the same |n| and d in
+both classes is possible when 2x = 0 mod M).
 """
 
 from __future__ import annotations
@@ -19,24 +20,7 @@ from math import gcd, isqrt
 
 from .descent import descent_runs
 from .errors import InvariantError
-from .residues import (
-    Fraction,
-    FractionPair,
-    Residue,
-    ResidueClass,
-    check_modulus,
-    represents,
-)
-
-
-def criterion_key(f: Fraction) -> tuple[int, int, int]:
-    """Total order for picking the minimum fraction.
-
-    Smallest maximum coefficient first, then smaller denominator; a residual
-    tie (same |n| and d in both classes, possible when 2x = 0 mod M) prefers
-    the positive-class fraction.
-    """
-    return (max(abs(f.n), f.d), f.d, 0 if f.n >= 0 else 1)
+from .residues import Fraction, FractionPair, Residue, ResidueClass, check_modulus
 
 
 def is_minimal_pair(p: FractionPair, r: Residue) -> bool:
@@ -181,7 +165,7 @@ def minimum_table(m: int) -> list[Fraction]:
     """minimum_fraction for x = 1..M-1, from one pass over small candidates.
 
     Every x has a representation with |n| <= isqrt(M) and d <= isqrt(M), so
-    its minimum is among those.  They are walked in criterion_key order:
+    its minimum is among those.  They are walked in the minimum's order:
     max coefficient c = 1, 2, ..., then d = 1..c, then the positive
     numerator before the negative one (for d < c the numerator is +-c, for
     d = c it is 0..c and then -1..-c).  A candidate n/d represents x iff

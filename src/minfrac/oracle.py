@@ -74,9 +74,9 @@ def enumerate_class(r: Residue, cls: ResidueClass, ceiling: int | None = None) -
 def brute_minimum(r: Residue, ceiling: int | None = None) -> Fraction:
     """Criterion-minimal representation found by scanning every denominator.
 
-    Applies the same order as minimality.criterion_key -- smallest maximum
-    coefficient, then smaller denominator, then positive class -- but spelled
-    out locally so this path shares no code with the module it checks.
+    Applies the minimum's order -- smallest maximum coefficient, then smaller
+    denominator, then positive class -- spelled out locally so this path
+    shares no code with the module it checks.
     Denominators run downwards, and each one's negative candidate comes
     before its positive one, so every tie on the maximum coefficient goes to
     the later candidate through the denominator or the class tie-break:

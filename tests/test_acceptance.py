@@ -13,9 +13,10 @@ import time
 from minfrac.cli import main
 from minfrac.descent import descent_steps, run_descent
 from minfrac.harness import SweepConfig, run_checks
-from minfrac.minimality import criterion_key, minimum_fraction, sqrt_bound_witness
+from minfrac.minimality import minimum_fraction, sqrt_bound_witness
 from minfrac.oracle import enumerate_class
 from minfrac.residues import Fraction, Residue, ResidueClass, represents
+from test_minimality import criterion_key
 
 POS_LIST_7_17 = (
     "7/1, 14/2, 4/3, 11/4, 1/5, 8/6, 15/7, 5/8, 12/9, 2/10, 9/11, "

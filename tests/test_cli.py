@@ -15,9 +15,9 @@ import minfrac.cli as cli
 import minfrac.harness as harness
 from minfrac.cli import main, render_fraction
 from minfrac.descent import run_descent
-from minfrac.minimality import minimum_fraction
-from minfrac.oracle import CEILING_ENV_VAR
-from minfrac.residues import Fraction, Residue
+from minfrac.minimality import minimum_fraction, sqrt_bound_witness
+from minfrac.oracle import CEILING_ENV_VAR, enumerate_class
+from minfrac.residues import Fraction, Residue, ResidueClass
 
 TABLE_17 = "1, 2, 3, 4, -2/3, 1/3, -3/2, -1/2, 1/2, 3/2, -1/3, 2/3, -4, -3, -2, -1"
 
@@ -224,6 +224,33 @@ def test_trace_json_is_laid_out_as_json_dumps(capsys):
         assert out == json.dumps(payload, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("m", [2, 17, 97])
+def test_enumerate_and_repr_are_laid_out_as_json_dumps(capsys, m):
+    # Both stream their lists; the oracle's enumerate_class and the library's
+    # fractions are the reference the CLI's own arithmetic is held to.
+    for x in sorted({0, 1, 7 % m, m - 1}):
+        r = Residue(x, m)
+        lists = {c.value: [{"n": f.n, "d": f.d} for f in enumerate_class(r, c)]
+                 for c in ResidueClass}
+        texts = {cls: ", ".join(f"{f['n']}/{f['d']}" for f in fs) for cls, fs in lists.items()}
+        expected = {cls: ({"modulus": m, "x": x, "class": cls, "fractions": lists[cls]},
+                          texts[cls] + "\n") for cls in lists}
+        expected["both"] = ({"modulus": m, "x": x, "class": "both", **lists},
+                            "".join(f"{cls}: {text}\n" for cls, text in texts.items()))
+        for cls, (payload, text) in expected.items():
+            argv = ("enumerate", "-m", str(m), "--x", str(x), "--class", cls)
+            assert run(capsys, *argv) == (0, text, "")
+            assert run(capsys, *argv, "--format", "json") == (
+                0, json.dumps(payload, indent=2) + "\n", "")
+        fractions = (minimum_fraction(r), sqrt_bound_witness(r))
+        payload = {"modulus": m, "x": x, "fractions": [{"n": f.n, "d": f.d} for f in fractions]}
+        argv = ("repr", "-m", str(m), "--x", str(x))
+        assert run(capsys, *argv, "--format", "json") == (
+            0, json.dumps(payload, indent=2) + "\n", "")
+        shown = [str(f.n) if f.d == 1 else f"{f.n}/{f.d}" for f in fractions]
+        assert run(capsys, *argv) == (0, f"{shown[0]}\nwitness: {shown[1]}\n", "")
+
+
 def test_table_17(capsys):
     code, out, _ = run(capsys, "table", "-m", "17")
     assert code == 0
@@ -304,6 +331,22 @@ def test_table_json_matches_text(capsys):
     code, text_out, _ = run(capsys, "table", "-m", "17")
     rendered = [_parse_fraction(s) for s in text_out.strip().split(", ")]
     assert rendered == [Fraction(f["n"], f["d"]) for f in payload["fractions"]]
+
+
+@pytest.mark.parametrize("command", ["trace", "enumerate"])
+def test_a_closed_pipe_exits_141_quietly(command):
+    # As `minfrac ... | head -1` does: the reader takes one line and goes away.
+    # Exit 1 means a counterexample, so a closed pipe must not end that way.
+    src = str(Path(harness.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minfrac.cli", command, "-m", "99991", "--x", "1"],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_verify_clean_range(capsys):
@@ -403,11 +446,13 @@ def _imports_of(*args):
 
 
 def test_start_up_leaves_the_harness_dataclasses_and_json_out():
-    # Only `verify` runs the harness, and only JSON output needs json.
+    # Only `verify` runs the harness, and only its JSON needs json: the
+    # listings write theirs entry by entry.
     heavy = {"minfrac.harness", "dataclasses", "json"}
     code, loaded = _imports_of("-c", "import minfrac.cli")
     assert code == 0 and "minfrac.cli" in loaded and not loaded & heavy
-    code, loaded = _imports_of("-m", "minfrac.cli", "repr", "-m", "17", "--x", "7")
+    code, loaded = _imports_of("-m", "minfrac.cli", "repr", "-m", "17", "--x", "7",
+                               "--format", "json")
     assert code == 0 and "minfrac.minimality" in loaded and not loaded & heavy
     code, loaded = _imports_of("-m", "minfrac.cli", "verify", "--m-min", "2", "--m-max", "5",
                                "--format", "json")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from minfrac.descent import descent_steps, run_descent
 from minfrac.harness import _scan_minimum, _step_witness
 from minfrac.minimality import (
-    criterion_key,
     is_minimal_pair,
     minimum_fraction,
     minimum_table,
@@ -16,6 +15,17 @@ from minfrac.minimality import (
 )
 from minfrac.oracle import brute_minimum, brute_pair_minimal, brute_pair_scan, brute_prefix_minima
 from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, represents
+
+
+def criterion_key(f):
+    """The minimum fraction's order as a sort key.
+
+    Smallest max(|n|, d) first, then the smaller denominator; a residual tie
+    (same |n| and d in both classes, possible when 2x = 0 mod M) prefers the
+    positive-class fraction.
+    """
+    return (max(abs(f.n), f.d), f.d, 0 if f.n >= 0 else 1)
+
 
 # Minimum fractions for x = 1..16 mod 17, frozen.
 MIN_TABLE_17 = [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from minfrac.descent import descent_steps
 from minfrac.errors import CeilingExceeded
 from minfrac.harness import _scan_minimum
-from minfrac.minimality import criterion_key, is_minimal_pair, pair_minimal
+from minfrac.minimality import is_minimal_pair, pair_minimal
 from minfrac.oracle import (
     CEILING_ENV_VAR,
     DEFAULT_ENUMERATION_CEILING,
@@ -19,6 +19,7 @@ from minfrac.oracle import (
     enumerate_class,
 )
 from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, represents
+from test_minimality import criterion_key
 
 
 def _pair(nn, nd, pn, pd):

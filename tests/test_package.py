@@ -19,8 +19,7 @@ HOMES = {
         "Anomaly", "Counterexample", "SweepConfig", "VerificationReport", "run_checks",
     ],
     "minfrac.minimality": [
-        "criterion_key", "is_minimal_pair", "minimum_fraction", "minimum_table",
-        "sqrt_bound_witness",
+        "is_minimal_pair", "minimum_fraction", "minimum_table", "sqrt_bound_witness",
     ],
     "minfrac.oracle": [
         "CEILING_ENV_VAR", "DEFAULT_ENUMERATION_CEILING", "DEFAULT_PAIR_CHECK_CEILING",
@@ -33,7 +32,7 @@ HOMES = {
 
 
 def test_every_public_name_is_its_home_modules_object():
-    assert len(minfrac.__all__) == 30
+    assert len(minfrac.__all__) == 29
     assert sorted(minfrac.__all__) == sorted(name for names in HOMES.values() for name in names)
     for module_name, names in HOMES.items():
         module = importlib.import_module(module_name)
@@ -57,7 +56,8 @@ def test_unknown_names_raise_attribute_error():
     # Names that only tests ever called are gone from the package.
     for name in ("is_minimal_in_class", "MinimalityVerdict", "mediant", "parse_fraction",
                  "check_minimality", "check_determinant", "check_sqrt_bound", "check_progress",
-                 "check_agreement", "pos_residue", "neg_residue", "residue_fraction"):
+                 "check_agreement", "pos_residue", "neg_residue", "residue_fraction",
+                 "criterion_key"):
         with pytest.raises(AttributeError):
             getattr(minfrac, name)
     assert "minimum_fraction" in dir(minfrac)
