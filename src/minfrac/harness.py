@@ -13,8 +13,9 @@ kept here as their slow twins, as well as with the oracle and the bound.
 The agreement check also holds each modulus's minimum_table, the sieve
 behind `minfrac table`, to the same minima.
 
-The minimality check scans each residue's class residues once, from the
-oracle's prefix minima, and then tests every trace pair in O(1).  The
+The minimality check makes one oracle scan per residue: a single pass of
+brute_prefix_minima, O(M) with no intermediate list, gives both classes'
+running minima, and every trace pair is then two lookups.  The
 agreement check walks each residue's steps once: that walk gives the step
 minimum and the trace pairs.  Each pair's four integers, trace and random
 pairs alike, go straight to pair_minimal (is_minimal_pair's loop), which

@@ -64,9 +64,11 @@ def pair_minimal(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: int)
     this is the harness's hot loop, and the generator would cost about as
     much as the walk.
     """
-    for n, d in ((neg_n, neg_d), (pos_n, pos_d)):
-        if (x * d - n) % m:  # represents(), inlined for the same reason
-            raise ValueError(f"{n}/{d} does not represent {x} (mod {m})")
+    # represents(), inlined for the same reason, negative side first.
+    if (x * neg_d - neg_n) % m:
+        raise ValueError(f"{neg_n}/{neg_d} does not represent {x} (mod {m})")
+    if (x * pos_d - pos_n) % m:
+        raise ValueError(f"{pos_n}/{pos_d} does not represent {x} (mod {m})")
     if not 0 <= neg_d <= m - 1:
         raise ValueError(f"negative-class denominator {neg_d} out of range [0, {m - 1}]")
     if not 1 <= pos_d <= m:

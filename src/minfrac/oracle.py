@@ -15,7 +15,6 @@ pair and entry counts against the enumeration ceiling through the same gate.
 from __future__ import annotations
 
 import os
-from itertools import accumulate
 
 from .errors import CeilingExceeded
 from .residues import Fraction, FractionPair, Residue, ResidueClass
@@ -118,11 +117,13 @@ def brute_pair_scan(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: i
     for d = 1..pos_d-1, negative ones for d = 0..neg_d-1.  The domain is
     is_minimal_pair's: both sides must represent x, with the negative
     denominator in 0..M-1 and the positive one in 1..M, else ValueError with
-    the same messages.
+    the same messages, in the same order: the negative side's representation,
+    the positive side's, then the two ranges.
     """
-    for n, d in ((neg_n, neg_d), (pos_n, pos_d)):
-        if (x * d - n) % m:
-            raise ValueError(f"{n}/{d} does not represent {x} (mod {m})")
+    if (x * neg_d - neg_n) % m:
+        raise ValueError(f"{neg_n}/{neg_d} does not represent {x} (mod {m})")
+    if (x * pos_d - pos_n) % m:
+        raise ValueError(f"{pos_n}/{pos_d} does not represent {x} (mod {m})")
     if not 0 <= neg_d <= m - 1:
         raise ValueError(f"negative-class denominator {neg_d} out of range [0, {m - 1}]")
     if not 1 <= pos_d <= m:
@@ -147,12 +148,26 @@ def brute_prefix_minima(r: Residue, ceiling: int | None = None) -> tuple[list[in
     minimal iff neg[neg.d] and pos[pos.d] are both at least its threshold:
     the same definition brute_pair_minimal evaluates, with the scan over
     d shared by every pair of one residue.  Gated by the pair-check ceiling.
+
+    One pass is enough because a prefix minimum only needs the minimum one
+    denominator earlier: the scan recomputes x*d % M for d = 0..M-1 and
+    writes each class's running minimum to slot d + 1, so it costs O(M) per
+    residue with no intermediate list.  d = 0 has residue 0, the negative
+    candidate -M/0 of magnitude M; the positive class starts at d = 1.
     """
     check_pair_ceiling(r.m, ceiling)
     x, m = r.x, r.m
     empty = 2 * m
-    residues = [(x * d) % m for d in range(m)]
-    neg = list(accumulate([m - rp for rp in residues], min, initial=empty))
-    pos = [empty]
-    pos.extend(accumulate(residues[1:], min, initial=empty))
+    neg = [empty] * (m + 1)
+    pos = [empty] * (m + 1)
+    low_neg = neg[1] = m  # d = 0
+    low_pos = empty
+    for d in range(1, m):
+        rp = x * d % m
+        if rp < low_pos:
+            low_pos = rp
+        if m - rp < low_neg:
+            low_neg = m - rp
+        neg[d + 1] = low_neg
+        pos[d + 1] = low_pos
     return neg, pos

@@ -93,6 +93,12 @@ def test_pair_routes_share_one_domain():
          r"^negative-class denominator 18 out of range \[0, 16\]$"),
         (_pair(-17, 0, 0, 18), Residue(0, 17),
          r"^positive-class denominator 18 out of range \[1, 17\]$"),
+        # Neither side represents 7 mod 17: the negative side is named.
+        (_pair(-1, 2, 5, 3), Residue(7, 17), r"^-1/2 does not represent 7 \(mod 17\)$"),
+        # A side both off the residue and out of its range: representation
+        # is checked first, on either side, before either range.
+        (_pair(-1, 18, 0, 1), Residue(0, 17), r"^-1/18 does not represent 0 \(mod 17\)$"),
+        (_pair(-17, 18, 1, 1), Residue(0, 17), r"^1/1 does not represent 0 \(mod 17\)$"),
     ]
     for p, r, message in cases:
         for route in (pair_minimal, brute_pair_scan):
@@ -136,6 +142,17 @@ def test_brute_prefix_minima_example():
     neg, pos = brute_prefix_minima(Residue(7, 17))
     assert neg == [34, 17, 10] + [3] * 5 + [2] * 5 + [1] * 5
     assert pos == [34, 34, 7, 7, 4, 4] + [1] * 12
+
+
+def test_brute_prefix_minima_matches_the_definition():
+    # Every x mod M for M <= 40, entry by entry against the definition.
+    for m in range(2, 41):
+        for x in range(m):
+            neg, pos = brute_prefix_minima(Residue(x, m))
+            assert len(neg) == len(pos) == m + 1
+            for bound in range(m + 1):
+                assert neg[bound] == min((m - x * d % m for d in range(bound)), default=2 * m)
+                assert pos[bound] == min((x * d % m for d in range(1, bound)), default=2 * m)
 
 
 def test_prefix_minima_ceiling(monkeypatch):
