@@ -7,26 +7,25 @@ invariant.  Anomalies (currently only traces of more than TRACE_CAP_FACTOR
 pairs per bit of M) are flagged for inspection but never fail a report,
 because termination carries no stated step bound.
 
+A check is a function of one residue, check(x, m, params, env).  It returns
+its pass count, one (replay subcommand, detail) pair per failure, and an
+anomaly's detail or None; env is what the check's per-modulus setup built,
+or None.  _chunk_worker is the one loop over moduli and residues, and the
+only place that builds Counterexample and Anomaly records; a replay reads
+`minfrac trace --modulus M --x X`, or `minfrac repr ...` for the agreement
+check's minimum mismatch.  _CHECKS gives each check's function, its setup
+and whether it calls the oracle; only those checks resolve the brute-force
+ceilings, once per check run, so workers get plain integers.
+
 minimum_fraction and sqrt_bound_witness walk the descent by runs; the
 agreement and sqrt_bound checks compare them with scans of the step walk,
 kept here as their slow twins, as well as with the oracle and the bound.
 The agreement check also holds each modulus's minimum_table, the sieve
-behind `minfrac table`, to the same minima.
-
-The minimality check makes one oracle scan per residue: a single pass of
-brute_prefix_minima, O(M) with no intermediate list, gives both classes'
-running minima, and every trace pair is then two lookups.  The
-agreement check walks each residue's steps once: that walk gives the step
-minimum and the trace pairs.  Each pair's four integers, trace and random
-pairs alike, go straight to pair_minimal (is_minimal_pair's loop), which
-reads the prefix minima off the descent's runs in O(log M), and to
-brute_pair_scan, the oracle's literal per-pair scan; a FractionPair is
-built only for a counterexample's text.
-Only pair minimality is checked: it implies each side's per-class
-minimality, since the pair's threshold is at least either side's
-magnitude.  Brute-force ceilings are resolved once per check run, so
-workers get plain integers, and the agreement check holds the pair ceiling
-once per modulus, before it builds the sieve.
+behind `minfrac table`, to the same minima, and pair_minimal's verdict on
+every trace or random pair to brute_pair_scan, the oracle's literal
+per-pair scan.  Only pair minimality is checked: it implies each side's
+per-class minimality, since the pair's threshold is at least either side's
+magnitude.
 
 Sweeps are embarrassingly parallel over moduli; with parallelism > 1 the
 moduli are striped across a process pool of at most one worker per CPU and
@@ -128,18 +127,14 @@ class VerificationReport:
 
     check: str
     passes: int
-    failures: int
     counterexamples: tuple[Counterexample, ...]
     anomaly_count: int = 0
     anomalies: tuple[Anomaly, ...] = ()
     duration: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.failures != len(self.counterexamples):
-            raise InvariantError(
-                f"report lists {len(self.counterexamples)} counterexamples "
-                f"but claims {self.failures} failures"
-            )
+    @property
+    def failures(self) -> int:
+        return len(self.counterexamples)
 
     @property
     def ok(self) -> bool:
@@ -171,7 +166,7 @@ class VerificationReport:
 
 
 class _Params(NamedTuple):
-    """What the per-modulus checks read from a config, ceilings resolved."""
+    """What the per-residue checks read from a config, ceilings resolved."""
 
     seed: int
     random_pairs: int
@@ -179,29 +174,22 @@ class _Params(NamedTuple):
     enumeration_ceiling: int
 
 
-_Part = tuple[int, list[Counterexample], list[Anomaly]]
+# A check's outcome on one residue: its pass count, a (replay subcommand,
+# detail) pair per failure, and an anomaly's detail or None.
+_Outcome = tuple[int, Iterable[tuple[str, str]], str | None]
 
 
-def _replay(m: int, x: int) -> str:
-    return f"minfrac trace --modulus {m} --x {x}"
-
-
-def _determinant_m(m: int, params: _Params) -> _Part:
+def _determinant(x: int, m: int, params: _Params, env: None) -> _Outcome:
     passes = 0
-    bad: list[Counterexample] = []
-    for x in range(m):
-        for nn, nd, pn, pd, _ in descent_steps(x, m):
-            det = pn * nd - nn * pd
-            if det == m:
-                passes += 1
-            else:
-                bad.append(
-                    Counterexample(
-                        m, x, f"pair ({nn}/{nd}, {pn}/{pd}) has determinant {det}, expected {m}",
-                        _replay(m, x),
-                    )
-                )
-    return passes, bad, []
+    bad = []
+    for nn, nd, pn, pd, _ in descent_steps(x, m):
+        det = pn * nd - nn * pd
+        if det == m:
+            passes += 1
+        else:
+            detail = f"pair ({nn}/{nd}, {pn}/{pd}) has determinant {det}, expected {m}"
+            bad.append(("trace", detail))
+    return passes, bad, None
 
 
 def _scan_minimum(steps: Iterable[RawStep]) -> Fraction:
@@ -232,100 +220,70 @@ def _step_witness(r: Residue) -> Fraction:
     raise InvariantError(f"the step walk finds no sqrt-bounded representation for {r}")
 
 
-def _sqrt_bound_m(m: int, params: _Params) -> _Part:
-    passes = 0
-    bad: list[Counterexample] = []
-    for x in range(m):
-        r = Residue(x, m)
-        try:
-            witness = sqrt_bound_witness(r)
-            step_witness = _step_witness(r)
-        except InvariantError:
-            trace = ", ".join(str(p) for p in run_descent(r).pairs)
-            bad.append(
-                Counterexample(
-                    m, x, f"no representation with n^2 <= {m} and d^2 <= {m}; trace: {trace}",
-                    _replay(m, x),
-                )
-            )
-            continue
+def _sqrt_bound(x: int, m: int, params: _Params, env: None) -> _Outcome:
+    r = Residue(x, m)
+    try:
+        witness = sqrt_bound_witness(r)
+        step_witness = _step_witness(r)
+    except InvariantError:
+        trace = ", ".join(str(p) for p in run_descent(r).pairs)
+        detail = f"no representation with n^2 <= {m} and d^2 <= {m}; trace: {trace}"
+    else:
         n, d = witness.n, witness.d
         if witness == step_witness and represents(r, witness) and n * n <= m and d * d <= m:
+            return 1, (), None
+        detail = (
+            f"run witness {witness} vs step witness {step_witness}: "
+            f"must be equal, represent x and have n^2 <= {m} and d^2 <= {m}"
+        )
+    return 0, [("trace", detail)], None
+
+
+def _minimality(x: int, m: int, params: _Params, env: None) -> _Outcome:
+    # One oracle scan per residue; each pair is then two lookups.
+    neg, pos = brute_prefix_minima(Residue(x, m), params.pair_ceiling)
+    passes = 0
+    bad = []
+    for nn, nd, pn, pd, _ in descent_steps(x, m):
+        threshold = pn - nn
+        if neg[nd] >= threshold and pos[pd] >= threshold:
             passes += 1
         else:
-            bad.append(
-                Counterexample(
-                    m, x,
-                    f"run witness {witness} vs step witness {step_witness}: "
-                    f"must be equal, represent x and have n^2 <= {m} and d^2 <= {m}",
-                    _replay(m, x),
-                )
-            )
-    return passes, bad, []
+            bad.append(("trace", f"trace pair ({nn}/{nd}, {pn}/{pd}) is not pair-minimal"))
+    return passes, bad, None
 
 
-def _minimality_m(m: int, params: _Params) -> _Part:
+def _progress(x: int, m: int, params: _Params, env: None) -> _Outcome:
     passes = 0
-    bad: list[Counterexample] = []
-    for x in range(m):
-        # One oracle scan per residue; each pair is then two lookups.
-        neg, pos = brute_prefix_minima(Residue(x, m), params.pair_ceiling)
-        for nn, nd, pn, pd, _ in descent_steps(x, m):
-            threshold = pn - nn
-            if neg[nd] >= threshold and pos[pd] >= threshold:
+    bad = []
+    npairs = 0
+    prev_sum = prev_max = 0
+    for nn, nd, pn, pd, rep in descent_steps(x, m):
+        mag_sum = pn - nn
+        npairs += 1
+        if rep is not None:
+            new_mag = -nn if rep is ResidueClass.NEGATIVE else pn
+            if mag_sum < prev_sum and new_mag < prev_max:
                 passes += 1
             else:
-                bad.append(
-                    Counterexample(
-                        m, x, f"trace pair ({nn}/{nd}, {pn}/{pd}) is not pair-minimal",
-                        _replay(m, x),
-                    )
-                )
-    return passes, bad, []
-
-
-def _progress_m(m: int, params: _Params) -> _Part:
+                bad.append(("trace", f"step {npairs - 1}: magnitude sum {prev_sum} -> {mag_sum}, "
+                                     f"replaced side {new_mag} vs previous max {prev_max}"))
+        prev_sum = mag_sum
+        prev_max = pn if pn > -nn else -nn
     cap = TRACE_CAP_FACTOR * m.bit_length()
-    passes = 0
-    bad: list[Counterexample] = []
-    anomalies: list[Anomaly] = []
-    for x in range(m):
-        npairs = 0
-        prev_sum = prev_max = 0
-        for nn, nd, pn, pd, rep in descent_steps(x, m):
-            mag_sum = pn - nn
-            npairs += 1
-            if rep is not None:
-                new_mag = -nn if rep is ResidueClass.NEGATIVE else pn
-                if mag_sum < prev_sum and new_mag < prev_max:
-                    passes += 1
-                else:
-                    bad.append(
-                        Counterexample(
-                            m, x,
-                            f"step {npairs - 1}: magnitude sum {prev_sum} -> {mag_sum}, "
-                            f"replaced side {new_mag} vs previous max {prev_max}",
-                            _replay(m, x),
-                        )
-                    )
-            prev_sum = mag_sum
-            prev_max = pn if pn > -nn else -nn
-        if npairs > cap:
-            anomalies.append(
-                Anomaly(m, x, f"{npairs} pairs exceeds cap {cap} ({TRACE_CAP_FACTOR} * bit_length)")
-            )
-    return passes, bad, anomalies
+    if npairs <= cap:
+        return passes, bad, None
+    return passes, bad, f"{npairs} pairs exceeds cap {cap} ({TRACE_CAP_FACTOR} * bit_length)"
 
 
-def _agreement_m(m: int, params: _Params) -> _Part:
-    passes = 0
-    bad: list[Counterexample] = []
+def _agreement_setup(m: int, params: _Params) -> tuple[list, dict]:
+    """The modulus's sieve, and its random pairs grouped by x as
+    (neg.n, neg.d, pos.n, pos.d, None), the shape of a trace step."""
     # brute_pair_scan has no gate of its own; brute_pair_minimal's is held
     # here, before the sieve is built, so a refused modulus costs nothing.
     check_pair_ceiling(m, params.pair_ceiling)
     sieve = [None, *minimum_table(m)]  # the sieve has no entry for x = 0
-    # The random pairs are drawn up front, in the sample's order, and checked
-    # with their residue's trace pairs, as (neg.n, neg.d, pos.n, pos.d, None).
+    # The random pairs are drawn up front, in the sample's order.
     random_pairs: dict[int, list[tuple[int, int, int, int, None]]] = {}
     if params.random_pairs:
         import random
@@ -337,102 +295,101 @@ def _agreement_m(m: int, params: _Params) -> _Part:
             nd = rng.randrange(0, m)
             pd = rng.randrange(1, m + 1)
             random_pairs.setdefault(x, []).append(((x * nd) % m - m, nd, (x * pd) % m, pd, None))
-    for x in range(m):
-        r = Residue(x, m)
-        # One step walk per residue feeds both the step minimum and the pairs.
-        steps = list(descent_steps(x, m))
-        sieve_min = sieve[x]
-        run_min = minimum_fraction(r)
-        step_min = _scan_minimum(steps)
-        slow_min = brute_minimum(r, ceiling=params.enumeration_ceiling)
-        if run_min == step_min == slow_min and (x == 0 or sieve_min == run_min):
+    return sieve, random_pairs
+
+
+def _agreement(x: int, m: int, params: _Params, env: tuple[list, dict]) -> _Outcome:
+    sieve, random_pairs = env
+    r = Residue(x, m)
+    passes = 0
+    bad = []
+    # One step walk per residue feeds both the step minimum and the pairs.
+    steps = list(descent_steps(x, m))
+    sieve_min = sieve[x]
+    run_min = minimum_fraction(r)
+    step_min = _scan_minimum(steps)
+    slow_min = brute_minimum(r, ceiling=params.enumeration_ceiling)
+    if run_min == step_min == slow_min and (x == 0 or sieve_min == run_min):
+        passes += 1
+    else:
+        bad.append(("repr", f"sieve minimum {sieve_min}, run minimum {run_min}, step minimum "
+                            f"{step_min} and enumerated minimum {slow_min} differ"))
+    for nn, nd, pn, pd, _ in steps + random_pairs.get(x, []):
+        fast = pair_minimal(x, m, nn, nd, pn, pd)
+        slow = brute_pair_scan(x, m, nn, nd, pn, pd)
+        if fast == slow:
             passes += 1
         else:
-            bad.append(
-                Counterexample(
-                    m, x,
-                    f"sieve minimum {sieve_min}, run minimum {run_min}, step minimum "
-                    f"{step_min} and enumerated minimum {slow_min} differ",
-                    f"minfrac repr --modulus {m} --x {x}",
-                )
-            )
-        for nn, nd, pn, pd, _ in steps + random_pairs.get(x, []):
-            fast = pair_minimal(x, m, nn, nd, pn, pd)
-            slow = brute_pair_scan(x, m, nn, nd, pn, pd)
-            if fast == slow:
-                passes += 1
-            else:
-                p = FractionPair(Fraction(nn, nd), Fraction(pn, pd))
-                bad.append(
-                    Counterexample(
-                        m, x,
-                        f"is_minimal_pair says {fast} but the exhaustive scan says {slow} for {p}",
-                        _replay(m, x),
-                    )
-                )
-    return passes, bad, []
+            p = FractionPair(Fraction(nn, nd), Fraction(pn, pd))
+            detail = f"is_minimal_pair says {fast} but the exhaustive scan says {slow} for {p}"
+            bad.append(("trace", detail))
+    return passes, bad, None
 
 
+# check: (per-residue function, per-modulus setup or None, needs the oracle's ceilings)
 _CHECKS = {
-    "determinant": _determinant_m,
-    "minimality": _minimality_m,
-    "sqrt_bound": _sqrt_bound_m,
-    "progress": _progress_m,
-    "agreement": _agreement_m,
+    "determinant": (_determinant, None, False),
+    "minimality": (_minimality, None, True),
+    "sqrt_bound": (_sqrt_bound, None, False),
+    "progress": (_progress, None, False),
+    "agreement": (_agreement, _agreement_setup, True),
 }
 
-# Checks that call the oracle, and so need its ceilings.
-_ORACLE_CHECKS = ("minimality", "agreement")
 
-
-def _chunk_worker(task: tuple[str, range, _Params]) -> _Part:
+def _chunk_worker(task: tuple[str, range, _Params]) -> tuple[int, list, list]:
     check, ms, params = task
-    check_m = _CHECKS[check]
+    check_x, setup, _ = _CHECKS[check]
     passes = 0
     bad: list[Counterexample] = []
     anomalies: list[Anomaly] = []
     for m in ms:
-        part = check_m(m, params)
-        passes += part[0]
-        bad.extend(part[1])
-        anomalies.extend(part[2])
+        env = setup(m, params) if setup else None
+        for x in range(m):
+            ok, failures, anomaly = check_x(x, m, params, env)
+            passes += ok
+            for command, detail in failures:
+                bad.append(Counterexample(m, x, detail, f"minfrac {command} --modulus {m} --x {x}"))
+            if anomaly:
+                anomalies.append(Anomaly(m, x, anomaly))
     return passes, bad, anomalies
-
-
-def _run_one_check(check: str, cfg: SweepConfig) -> VerificationReport:
-    start = time.perf_counter()
-    # More workers than CPUs or moduli only adds processes; the merged
-    # report does not depend on the split.
-    workers = min(cfg.parallelism, os.cpu_count() or 1, cfg.m_max - cfg.m_min + 1)
-    pair_ceiling = enumeration_ceiling = 0
-    if check in _ORACLE_CHECKS:
-        # $MINFRAC_CEILING is read here, once, not on every oracle call.
-        pair_ceiling = resolve_ceiling(cfg.ceiling, DEFAULT_PAIR_CHECK_CEILING)
-        enumeration_ceiling = resolve_ceiling(cfg.ceiling, DEFAULT_ENUMERATION_CEILING)
-    params = _Params(cfg.seed, cfg.random_pairs_per_m, pair_ceiling, enumeration_ceiling)
-    # Lazy ranges, striped: a typo'd --m-max allocates nothing before the checks run.
-    tasks = [(check, range(cfg.m_min + i, cfg.m_max + 1, workers), params) for i in range(workers)]
-    if workers == 1:
-        parts = [_chunk_worker(tasks[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_worker, tasks))
-    passes = sum(p for p, _, _ in parts)
-    bad = sorted((c for _, cs, _ in parts for c in cs), key=lambda c: (c.m, c.x, c.detail))
-    anomalies = sorted((a for _, _, an in parts for a in an), key=lambda a: (a.m, a.x, a.detail))
-    return VerificationReport(
-        check=check,
-        passes=passes,
-        failures=len(bad),
-        counterexamples=tuple(bad),
-        anomaly_count=len(anomalies),
-        anomalies=tuple(anomalies[:ANOMALY_SAMPLE_CAP]),
-        duration=time.perf_counter() - start,
-    )
 
 
 def run_checks(config: SweepConfig) -> tuple[VerificationReport, ...]:
     """Run every requested check over the configured range, in canonical order."""
-    return tuple(_run_one_check(check, config) for check in config.checks)
+    # More workers than CPUs or moduli only adds processes; the merged
+    # report does not depend on the split.
+    workers = min(config.parallelism, os.cpu_count() or 1, config.m_max - config.m_min + 1)
+    reports = []
+    for check in config.checks:
+        start = time.perf_counter()
+        pair_ceiling = enumeration_ceiling = 0
+        *_, calls_oracle = _CHECKS[check]
+        if calls_oracle:
+            # $MINFRAC_CEILING is read here, once, not on every oracle call.
+            pair_ceiling = resolve_ceiling(config.ceiling, DEFAULT_PAIR_CHECK_CEILING)
+            enumeration_ceiling = resolve_ceiling(config.ceiling, DEFAULT_ENUMERATION_CEILING)
+        params = _Params(config.seed, config.random_pairs_per_m, pair_ceiling, enumeration_ceiling)
+        # Lazy ranges, striped: a typo'd --m-max allocates nothing before the checks run.
+        tasks = [(check, range(config.m_min + i, config.m_max + 1, workers), params)
+                 for i in range(workers)]
+        if workers == 1:
+            parts = [_chunk_worker(tasks[0])]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(_chunk_worker, tasks))
+        passes = sum(p for p, _, _ in parts)
+        bad = sorted((c for _, cs, _ in parts for c in cs), key=lambda c: (c.m, c.x, c.detail))
+        anomalies = sorted(
+            (a for _, _, an in parts for a in an), key=lambda a: (a.m, a.x, a.detail)
+        )
+        reports.append(VerificationReport(
+            check=check,
+            passes=passes,
+            counterexamples=tuple(bad),
+            anomaly_count=len(anomalies),
+            anomalies=tuple(anomalies[:ANOMALY_SAMPLE_CAP]),
+            duration=time.perf_counter() - start,
+        ))
+    return tuple(reports)

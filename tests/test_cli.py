@@ -501,6 +501,32 @@ def test_verify_json_is_pinned_byte_for_byte(capsys):
     )
 
 
+def test_verify_reports_a_planted_counterexample_and_exits_1(capsys, monkeypatch):
+    # The walk of 7 mod 17 ends on (-10/1, 4/3), whose determinant is 34.
+    real_steps = harness.descent_steps
+
+    def planted(x, m):
+        steps = list(real_steps(x, m))
+        if (x, m) == (7, 17):
+            steps[-1] = (-10, 1, 4, 3, None)
+        return iter(steps)
+
+    monkeypatch.setattr(harness, "descent_steps", planted)
+    argv = ["verify", "--m-min", "17", "--m-max", "17", "--checks", "determinant"]
+    detail = "pair (-10/1, 4/3) has determinant 34, expected 17"
+    replay = "minfrac trace --modulus 17 --x 7"
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    head, line = out.splitlines()
+    assert head.startswith("determinant: pass=166 fail=1 (")
+    assert line == f"  counterexample m=17 x=7: {detail} (replay: {replay})"
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    (report,) = json.loads(out)["report"]
+    assert (report["pass"], report["fail"]) == (166, 1)
+    assert report["counterexamples"] == [{"m": 17, "x": 7, "detail": detail, "replay": replay}]
+
+
 def test_verify_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--m-min", "1", "--m-max", "0")
     assert code == 2

@@ -15,7 +15,7 @@ from minfrac.harness import (
     VerificationReport,
     run_checks,
 )
-from minfrac.residues import Fraction
+from minfrac.residues import Fraction, ResidueClass
 
 # Pass counts over M in [2, 60], frozen from an exhaustive run.  The sweep
 # is deterministic, so any change here means the algorithm changed.
@@ -54,18 +54,15 @@ def test_sweep_config_canonicalizes_check_order():
 
 
 def test_report_counts_must_match_counterexamples():
-    with pytest.raises(InvariantError):
-        VerificationReport(check="determinant", passes=1, failures=1, counterexamples=())
     ce = Counterexample(17, 7, "broken", "minfrac trace --modulus 17 --x 7")
-    report = VerificationReport(
-        check="determinant", passes=1, failures=1, counterexamples=(ce,)
-    )
+    report = VerificationReport(check="determinant", passes=1, counterexamples=(ce,))
+    assert report.failures == 1
     assert not report.ok
 
 
 def test_report_to_dict_is_duration_free():
     report = VerificationReport(
-        check="determinant", passes=3, failures=0, counterexamples=(), duration=1.25
+        check="determinant", passes=3, counterexamples=(), duration=1.25
     )
     d = report.to_dict()
     assert d == {
@@ -140,6 +137,67 @@ def test_agreement_reports_a_planted_sieve_entry(monkeypatch):
         "and enumerated minimum -3/2 differ"
     )
     assert ce.replay == "minfrac repr --modulus 17 --x 7"
+
+
+def _last_step(*step):
+    """A descent_steps whose walk of 7 mod 17 ends on `step` instead of its own last pair."""
+
+    def plant(real):
+        def planted(x, m):
+            steps = list(real(x, m))
+            if (x, m) == (7, 17):
+                steps[-1] = step
+            return iter(steps)
+
+        return planted
+
+    return plant
+
+
+def _witness(fake):
+    """A sqrt_bound_witness that returns `fake` for 7 mod 17, or raises if it is None."""
+
+    def plant(real):
+        def planted(r):
+            if (r.x, r.m) != (7, 17):
+                return real(r)
+            if fake is None:
+                raise InvariantError("planted")
+            return fake
+
+        return planted
+
+    return plant
+
+
+@pytest.mark.parametrize(
+    "check, target, plant, detail",
+    [
+        ("determinant", "descent_steps", _last_step(-10, 1, 4, 3, None),
+         "pair (-10/1, 4/3) has determinant 34, expected 17"),
+        # The walk's last pair (-1/12, 1/5) has magnitude sum 2 and max 1.
+        ("progress", "descent_steps", _last_step(-1, 12, 1, 17, ResidueClass.POSITIVE),
+         "step 7: magnitude sum 2 -> 2, replaced side 1 vs previous max 1"),
+        # 4/3 represents 7 mod 17 but is not the first sqrt-bounded fraction, -3/2.
+        ("sqrt_bound", "sqrt_bound_witness", _witness(Fraction(4, 3)),
+         "run witness 4/3 vs step witness -3/2: "
+         "must be equal, represent x and have n^2 <= 17 and d^2 <= 17"),
+        ("sqrt_bound", "sqrt_bound_witness", _witness(None),
+         "no representation with n^2 <= 17 and d^2 <= 17; trace: (-17/0, 7/1), (-10/1, 7/1), "
+         "(-3/2, 7/1), (-3/2, 4/3), (-3/2, 1/5), (-2/7, 1/5), (-1/12, 1/5), (-1/12, 0/17)"),
+    ],
+    ids=["determinant", "progress", "sqrt_bound-mismatch", "sqrt_bound-raises"],
+)
+def test_each_check_reports_a_planted_failure(monkeypatch, check, target, plant, detail):
+    base = _check(check, 17, 17)
+    monkeypatch.setattr(harness, target, plant(getattr(harness, target)))
+    report = _check(check, 17, 17)
+    assert report.failures == 1
+    assert report.passes == base.passes - 1
+    (ce,) = report.counterexamples
+    assert (ce.m, ce.x) == (17, 7)
+    assert ce.detail == detail
+    assert ce.replay == "minfrac trace --modulus 17 --x 7"
 
 
 def test_agreement_refuses_a_modulus_over_the_pair_ceiling_before_the_sieve(monkeypatch):
