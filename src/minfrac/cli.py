@@ -182,9 +182,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     m = args.modulus
     check_modulus(m)
     check_ceiling(m - 1, args.ceiling_override, DEFAULT_ENUMERATION_CEILING, "table: entry count")
-    entries = minimum_table(m)
+    numerators, denominators = minimum_table(m)
     if args.cross_check:
-        for x, f in enumerate(entries, start=1):
+        for x in range(1, m):
+            f = Fraction(numerators[x], denominators[x])
             r = Residue(x, m)
             if not represents(r, f):
                 raise InvariantError(f"table entry {f} does not represent {x} mod {m}")
@@ -194,7 +195,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 print(f"cross-check failed at x={x}: table has {f}, oracle says {expected}, "
                       f"descent says {descent}", file=sys.stderr)
                 return 1
-    _write_listing(args.format, {"modulus": m}, {"fractions": ((f.n, f.d) for f in entries)},
+    # x = 0 is the sieve's first entry, 0/1; the table lists x = 1..M-1.
+    fractions = zip(islice(numerators, 1, None), islice(denominators, 1, None))
+    _write_listing(args.format, {"modulus": m}, {"fractions": fractions},
                    _FRACTION_ENTRY.format, _ratio)
     return 0
 

@@ -21,11 +21,12 @@ minimum_fraction and sqrt_bound_witness walk the descent by runs; the
 agreement and sqrt_bound checks compare them with scans of the step walk,
 kept here as their slow twins, as well as with the oracle and the bound.
 The agreement check also holds each modulus's minimum_table, the sieve
-behind `minfrac table`, to the same minima, and pair_minimal's verdict on
-every trace or random pair to brute_pair_scan, the oracle's literal
-per-pair scan.  Only pair minimality is checked: it implies each side's
-per-class minimality, since the pair's threshold is at least either side's
-magnitude.
+behind `minfrac table`, to the same minima: the sieve is two int lists,
+numerators and denominators indexed by x, and its x = 0 entry (0/1) is
+checked like every other.  It holds pair_minimal's verdict on every trace
+or random pair to brute_pair_scan, the oracle's literal per-pair scan.
+Only pair minimality is checked: it implies each side's per-class
+minimality, since the pair's threshold is at least either side's magnitude.
 
 Sweeps are embarrassingly parallel over moduli; with parallelism > 1 the
 moduli are striped across a process pool of at most one worker per CPU and
@@ -276,13 +277,14 @@ def _progress(x: int, m: int, params: _Params, env: None) -> _Outcome:
     return passes, bad, f"{npairs} pairs exceeds cap {cap} ({TRACE_CAP_FACTOR} * bit_length)"
 
 
-def _agreement_setup(m: int, params: _Params) -> tuple[list, dict]:
-    """The modulus's sieve, and its random pairs grouped by x as
-    (neg.n, neg.d, pos.n, pos.d, None), the shape of a trace step."""
+def _agreement_setup(m: int, params: _Params) -> tuple[tuple[list[int], list[int]], dict]:
+    """The modulus's sieve (numerators and denominators by x), and its random
+    pairs grouped by x as (neg.n, neg.d, pos.n, pos.d, None), the shape of a
+    trace step."""
     # brute_pair_scan has no gate of its own; brute_pair_minimal's is held
     # here, before the sieve is built, so a refused modulus costs nothing.
     check_pair_ceiling(m, params.pair_ceiling)
-    sieve = [None, *minimum_table(m)]  # the sieve has no entry for x = 0
+    sieve = minimum_table(m)
     # The random pairs are drawn up front, in the sample's order.
     random_pairs: dict[int, list[tuple[int, int, int, int, None]]] = {}
     if params.random_pairs:
@@ -298,22 +300,22 @@ def _agreement_setup(m: int, params: _Params) -> tuple[list, dict]:
     return sieve, random_pairs
 
 
-def _agreement(x: int, m: int, params: _Params, env: tuple[list, dict]) -> _Outcome:
-    sieve, random_pairs = env
+def _agreement(x: int, m: int, params: _Params, env: tuple[tuple, dict]) -> _Outcome:
+    (numerators, denominators), random_pairs = env
     r = Residue(x, m)
     passes = 0
     bad = []
     # One step walk per residue feeds both the step minimum and the pairs.
     steps = list(descent_steps(x, m))
-    sieve_min = sieve[x]
+    sieve_n, sieve_d = numerators[x], denominators[x]
     run_min = minimum_fraction(r)
     step_min = _scan_minimum(steps)
     slow_min = brute_minimum(r, ceiling=params.enumeration_ceiling)
-    if run_min == step_min == slow_min and (x == 0 or sieve_min == run_min):
+    if run_min == step_min == slow_min and sieve_n == run_min.n and sieve_d == run_min.d:
         passes += 1
     else:
-        bad.append(("repr", f"sieve minimum {sieve_min}, run minimum {run_min}, step minimum "
-                            f"{step_min} and enumerated minimum {slow_min} differ"))
+        bad.append(("repr", f"sieve minimum {sieve_n}/{sieve_d}, run minimum {run_min}, step "
+                            f"minimum {step_min} and enumerated minimum {slow_min} differ"))
     for nn, nd, pn, pd, _ in steps + random_pairs.get(x, []):
         fast = pair_minimal(x, m, nn, nd, pn, pd)
         slow = brute_pair_scan(x, m, nn, nd, pn, pd)

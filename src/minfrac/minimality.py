@@ -163,8 +163,13 @@ def sqrt_bound_witness(r: Residue) -> Fraction:
     )
 
 
-def minimum_table(m: int) -> list[Fraction]:
-    """minimum_fraction for x = 1..M-1, from one pass over small candidates.
+def minimum_table(m: int) -> tuple[list[int], list[int]]:
+    """minimum_fraction for every x = 0..M-1, as numerators and denominators.
+
+    Returns two lists of length M indexed by x: the minimum of x is
+    numerators[x]/denominators[x].  x = 0 is a real entry, 0/1, the first
+    candidate the walk reaches.  Plain ints keep a 10^6-entry table to two
+    lists of small ints, where one Fraction per x would be most of its memory.
 
     Every x has a representation with |n| <= isqrt(M) and d <= isqrt(M), so
     its minimum is among those.  They are walked in the minimum's order:
@@ -173,38 +178,54 @@ def minimum_table(m: int) -> list[Fraction]:
     d = c it is 0..c and then -1..-c).  A candidate n/d represents x iff
     x*d = n (mod M): with g = gcd(d, M) that needs g | n, and then holds for
     every x = (n/g) * (d/g)^-1 (mod M/g).  The first candidate to reach x is
-    its minimum.  The walk stops once every x is reached, after about M
-    candidates; x = 0 is reached first, by 0/1, and left out of the result.
-    If some x is never reached that falsifies the bound and is raised as an
+    its minimum; a denominator of 0 marks an x not reached yet.  The walk
+    stops once every x is reached, after about M candidates.  If some x is
+    never reached that falsifies the bound and is raised as an
     InvariantError.
     """
     check_modulus(m)
-    table: list[Fraction | None] = [None] * m
+    numerators = [0] * m
+    denominators = [0] * m
     left = m
     per_d = [(0, 0, 0)]  # per denominator d: (g, (d/g)^-1 mod M/g, M/g)
     for c in range(1, isqrt(m) + 1):
         g = gcd(c, m)
         per_d.append((g, pow(c // g, -1, m // g), m // g))
+        last_row = (*range(c + 1), *range(-1, -c - 1, -1))  # the numerators for d = c
         for d in range(1, c + 1):
             g, inv, step = per_d[d]
-            numerators = (c, -c) if d < c else (*range(c + 1), *range(-1, -c - 1, -1))
-            if g == 1:
-                # The common case, one x per candidate.
-                for n in numerators:
+            if g == 1 and d < c:
+                # The common case, unrolled: c/d and -c/d reach x and M - x
+                # (x is not 0, as 0 < c < M).
+                x = c * inv % m
+                if not denominators[x]:
+                    numerators[x] = c
+                    denominators[x] = d
+                    left -= 1
+                x = m - x
+                if not denominators[x]:
+                    numerators[x] = -c
+                    denominators[x] = d
+                    left -= 1
+            elif g == 1:
+                # d = c: one x per candidate.
+                for n in last_row:
                     x = n * inv % m
-                    if table[x] is None:
-                        table[x] = Fraction(n, d)
+                    if not denominators[x]:
+                        numerators[x] = n
+                        denominators[x] = d
                         left -= 1
             else:
-                for n in numerators:
+                for n in (c, -c) if d < c else last_row:
                     if n % g == 0:
                         for x in range(n // g * inv % step, m, step):
-                            if table[x] is None:
-                                table[x] = Fraction(n, d)
+                            if not denominators[x]:
+                                numerators[x] = n
+                                denominators[x] = d
                                 left -= 1
             if not left:
-                return table[1:]
+                return numerators, denominators
     raise InvariantError(
-        f"no sqrt-bounded representation found for {table.index(None)} (mod {m}); "
+        f"no sqrt-bounded representation found for {denominators.index(0)} (mod {m}); "
         f"this falsifies the existence bound and should be reported"
     )

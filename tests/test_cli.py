@@ -276,9 +276,9 @@ def test_table_cross_check_names_a_planted_entry(capsys, monkeypatch):
     real_table = cli.minimum_table
 
     def planted(m):
-        table = real_table(m)
-        table[7 - 1] = Fraction(4, 3)  # represents 7 mod 17; the minimum is -3/2
-        return table
+        nums, dens = real_table(m)
+        nums[7], dens[7] = 4, 3  # 4/3 represents 7 mod 17; the minimum is -3/2
+        return nums, dens
 
     monkeypatch.setattr(cli, "minimum_table", planted)
     code, out, err = run(capsys, "table", "-m", "17", "--cross-check")

@@ -120,10 +120,10 @@ def test_agreement_reports_a_planted_sieve_entry(monkeypatch):
     real_table = harness.minimum_table
 
     def planted(m):
-        table = real_table(m)
+        nums, dens = real_table(m)
         if m == 17:
-            table[7 - 1] = Fraction(4, 3)
-        return table
+            nums[7], dens[7] = 4, 3
+        return nums, dens
 
     base = _check("agreement", 17, 17)
     monkeypatch.setattr(harness, "minimum_table", planted)
@@ -137,6 +137,30 @@ def test_agreement_reports_a_planted_sieve_entry(monkeypatch):
         "and enumerated minimum -3/2 differ"
     )
     assert ce.replay == "minfrac repr --modulus 17 --x 7"
+
+
+def test_agreement_holds_the_sieve_at_x_0(monkeypatch):
+    # The sieve's x = 0 entry is 0/1; plant 17/1, another representation of 0.
+    real_table = harness.minimum_table
+
+    def planted(m):
+        nums, dens = real_table(m)
+        if m == 17:
+            nums[0], dens[0] = 17, 1
+        return nums, dens
+
+    base = _check("agreement", 17, 17)
+    monkeypatch.setattr(harness, "minimum_table", planted)
+    report = _check("agreement", 17, 17)
+    assert report.failures == 1
+    assert report.passes == base.passes - 1
+    (ce,) = report.counterexamples
+    assert (ce.m, ce.x) == (17, 0)
+    assert ce.detail == (
+        "sieve minimum 17/1, run minimum 0/1, step minimum 0/1 "
+        "and enumerated minimum 0/1 differ"
+    )
+    assert ce.replay == "minfrac repr --modulus 17 --x 0"
 
 
 def _last_step(*step):

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minfrac.descent import descent_steps, run_descent
+from minfrac.errors import InvariantError
 from minfrac.harness import _scan_minimum, _step_witness
 from minfrac.minimality import (
     is_minimal_pair,
@@ -59,7 +60,10 @@ def test_minimum_fraction_examples():
 
 def test_minimum_table_mod_17():
     assert [minimum_fraction(Residue(x, 17)) for x in range(1, 17)] == MIN_TABLE_17
-    assert minimum_table(17) == MIN_TABLE_17
+    nums, dens = minimum_table(17)
+    assert (nums[0], dens[0]) == (0, 1)
+    assert nums[1:] == [f.n for f in MIN_TABLE_17]
+    assert dens[1:] == [f.d for f in MIN_TABLE_17]
 
 
 def test_minimum_table_matches_per_residue_minimum():
@@ -67,7 +71,24 @@ def test_minimum_table_matches_per_residue_minimum():
     # denominators, so the sieve's gcd(d, M) > 1 branch and its g | n skip
     # carry much of the table.
     for m in [*range(2, 301), 1024, 2310, 4096, 9984, 10080]:
-        assert minimum_table(m) == [minimum_fraction(Residue(x, m)) for x in range(1, m)], m
+        nums, dens = minimum_table(m)
+        assert (nums[0], dens[0]) == (0, 1), m
+        assert 0 not in dens, m
+        minima = [minimum_fraction(Residue(x, m)) for x in range(m)]
+        assert nums == [f.n for f in minima], m
+        assert dens == [f.d for f in minima], m
+
+
+def test_minimum_table_raises_when_the_sqrt_bound_leaves_an_x_unreached(monkeypatch):
+    # With the bound cut to 2 at M = 17 the candidates of max coefficient
+    # <= 2 reach x = 0, 1, 2, 8, 9, 15 and 16, so 3 is the first x left.
+    monkeypatch.setattr("minfrac.minimality.isqrt", lambda m: 2)
+    with pytest.raises(InvariantError) as info:
+        minimum_table(17)
+    assert str(info.value) == (
+        "no sqrt-bounded representation found for 3 (mod 17); "
+        "this falsifies the existence bound and should be reported"
+    )
 
 
 def test_minimum_table_rejects_bad_moduli():
