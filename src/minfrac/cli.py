@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice, starmap
+from itertools import chain, islice, starmap
 
 from .check_names import CHECK_NAMES
 # run_descent is not called here: the benchmark's traced run wraps it by name.
@@ -71,10 +71,10 @@ def _ratio(n: int, d: int) -> str:
 
 # One fraction, and one trace pair, as json.dumps(indent=2) lays out a list entry.
 _FRACTION_ENTRY = """\
-    {{
-      "n": {},
-      "d": {}
-    }}"""
+    {
+      "n": %d,
+      "d": %d
+    }"""
 
 _TRACE_ENTRY = """\
     {{
@@ -106,6 +106,8 @@ def _write_listing(fmt, scalars, lists, entry, item, sep=", "):
     no list may be empty.  Text has no scalars: each list is its item(*t) joined
     by sep, then a newline, "key: " first if there are several.  Items go out
     1024 per write: one per item is slow, one per list holds it all in memory.
+    An entry or item may instead be a %-template over a tuple's ints, so that a
+    batch is one template applied to all of its ints at once.
     """
     write = sys.stdout.write
     if fmt == "json":
@@ -121,7 +123,11 @@ def _write_listing(fmt, scalars, lists, entry, item, sep=", "):
         write(head)
         items, joint = iter(items), ""
         while batch := list(islice(items, 1024)):
-            write(joint + sep.join(starmap(item, batch)))
+            if isinstance(item, str):
+                text = sep.join([item] * len(batch)) % tuple(chain.from_iterable(batch))
+            else:
+                text = sep.join(starmap(item, batch))
+            write(joint + text)
             joint = sep
         write(tail)
 
@@ -142,7 +148,7 @@ def _cmd_repr(args: argparse.Namespace) -> int:
     witness = sqrt_bound_witness(r)
     if args.format == "json":
         fractions = {"fractions": [(f.n, f.d) for f in (minimum, witness)]}
-        _write_listing("json", {"modulus": m, "x": r.x}, fractions, _FRACTION_ENTRY.format, None)
+        _write_listing("json", {"modulus": m, "x": r.x}, fractions, _FRACTION_ENTRY, None)
     else:
         print(render_fraction(minimum))
         print(f"witness: {render_fraction(witness)}")
@@ -160,7 +166,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.residue_class != "both":
         lists = {"fractions": lists[args.residue_class]}
     _write_listing(args.format, {"modulus": m, "x": x, "class": args.residue_class}, lists,
-                   _FRACTION_ENTRY.format, "{}/{}".format)
+                   _FRACTION_ENTRY, "%d/%d")
     return 0
 
 
@@ -198,7 +204,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     # x = 0 is the sieve's first entry, 0/1; the table lists x = 1..M-1.
     fractions = zip(islice(numerators, 1, None), islice(denominators, 1, None))
     _write_listing(args.format, {"modulus": m}, {"fractions": fractions},
-                   _FRACTION_ENTRY.format, _ratio)
+                   _FRACTION_ENTRY, _ratio)
     return 0
 
 

@@ -7,15 +7,19 @@ invariant.  Anomalies (currently only traces of more than TRACE_CAP_FACTOR
 pairs per bit of M) are flagged for inspection but never fail a report,
 because termination carries no stated step bound.
 
-A check is a function of one residue, check(x, m, params, env).  It returns
-its pass count, one (replay subcommand, detail) pair per failure, and an
-anomaly's detail or None; env is what the check's per-modulus setup built,
-or None.  _chunk_worker is the one loop over moduli and residues, and the
-only place that builds Counterexample and Anomaly records; a replay reads
-`minfrac trace --modulus M --x X`, or `minfrac repr ...` for the agreement
-check's minimum mismatch.  _CHECKS gives each check's function, its setup
-and whether it calls the oracle; only those checks resolve the brute-force
-ceilings, once per check run, so workers get plain integers.
+A check is a function of one residue, check(x, m, params, env, steps, minima).
+It returns its pass count, one (replay subcommand, detail) pair per failure,
+and an anomaly's detail or None; env is what the check's per-modulus setup
+built, or None.  _chunk_worker is the one loop over moduli and residues, for
+every requested check at once, and the only place that builds Counterexample
+and Anomaly records; a replay reads `minfrac trace --modulus M --x X`, or
+`minfrac repr ...` for the agreement check's minimum mismatch.  Per residue
+it does the shared work once: steps is the residue's step walk, a list when
+a check reads all of it, and minima is the oracle's brute_prefix_minima when
+minimality or agreement is requested, else None.  _CHECKS gives each check's
+function, its setup, whether it reads the prefix minima (only then are the
+brute-force ceilings resolved, once per sweep, so workers get plain
+integers) and whether it reads the whole walk.
 
 minimum_fraction and sqrt_bound_witness walk the descent by runs; the
 agreement and sqrt_bound checks compare them with scans of the step walk,
@@ -24,7 +28,9 @@ The agreement check also holds each modulus's minimum_table, the sieve
 behind `minfrac table`, to the same minima: the sieve is two int lists,
 numerators and denominators indexed by x, and its x = 0 entry (0/1) is
 checked like every other.  It holds pair_minimal's verdict on every trace
-or random pair to brute_pair_scan, the oracle's literal per-pair scan.
+or random pair to the oracle's, read off the prefix minima: the same
+exhaustive scan of every smaller denominator that brute_pair_scan makes,
+done once per residue instead of once per pair.
 Only pair minimality is checked: it implies each side's per-class
 minimality, since the pair's threshold is at least either side's magnitude.
 
@@ -54,7 +60,6 @@ from .oracle import (
     DEFAULT_ENUMERATION_CEILING,
     DEFAULT_PAIR_CHECK_CEILING,
     brute_minimum,
-    brute_pair_scan,
     brute_prefix_minima,
     check_pair_ceiling,
     resolve_ceiling,
@@ -179,11 +184,15 @@ class _Params(NamedTuple):
 # detail) pair per failure, and an anomaly's detail or None.
 _Outcome = tuple[int, Iterable[tuple[str, str]], str | None]
 
+# The oracle's prefix minima of one residue, (neg, pos), from brute_prefix_minima.
+_Minima = tuple[list[int], list[int]]
 
-def _determinant(x: int, m: int, params: _Params, env: None) -> _Outcome:
+
+def _determinant(x: int, m: int, params: _Params, env: None,
+                 steps: list[RawStep], minima: _Minima | None) -> _Outcome:
     passes = 0
     bad = []
-    for nn, nd, pn, pd, _ in descent_steps(x, m):
+    for nn, nd, pn, pd, _ in steps:
         det = pn * nd - nn * pd
         if det == m:
             passes += 1
@@ -210,10 +219,10 @@ def _scan_minimum(steps: Iterable[RawStep]) -> Fraction:
     return Fraction(best_n, best_d)
 
 
-def _step_witness(r: Residue) -> Fraction:
-    """Slow twin of sqrt_bound_witness: the first qualifying step-walk fraction."""
+def _step_witness(r: Residue, steps: Iterable[RawStep]) -> Fraction:
+    """Slow twin of sqrt_bound_witness: the first qualifying fraction of r's step walk."""
     m = r.m
-    for nn, nd, pn, pd, _ in descent_steps(r.x, r.m):
+    for nn, nd, pn, pd, _ in steps:
         if nn * nn <= m and nd * nd <= m:
             return Fraction(nn, nd)
         if pn * pn <= m and pd * pd <= m:
@@ -221,11 +230,13 @@ def _step_witness(r: Residue) -> Fraction:
     raise InvariantError(f"the step walk finds no sqrt-bounded representation for {r}")
 
 
-def _sqrt_bound(x: int, m: int, params: _Params, env: None) -> _Outcome:
+def _sqrt_bound(x: int, m: int, params: _Params, env: None,
+                steps: Iterable[RawStep], minima: _Minima | None) -> _Outcome:
+    # steps may be the lazy walk: the step witness stops at its first hit.
     r = Residue(x, m)
     try:
         witness = sqrt_bound_witness(r)
-        step_witness = _step_witness(r)
+        step_witness = _step_witness(r, steps)
     except InvariantError:
         trace = ", ".join(str(p) for p in run_descent(r).pairs)
         detail = f"no representation with n^2 <= {m} and d^2 <= {m}; trace: {trace}"
@@ -240,12 +251,13 @@ def _sqrt_bound(x: int, m: int, params: _Params, env: None) -> _Outcome:
     return 0, [("trace", detail)], None
 
 
-def _minimality(x: int, m: int, params: _Params, env: None) -> _Outcome:
+def _minimality(x: int, m: int, params: _Params, env: None,
+                steps: list[RawStep], minima: _Minima) -> _Outcome:
     # One oracle scan per residue; each pair is then two lookups.
-    neg, pos = brute_prefix_minima(Residue(x, m), params.pair_ceiling)
+    neg, pos = minima
     passes = 0
     bad = []
-    for nn, nd, pn, pd, _ in descent_steps(x, m):
+    for nn, nd, pn, pd, _ in steps:
         threshold = pn - nn
         if neg[nd] >= threshold and pos[pd] >= threshold:
             passes += 1
@@ -254,12 +266,13 @@ def _minimality(x: int, m: int, params: _Params, env: None) -> _Outcome:
     return passes, bad, None
 
 
-def _progress(x: int, m: int, params: _Params, env: None) -> _Outcome:
+def _progress(x: int, m: int, params: _Params, env: None,
+              steps: list[RawStep], minima: _Minima | None) -> _Outcome:
     passes = 0
     bad = []
     npairs = 0
     prev_sum = prev_max = 0
-    for nn, nd, pn, pd, rep in descent_steps(x, m):
+    for nn, nd, pn, pd, rep in steps:
         mag_sum = pn - nn
         npairs += 1
         if rep is not None:
@@ -281,8 +294,9 @@ def _agreement_setup(m: int, params: _Params) -> tuple[tuple[list[int], list[int
     """The modulus's sieve (numerators and denominators by x), and its random
     pairs grouped by x as (neg.n, neg.d, pos.n, pos.d, None), the shape of a
     trace step."""
-    # brute_pair_scan has no gate of its own; brute_pair_minimal's is held
-    # here, before the sieve is built, so a refused modulus costs nothing.
+    # The prefix minima that judge every pair are gated per residue; the
+    # gate is held here too, before the sieve is built, so a refused
+    # modulus costs nothing.
     check_pair_ceiling(m, params.pair_ceiling)
     sieve = minimum_table(m)
     # The random pairs are drawn up front, in the sample's order.
@@ -300,13 +314,13 @@ def _agreement_setup(m: int, params: _Params) -> tuple[tuple[list[int], list[int
     return sieve, random_pairs
 
 
-def _agreement(x: int, m: int, params: _Params, env: tuple[tuple, dict]) -> _Outcome:
+def _agreement(x: int, m: int, params: _Params, env: tuple[tuple, dict],
+               steps: list[RawStep], minima: _Minima) -> _Outcome:
     (numerators, denominators), random_pairs = env
+    neg, pos = minima
     r = Residue(x, m)
     passes = 0
     bad = []
-    # One step walk per residue feeds both the step minimum and the pairs.
-    steps = list(descent_steps(x, m))
     sieve_n, sieve_d = numerators[x], denominators[x]
     run_min = minimum_fraction(r)
     step_min = _scan_minimum(steps)
@@ -318,7 +332,8 @@ def _agreement(x: int, m: int, params: _Params, env: tuple[tuple, dict]) -> _Out
                             f"minimum {step_min} and enumerated minimum {slow_min} differ"))
     for nn, nd, pn, pd, _ in steps + random_pairs.get(x, []):
         fast = pair_minimal(x, m, nn, nd, pn, pd)
-        slow = brute_pair_scan(x, m, nn, nd, pn, pd)
+        threshold = pn - nn
+        slow = neg[nd] >= threshold and pos[pd] >= threshold
         if fast == slow:
             passes += 1
         else:
@@ -328,70 +343,99 @@ def _agreement(x: int, m: int, params: _Params, env: tuple[tuple, dict]) -> _Out
     return passes, bad, None
 
 
-# check: (per-residue function, per-modulus setup or None, needs the oracle's ceilings)
+# check: (per-residue function, per-modulus setup or None, reads the oracle's
+# prefix minima, reads the whole walk)
 _CHECKS = {
-    "determinant": (_determinant, None, False),
-    "minimality": (_minimality, None, True),
-    "sqrt_bound": (_sqrt_bound, None, False),
-    "progress": (_progress, None, False),
-    "agreement": (_agreement, _agreement_setup, True),
+    "determinant": (_determinant, None, False, True),
+    "minimality": (_minimality, None, True, True),
+    "sqrt_bound": (_sqrt_bound, None, False, False),
+    "progress": (_progress, None, False, True),
+    "agreement": (_agreement, _agreement_setup, True, True),
 }
 
 
-def _chunk_worker(task: tuple[str, range, _Params]) -> tuple[int, list, list]:
-    check, ms, params = task
-    check_x, setup, _ = _CHECKS[check]
-    passes = 0
-    bad: list[Counterexample] = []
-    anomalies: list[Anomaly] = []
+def _chunk_worker(task: tuple[tuple[str, ...], range, _Params]) -> list[list]:
+    """One pass of the checks over the moduli ms: per check, [passes,
+    counterexamples, anomalies, seconds], timed as run_checks says."""
+    names, ms, params = task
+    checks = [_CHECKS[name] for name in names]
+    parts = [[0, [], [], 0.0] for _ in names]
+    scan_part = next((part for part, (_, _, scans, _) in zip(parts, checks) if scans), None)
+    whole_walk = any(whole for *_, whole in checks)
+    now = time.perf_counter
     for m in ms:
-        env = setup(m, params) if setup else None
+        envs = []
+        for part, (_, setup, _, _) in zip(parts, checks):
+            start = now()
+            envs.append(setup(m, params) if setup else None)
+            part[3] += now() - start
         for x in range(m):
-            ok, failures, anomaly = check_x(x, m, params, env)
-            passes += ok
-            for command, detail in failures:
-                bad.append(Counterexample(m, x, detail, f"minfrac {command} --modulus {m} --x {x}"))
-            if anomaly:
-                anomalies.append(Anomaly(m, x, anomaly))
-    return passes, bad, anomalies
+            start = now()
+            minima = None
+            if scan_part is not None:
+                minima = brute_prefix_minima(Residue(x, m), params.pair_ceiling)
+                end = now()
+                scan_part[3] += end - start
+                start = end
+            steps = descent_steps(x, m)
+            if whole_walk:
+                steps = list(steps)
+            for part, (check_x, *_), env in zip(parts, checks, envs):
+                ok, failures, anomaly = check_x(x, m, params, env, steps, minima)
+                part[0] += ok
+                for command, detail in failures:
+                    replay = f"minfrac {command} --modulus {m} --x {x}"
+                    part[1].append(Counterexample(m, x, detail, replay))
+                if anomaly:
+                    part[2].append(Anomaly(m, x, anomaly))
+                end = now()
+                part[3] += end - start
+                start = end
+    return parts
 
 
 def run_checks(config: SweepConfig) -> tuple[VerificationReport, ...]:
-    """Run every requested check over the configured range, in canonical order."""
+    """Run every requested check over the configured range in one sweep.
+
+    Reports come one per check, in canonical order.  Each residue's walk,
+    and its prefix minima when minimality or agreement is requested, are
+    built once and read by every check.  A report's duration is the time
+    spent in its own check's calls (per-modulus setup and per-residue
+    function), summed over workers, with shared work charged to the first
+    requested check that reads it: the walk to the first check, the prefix
+    minima to minimality, else agreement.
+    """
     # More workers than CPUs or moduli only adds processes; the merged
     # report does not depend on the split.
     workers = min(config.parallelism, os.cpu_count() or 1, config.m_max - config.m_min + 1)
-    reports = []
-    for check in config.checks:
-        start = time.perf_counter()
-        pair_ceiling = enumeration_ceiling = 0
-        *_, calls_oracle = _CHECKS[check]
-        if calls_oracle:
-            # $MINFRAC_CEILING is read here, once, not on every oracle call.
-            pair_ceiling = resolve_ceiling(config.ceiling, DEFAULT_PAIR_CHECK_CEILING)
-            enumeration_ceiling = resolve_ceiling(config.ceiling, DEFAULT_ENUMERATION_CEILING)
-        params = _Params(config.seed, config.random_pairs_per_m, pair_ceiling, enumeration_ceiling)
-        # Lazy ranges, striped: a typo'd --m-max allocates nothing before the checks run.
-        tasks = [(check, range(config.m_min + i, config.m_max + 1, workers), params)
-                 for i in range(workers)]
-        if workers == 1:
-            parts = [_chunk_worker(tasks[0])]
-        else:
-            from concurrent.futures import ProcessPoolExecutor
+    pair_ceiling = enumeration_ceiling = 0
+    if any(_CHECKS[check][2] for check in config.checks):
+        # $MINFRAC_CEILING is read here, once, not on every oracle call.
+        pair_ceiling = resolve_ceiling(config.ceiling, DEFAULT_PAIR_CHECK_CEILING)
+        enumeration_ceiling = resolve_ceiling(config.ceiling, DEFAULT_ENUMERATION_CEILING)
+    params = _Params(config.seed, config.random_pairs_per_m, pair_ceiling, enumeration_ceiling)
+    # Lazy ranges, striped: a typo'd --m-max allocates nothing before the checks run.
+    tasks = [(config.checks, range(config.m_min + i, config.m_max + 1, workers), params)
+             for i in range(workers)]
+    if workers == 1:
+        results = [_chunk_worker(tasks[0])]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_chunk_worker, tasks))
-        passes = sum(p for p, _, _ in parts)
-        bad = sorted((c for _, cs, _ in parts for c in cs), key=lambda c: (c.m, c.x, c.detail))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_chunk_worker, tasks))
+    reports = []
+    for check, parts in zip(config.checks, zip(*results)):
+        bad = sorted((c for _, cs, _, _ in parts for c in cs), key=lambda c: (c.m, c.x, c.detail))
         anomalies = sorted(
-            (a for _, _, an in parts for a in an), key=lambda a: (a.m, a.x, a.detail)
+            (a for _, _, an, _ in parts for a in an), key=lambda a: (a.m, a.x, a.detail)
         )
         reports.append(VerificationReport(
             check=check,
-            passes=passes,
+            passes=sum(p for p, _, _, _ in parts),
             counterexamples=tuple(bad),
             anomaly_count=len(anomalies),
             anomalies=tuple(anomalies[:ANOMALY_SAMPLE_CAP]),
-            duration=time.perf_counter() - start,
+            duration=sum(s for *_, s in parts),
         ))
     return tuple(reports)

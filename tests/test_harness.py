@@ -1,5 +1,6 @@
 """Tests for the sweep harness: reports, determinism, parallel merge."""
 
+import collections
 import dataclasses
 
 import pytest
@@ -237,24 +238,8 @@ def test_agreement_refuses_a_modulus_over_the_pair_ceiling_before_the_sieve(monk
     )
 
 
-def _assert_planted_pair_verdict(monkeypatch, route, detail):
-    # Flip one pair route's verdict on the trace pair (-3/2, 4/3) of 7 mod
-    # 17: exactly that pair must come back as a counterexample, and every
-    # trace pair in the range must still be compared, once.
-    real = getattr(harness, route)
-    target = (7, 17, -3, 2, 4, 3)
-    seen = []
-
-    def planted(*pair):
-        seen.append(pair)
-        verdict = real(*pair)
-        return not verdict if pair == target else verdict
-
-    base = _check("agreement", 2, 30)
-    monkeypatch.setattr(harness, route, planted)
-    report = _check("agreement", 2, 30)
-    assert len(seen) == sum(len(list(descent_steps(x, m))) for m in range(2, 31) for x in range(m))
-    assert seen.count(target) == 1
+def _assert_one_pair_counterexample(base, report, detail):
+    # Exactly the trace pair (-3/2, 4/3) of 7 mod 17 comes back.
     assert report.failures == 1
     assert report.passes == base.passes - 1
     (ce,) = report.counterexamples
@@ -264,14 +249,48 @@ def _assert_planted_pair_verdict(monkeypatch, route, detail):
 
 
 def test_agreement_reports_a_planted_pair_verdict(monkeypatch):
-    _assert_planted_pair_verdict(
-        monkeypatch, "pair_minimal", "is_minimal_pair says False but the exhaustive scan says True"
+    # Flip pair_minimal's verdict on one trace pair: every trace pair in
+    # the range must still be compared, once.
+    real = harness.pair_minimal
+    target = (7, 17, -3, 2, 4, 3)
+    seen = []
+
+    def planted(*pair):
+        seen.append(pair)
+        verdict = real(*pair)
+        return not verdict if pair == target else verdict
+
+    base = _check("agreement", 2, 30)
+    monkeypatch.setattr(harness, "pair_minimal", planted)
+    report = _check("agreement", 2, 30)
+    assert len(seen) == sum(len(list(descent_steps(x, m))) for m in range(2, 31) for x in range(m))
+    assert seen.count(target) == 1
+    _assert_one_pair_counterexample(
+        base, report, "is_minimal_pair says False but the exhaustive scan says True"
     )
 
 
 def test_agreement_reports_a_planted_oracle_verdict(monkeypatch):
-    _assert_planted_pair_verdict(
-        monkeypatch, "brute_pair_scan", "is_minimal_pair says True but the exhaustive scan says False"
+    # Lower pos[3] of 7 mod 17's prefix minima below 7, the threshold of
+    # (-3/2, 4/3), the walk's only pair with positive denominator 3: the
+    # oracle then calls that pair, and no other, non-minimal.  Every residue
+    # in the range is scanned, once.
+    real = harness.brute_prefix_minima
+    scanned = []
+
+    def planted(r, ceiling=None):
+        scanned.append((r.x, r.m))
+        neg, pos = real(r, ceiling)
+        if (r.x, r.m) == (7, 17):
+            pos[3] = 0
+        return neg, pos
+
+    base = _check("agreement", 2, 30)
+    monkeypatch.setattr(harness, "brute_prefix_minima", planted)
+    report = _check("agreement", 2, 30)
+    assert scanned == [(x, m) for m in range(2, 31) for x in range(m)]
+    _assert_one_pair_counterexample(
+        base, report, "is_minimal_pair says True but the exhaustive scan says False"
     )
 
 
@@ -299,21 +318,64 @@ def test_a_huge_modulus_range_is_striped_lazily(monkeypatch):
 
     def record(task):
         tasks.append(task)
-        return 0, [], []
+        return [[0, [], [], 0.0] for _ in task[0]]
 
     monkeypatch.setattr(harness, "_chunk_worker", record)
     _check("determinant", 2, 10**15)
-    ((check, ms, _),) = tasks
-    assert check == "determinant"
+    ((checks, ms, _),) = tasks
+    assert checks == ("determinant",)
     assert ms == range(2, 10**15 + 1)
     assert len(ms) == 10**15 - 1
+
+
+def test_a_sweep_refuses_a_modulus_over_the_pair_ceiling_before_walking_it(monkeypatch):
+    # Every check's per-modulus setup runs before the modulus's residues, so
+    # agreement's pair gate answers before determinant walks any x of 11.
+    def unwalkable(x, m):
+        raise AssertionError(f"walked {x} mod {m} for a refused modulus")
+
+    monkeypatch.setattr(harness, "descent_steps", unwalkable)
+    with pytest.raises(CeilingExceeded) as exc:
+        run_checks(SweepConfig(11, 11, checks=("determinant", "agreement"), ceiling=10))
+    assert str(exc.value) == (
+        "pair-minimality check: modulus 11 exceeds the ceiling 10; "
+        "raise the ceiling explicitly to proceed"
+    )
+
+
+def _durationless(reports):
+    return [dataclasses.replace(r, duration=0.0) for r in reports]
+
+
+def test_one_sweep_of_every_check_matches_one_sweep_per_check(monkeypatch):
+    # The five checks share each residue's walk and prefix minima, built
+    # once per residue, and report what five separate sweeps report.
+    config = {"random_pairs_per_m": 8, "seed": 3}
+    singles = [_check(name, 2, 40, **config) for name in CHECK_NAMES]
+    pooled = run_checks(SweepConfig(2, 40, parallelism=2, **config))
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(harness, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("descent_steps", "brute_prefix_minima"):
+        monkeypatch.setattr(harness, name, counted(name))
+    serial = run_checks(SweepConfig(2, 40, **config))
+    residues = sum(range(2, 41))
+    assert calls == {"descent_steps": residues, "brute_prefix_minima": residues}
+    assert _durationless(serial) == _durationless(pooled) == _durationless(singles)
 
 
 def test_parallel_sweep_matches_serial():
     serial = run_checks(SweepConfig(2, 40, parallelism=1))
     parallel = run_checks(SweepConfig(2, 40, parallelism=3))
-    for a, b in zip(serial, parallel):
-        assert dataclasses.replace(a, duration=0.0) == dataclasses.replace(b, duration=0.0)
+    assert _durationless(serial) == _durationless(parallel)
 
 
 def test_agreement_random_pairs_are_seed_deterministic():

@@ -135,10 +135,12 @@ def test_is_minimal_pair_rejects_out_of_class_denominators():
 def test_is_minimal_pair_matches_the_oracle_on_every_in_class_pair():
     # Every representing pair with a negative denominator in 0..M-1 and a
     # positive one in 1..M, for every residue of every M <= 24.  Each route
-    # gives its wrapper's verdict on the same four integers.
+    # gives its wrapper's verdict on the same four integers; the fourth
+    # reads it off the residue's prefix minima, as the agreement check does.
     for m in range(2, 25):
         for x in range(m):
             r = Residue(x, m)
+            neg, pos = brute_prefix_minima(r)
             for nd in range(m):
                 nn = (x * nd) % m - m
                 for pd in range(1, m + 1):
@@ -148,6 +150,8 @@ def test_is_minimal_pair_matches_the_oracle_on_every_in_class_pair():
                     assert fast == brute_pair_minimal(p, r), (p, r)
                     assert fast == pair_minimal(x, m, nn, nd, pn, pd), (p, r)
                     assert fast == brute_pair_scan(x, m, nn, nd, pn, pd), (p, r)
+                    threshold = pn - nn
+                    assert fast == (neg[nd] >= threshold and pos[pd] >= threshold), (p, r)
 
 
 # The acceptance input: the secp256k1 field prime and the first 77 decimal
@@ -284,4 +288,4 @@ def test_run_length_paths_match_step_scans_up_to_256_bits(data):
     assume(_euclid_steps(x, m) <= 10**5)  # keeps the step scans bounded
     r = Residue(x, m)
     assert minimum_fraction(r) == _scan_minimum(descent_steps(x, m))
-    assert sqrt_bound_witness(r) == _step_witness(r)
+    assert sqrt_bound_witness(r) == _step_witness(r, descent_steps(x, m))
