@@ -26,7 +26,7 @@ _HOMES = {
     ),
     "oracle": (
         "CEILING_ENV_VAR", "DEFAULT_ENUMERATION_CEILING", "DEFAULT_PAIR_CHECK_CEILING",
-        "brute_minimum", "brute_pair_minimal", "brute_prefix_minima", "enumerate_class",
+        "brute_minimum", "brute_pair_minimal", "brute_prefix_scan", "enumerate_class",
     ),
     "residues": (
         "Fraction", "FractionPair", "Residue", "ResidueClass", "check_modulus", "represents",

@@ -15,15 +15,17 @@ every requested check at once, and the only place that builds Counterexample
 and Anomaly records; a replay reads `minfrac trace --modulus M --x X`, or
 `minfrac repr ...` for the agreement check's minimum mismatch.  Per residue
 it does the shared work once: steps is the residue's step walk, a list when
-a check reads all of it, and minima is the oracle's brute_prefix_minima when
-minimality or agreement is requested, else None.  _CHECKS gives each check's
-function, its setup, whether it reads the prefix minima (only then are the
-brute-force ceilings resolved, once per sweep, so workers get plain
-integers) and whether it reads the whole walk.
+a check reads all of it, and minima is the oracle's one scan of the residue,
+brute_prefix_scan's (neg, pos, minimum), when minimality or agreement is
+requested, else None.  _CHECKS gives each check's function, its setup,
+whether it reads the scan (only then is the pair-check ceiling resolved,
+once per sweep, so workers get a plain integer) and whether it reads the
+whole walk.
 
 minimum_fraction and sqrt_bound_witness walk the descent by runs; the
 agreement and sqrt_bound checks compare them with scans of the step walk,
-kept here as their slow twins, as well as with the oracle and the bound.
+kept here as their slow twins, as well as with the oracle and the bound:
+agreement takes the oracle's enumerated minimum from the same scan.
 The agreement check also holds each modulus's minimum_table, the sieve
 behind `minfrac table`, to the same minima: the sieve is two int lists,
 numerators and denominators indexed by x, and its x = 0 entry (0/1) is
@@ -57,19 +59,18 @@ from .descent import RawStep, descent_steps, run_descent
 from .errors import InvariantError
 from .minimality import minimum_fraction, minimum_table, pair_minimal, sqrt_bound_witness
 from .oracle import (
-    DEFAULT_ENUMERATION_CEILING,
     DEFAULT_PAIR_CHECK_CEILING,
-    brute_minimum,
-    brute_prefix_minima,
+    brute_prefix_scan,
     check_pair_ceiling,
     resolve_ceiling,
 )
 from .residues import Fraction, FractionPair, Residue, ResidueClass, represents
 
 # Not called here: the benchmark's traced run wraps these harness attributes
-# by name (perfbench/tracing.py), so they stay until its spans follow the int routes.
+# by name (perfbench/tracing.py), so they stay until its spans follow the int
+# routes and the oracle scan.
 from .minimality import is_minimal_pair
-from .oracle import brute_pair_minimal
+from .oracle import brute_minimum, brute_pair_minimal
 
 # The progress check flags a trace of more than this many pairs per bit of M.
 TRACE_CAP_FACTOR = 10
@@ -177,15 +178,14 @@ class _Params(NamedTuple):
     seed: int
     random_pairs: int
     pair_ceiling: int
-    enumeration_ceiling: int
 
 
 # A check's outcome on one residue: its pass count, a (replay subcommand,
 # detail) pair per failure, and an anomaly's detail or None.
 _Outcome = tuple[int, Iterable[tuple[str, str]], str | None]
 
-# The oracle's prefix minima of one residue, (neg, pos), from brute_prefix_minima.
-_Minima = tuple[list[int], list[int]]
+# The oracle's scan of one residue, (neg, pos, minimum), from brute_prefix_scan.
+_Minima = tuple[list[int], list[int], Fraction]
 
 
 def _determinant(x: int, m: int, params: _Params, env: None,
@@ -254,7 +254,7 @@ def _sqrt_bound(x: int, m: int, params: _Params, env: None,
 def _minimality(x: int, m: int, params: _Params, env: None,
                 steps: list[RawStep], minima: _Minima) -> _Outcome:
     # One oracle scan per residue; each pair is then two lookups.
-    neg, pos = minima
+    neg, pos, _ = minima
     passes = 0
     bad = []
     for nn, nd, pn, pd, _ in steps:
@@ -294,7 +294,7 @@ def _agreement_setup(m: int, params: _Params) -> tuple[tuple[list[int], list[int
     """The modulus's sieve (numerators and denominators by x), and its random
     pairs grouped by x as (neg.n, neg.d, pos.n, pos.d, None), the shape of a
     trace step."""
-    # The prefix minima that judge every pair are gated per residue; the
+    # The oracle scan that judges every pair is gated per residue; the
     # gate is held here too, before the sieve is built, so a refused
     # modulus costs nothing.
     check_pair_ceiling(m, params.pair_ceiling)
@@ -317,14 +317,13 @@ def _agreement_setup(m: int, params: _Params) -> tuple[tuple[list[int], list[int
 def _agreement(x: int, m: int, params: _Params, env: tuple[tuple, dict],
                steps: list[RawStep], minima: _Minima) -> _Outcome:
     (numerators, denominators), random_pairs = env
-    neg, pos = minima
+    neg, pos, slow_min = minima
     r = Residue(x, m)
     passes = 0
     bad = []
     sieve_n, sieve_d = numerators[x], denominators[x]
     run_min = minimum_fraction(r)
     step_min = _scan_minimum(steps)
-    slow_min = brute_minimum(r, ceiling=params.enumeration_ceiling)
     if run_min == step_min == slow_min and sieve_n == run_min.n and sieve_d == run_min.d:
         passes += 1
     else:
@@ -344,7 +343,7 @@ def _agreement(x: int, m: int, params: _Params, env: tuple[tuple, dict],
 
 
 # check: (per-residue function, per-modulus setup or None, reads the oracle's
-# prefix minima, reads the whole walk)
+# scan, reads the whole walk)
 _CHECKS = {
     "determinant": (_determinant, None, False, True),
     "minimality": (_minimality, None, True, True),
@@ -373,7 +372,7 @@ def _chunk_worker(task: tuple[tuple[str, ...], range, _Params]) -> list[list]:
             start = now()
             minima = None
             if scan_part is not None:
-                minima = brute_prefix_minima(Residue(x, m), params.pair_ceiling)
+                minima = brute_prefix_scan(Residue(x, m), params.pair_ceiling)
                 end = now()
                 scan_part[3] += end - start
                 start = end
@@ -398,22 +397,22 @@ def run_checks(config: SweepConfig) -> tuple[VerificationReport, ...]:
     """Run every requested check over the configured range in one sweep.
 
     Reports come one per check, in canonical order.  Each residue's walk,
-    and its prefix minima when minimality or agreement is requested, are
-    built once and read by every check.  A report's duration is the time
-    spent in its own check's calls (per-modulus setup and per-residue
-    function), summed over workers, with shared work charged to the first
-    requested check that reads it: the walk to the first check, the prefix
-    minima to minimality, else agreement.
+    and, when minimality or agreement is requested, its one oracle scan
+    (prefix minima and enumerated minimum, brute_prefix_scan), are built
+    once and read by every check.  A report's duration is the time spent in
+    its own check's calls (per-modulus setup and per-residue function),
+    summed over workers, with shared work charged to the first requested
+    check that reads it: the walk to the first check, the oracle scan to
+    minimality, else agreement.
     """
     # More workers than CPUs or moduli only adds processes; the merged
     # report does not depend on the split.
     workers = min(config.parallelism, os.cpu_count() or 1, config.m_max - config.m_min + 1)
-    pair_ceiling = enumeration_ceiling = 0
+    pair_ceiling = 0
     if any(_CHECKS[check][2] for check in config.checks):
         # $MINFRAC_CEILING is read here, once, not on every oracle call.
         pair_ceiling = resolve_ceiling(config.ceiling, DEFAULT_PAIR_CHECK_CEILING)
-        enumeration_ceiling = resolve_ceiling(config.ceiling, DEFAULT_ENUMERATION_CEILING)
-    params = _Params(config.seed, config.random_pairs_per_m, pair_ceiling, enumeration_ceiling)
+    params = _Params(config.seed, config.random_pairs_per_m, pair_ceiling)
     # Lazy ranges, striped: a typo'd --m-max allocates nothing before the checks run.
     tasks = [(config.checks, range(config.m_min + i, config.m_max + 1, workers), params)
              for i in range(workers)]

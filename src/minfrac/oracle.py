@@ -80,6 +80,9 @@ def brute_minimum(r: Residue, ceiling: int | None = None) -> Fraction:
     before its positive one, so every tie on the maximum coefficient goes to
     the later candidate through the denominator or the class tie-break:
     none of the order is left to the scan.
+    Only `minfrac table --cross-check` calls it: `verify` reads the same
+    minimum off brute_prefix_scan, a different scan that the tests hold to
+    this one.
     """
     check_ceiling(r.m, ceiling, DEFAULT_ENUMERATION_CEILING, "minimum enumeration: modulus")
     x, m = r.x, r.m
@@ -138,22 +141,38 @@ def brute_pair_scan(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: i
     return True
 
 
-def brute_prefix_minima(r: Residue, ceiling: int | None = None) -> tuple[list[int], list[int]]:
-    """Running minima of both classes' residue magnitudes, from one scan.
+def brute_prefix_scan(
+    r: Residue, ceiling: int | None = None
+) -> tuple[list[int], list[int], Fraction]:
+    """Both classes' running minima and the criterion-minimal representation, from one scan.
 
-    Returns (neg, pos): neg[D] is the smallest |negative residue| over
-    0 <= d < D, and pos[D] the smallest positive residue over 1 <= d < D,
-    for every denominator D a pair can carry (0..M).  An empty range reads
-    2M, above every pair threshold |neg.n| + |pos.n| < 2M.  A pair is
-    minimal iff neg[neg.d] and pos[pos.d] are both at least its threshold:
-    the same definition brute_pair_minimal evaluates, with the scan over
-    d shared by every pair of one residue.  Gated by the pair-check ceiling.
+    Returns (neg, pos, minimum).  neg[D] is the smallest |negative residue|
+    over 0 <= d < D, and pos[D] the smallest positive residue over
+    1 <= d < D, for every denominator D a pair can carry (0..M).  An empty
+    range reads 2M, above every pair threshold |neg.n| + |pos.n| < 2M.  A
+    pair is minimal iff neg[neg.d] and pos[pos.d] are both at least its
+    threshold: the same definition brute_pair_minimal evaluates, with the
+    scan over d shared by every pair of one residue.  minimum is the
+    representation brute_minimum finds.  Gated by the pair-check ceiling.
 
-    One pass is enough because a prefix minimum only needs the minimum one
-    denominator earlier: the scan recomputes x*d % M for d = 0..M-1 and
-    writes each class's running minimum to slot d + 1, so it costs O(M) per
-    residue with no intermediate list.  d = 0 has residue 0, the negative
+    The scan recomputes x*d % M for d = 1..M-1, upwards, and writes each
+    class's running minimum to slot d + 1, so it costs O(M) per residue
+    with no intermediate list.  d = 0 has residue 0, the negative
     candidate -M/0 of magnitude M; the positive class starts at d = 1.
+
+    The minimum is compared only at records: denominators whose residue
+    magnitude sets a new running minimum of their class.  Lemma: a
+    non-record d loses to the earlier record d' < d of its class that holds
+    the running minimum.  d' has a magnitude no larger than d's, so
+    max(|n'|, d') <= max(|n|, d): d loses on the max coefficient or, on a
+    tie, strictly on the denominator.  So only records can win.  (That record is no candidate only when it is the negative
+    class's d = 0; then d's candidate is -M/d, and the positive 0/d at the
+    same d has the smaller max d < M.)
+    Order: the scan starts from best = 0/M with max M, the positive
+    candidate at d = M, and replaces it only on a strict <.  Because the
+    scan runs upward, a tie on the max goes to the smaller d, tested first.
+    At a shared d the positive candidate is tested before the negative one,
+    so it wins the class tie.  x/1 has max below M, so 0/M never stands.
     """
     check_pair_ceiling(r.m, ceiling)
     x, m = r.x, r.m
@@ -162,12 +181,20 @@ def brute_prefix_minima(r: Residue, ceiling: int | None = None) -> tuple[list[in
     pos = [empty] * (m + 1)
     low_neg = neg[1] = m  # d = 0
     low_pos = empty
+    best_n, best_d, best_max = 0, m, m
     for d in range(1, m):
         rp = x * d % m
         if rp < low_pos:
             low_pos = rp
-        if m - rp < low_neg:
-            low_neg = m - rp
+            maxc = rp if rp > d else d
+            if maxc < best_max:
+                best_n, best_d, best_max = rp, d, maxc
+        a = m - rp  # the negative candidate, rp - M
+        if a < low_neg:
+            low_neg = a
+            maxc = a if a > d else d
+            if maxc < best_max:
+                best_n, best_d, best_max = -a, d, maxc
         neg[d + 1] = low_neg
         pos[d + 1] = low_pos
-    return neg, pos
+    return neg, pos, Fraction(best_n, best_d)

@@ -275,23 +275,44 @@ def test_agreement_reports_a_planted_oracle_verdict(monkeypatch):
     # (-3/2, 4/3), the walk's only pair with positive denominator 3: the
     # oracle then calls that pair, and no other, non-minimal.  Every residue
     # in the range is scanned, once.
-    real = harness.brute_prefix_minima
+    real = harness.brute_prefix_scan
     scanned = []
 
     def planted(r, ceiling=None):
         scanned.append((r.x, r.m))
-        neg, pos = real(r, ceiling)
+        neg, pos, minimum = real(r, ceiling)
         if (r.x, r.m) == (7, 17):
             pos[3] = 0
-        return neg, pos
+        return neg, pos, minimum
 
     base = _check("agreement", 2, 30)
-    monkeypatch.setattr(harness, "brute_prefix_minima", planted)
+    monkeypatch.setattr(harness, "brute_prefix_scan", planted)
     report = _check("agreement", 2, 30)
     assert scanned == [(x, m) for m in range(2, 31) for x in range(m)]
     _assert_one_pair_counterexample(
         base, report, "is_minimal_pair says True but the exhaustive scan says False"
     )
+
+
+def test_agreement_reports_a_planted_enumerated_minimum(monkeypatch):
+    # Replace the oracle scan's minimum for 7 mod 17, -3/2, by 4/3, which
+    # represents 7 too: that residue's minimum comparison, and nothing
+    # else, fails, with a replay through `repr`.
+    real = harness.brute_prefix_scan
+
+    def planted(r, ceiling=None):
+        neg, pos, minimum = real(r, ceiling)
+        return neg, pos, Fraction(4, 3) if (r.x, r.m) == (7, 17) else minimum
+
+    base = _check("agreement", 2, 30)
+    monkeypatch.setattr(harness, "brute_prefix_scan", planted)
+    report = _check("agreement", 2, 30)
+    assert report.passes == base.passes - 1
+    (ce,) = report.counterexamples
+    assert (ce.m, ce.x) == (17, 7)
+    assert ce.detail == ("sieve minimum -3/2, run minimum -3/2, step minimum -3/2 "
+                         "and enumerated minimum 4/3 differ")
+    assert ce.replay == "minfrac repr --modulus 17 --x 7"
 
 
 def test_progress_flags_long_traces_as_anomalies():
@@ -348,8 +369,9 @@ def _durationless(reports):
 
 
 def test_one_sweep_of_every_check_matches_one_sweep_per_check(monkeypatch):
-    # The five checks share each residue's walk and prefix minima, built
-    # once per residue, and report what five separate sweeps report.
+    # The five checks share each residue's walk and oracle scan, built
+    # once per residue, and report what five separate sweeps report; the
+    # enumerated minimum comes from that scan, not from brute_minimum.
     config = {"random_pairs_per_m": 8, "seed": 3}
     singles = [_check(name, 2, 40, **config) for name in CHECK_NAMES]
     pooled = run_checks(SweepConfig(2, 40, parallelism=2, **config))
@@ -364,11 +386,12 @@ def test_one_sweep_of_every_check_matches_one_sweep_per_check(monkeypatch):
 
         return wrapper
 
-    for name in ("descent_steps", "brute_prefix_minima"):
+    for name in ("descent_steps", "brute_prefix_scan", "brute_minimum"):
         monkeypatch.setattr(harness, name, counted(name))
     serial = run_checks(SweepConfig(2, 40, **config))
     residues = sum(range(2, 41))
-    assert calls == {"descent_steps": residues, "brute_prefix_minima": residues}
+    assert calls == {"descent_steps": residues, "brute_prefix_scan": residues}
+    assert calls["brute_minimum"] == 0
     assert _durationless(serial) == _durationless(pooled) == _durationless(singles)
 
 

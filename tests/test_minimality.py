@@ -14,7 +14,7 @@ from minfrac.minimality import (
     pair_minimal,
     sqrt_bound_witness,
 )
-from minfrac.oracle import brute_minimum, brute_pair_minimal, brute_pair_scan, brute_prefix_minima
+from minfrac.oracle import brute_minimum, brute_pair_minimal, brute_pair_scan, brute_prefix_scan
 from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, represents
 
 
@@ -140,7 +140,7 @@ def test_is_minimal_pair_matches_the_oracle_on_every_in_class_pair():
     for m in range(2, 25):
         for x in range(m):
             r = Residue(x, m)
-            neg, pos = brute_prefix_minima(r)
+            neg, pos, _ = brute_prefix_scan(r)
             for nd in range(m):
                 nn = (x * nd) % m - m
                 for pd in range(1, m + 1):
@@ -216,14 +216,14 @@ def test_sqrt_bound_witness_small_moduli_exhaustive():
             assert represents(r, w)
 
 
-def _class_minimal(f, prefix_minima):
+def _class_minimal(f, scan):
     """n/d is per-class minimal iff its class's prefix minimum at d is >= |n|."""
-    neg, pos = prefix_minima
+    neg, pos, _ = scan
     return (neg if f.n < 0 else pos)[f.d] >= abs(f.n)
 
 
 def test_is_minimal_in_class():
-    minima = brute_prefix_minima(Residue(7, 17))
+    minima = brute_prefix_scan(Residue(7, 17))
     assert _class_minimal(Fraction(4, 3), minima)  # positive residues 7, 14 before d = 3
     assert _class_minimal(Fraction(-3, 2), minima)  # negative magnitudes 17, 10 before d = 2
     # the positive prefix minimum at d = 4 is 4 (from 4/3), below 11
@@ -236,7 +236,7 @@ def test_trace_fractions_are_class_minimal():
     for m in (2, 3, 17, 60, 97):
         for x in range(m):
             r = Residue(x, m)
-            minima = brute_prefix_minima(r)
+            minima = brute_prefix_scan(r)
             for p in run_descent(r).pairs:
                 assert _class_minimal(p.neg, minima)
                 assert _class_minimal(p.pos, minima)

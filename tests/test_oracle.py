@@ -1,5 +1,7 @@
 """Tests for the brute-force oracle and its ceilings."""
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from minfrac.oracle import (
     brute_minimum,
     brute_pair_minimal,
     brute_pair_scan,
-    brute_prefix_minima,
+    brute_prefix_scan,
     enumerate_class,
 )
 from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, represents
@@ -136,33 +138,38 @@ def test_pair_check_ceiling(monkeypatch):
     assert brute_pair_minimal(p, r, ceiling=m)
 
 
-def test_brute_prefix_minima_example():
+def test_brute_prefix_scan_example():
     # |negative residues| of 7 mod 17 for d = 0..16: 17 10 3 13 6 16 9 2 12 5 ...;
     # positive residues for d = 1..16: 7 14 4 11 1 ...; an empty range reads 2M
-    neg, pos = brute_prefix_minima(Residue(7, 17))
+    neg, pos, minimum = brute_prefix_scan(Residue(7, 17))
     assert neg == [34, 17, 10] + [3] * 5 + [2] * 5 + [1] * 5
     assert pos == [34, 34, 7, 7, 4, 4] + [1] * 12
+    assert minimum == Fraction(-3, 2)
 
 
-def test_brute_prefix_minima_matches_the_definition():
-    # Every x mod M for M <= 40, entry by entry against the definition.
-    for m in range(2, 41):
+def test_brute_prefix_scan_matches_the_definitions():
+    # Every x mod M for M <= 300: slot D of each class holds the minimum
+    # magnitude over the class's denominators below D (2M when there are
+    # none), and the minimum is the one the downward scan finds.
+    for m in range(2, 301):
+        empty = 2 * m
         for x in range(m):
-            neg, pos = brute_prefix_minima(Residue(x, m))
-            assert len(neg) == len(pos) == m + 1
-            for bound in range(m + 1):
-                assert neg[bound] == min((m - x * d % m for d in range(bound)), default=2 * m)
-                assert pos[bound] == min((x * d % m for d in range(1, bound)), default=2 * m)
+            r = Residue(x, m)
+            neg, pos, minimum = brute_prefix_scan(r)
+            assert neg == list(accumulate((m - x * d % m for d in range(m)), min, initial=empty))
+            assert pos == [empty, *accumulate((x * d % m for d in range(1, m)), min, initial=empty)]
+            assert minimum == brute_minimum(r), r
 
 
 def test_prefix_minima_ceiling(monkeypatch):
     monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
     m = DEFAULT_PAIR_CHECK_CEILING + 1
     with pytest.raises(CeilingExceeded) as exc:
-        brute_prefix_minima(Residue(1, m))
+        brute_prefix_scan(Residue(1, m))
     assert str(exc.value).startswith(f"pair-minimality check: modulus {m} exceeds")
-    neg, pos = brute_prefix_minima(Residue(1, m), ceiling=m)
+    neg, pos, minimum = brute_prefix_scan(Residue(1, m), ceiling=m)
     assert len(neg) == len(pos) == m + 1
+    assert minimum == Fraction(1, 1)
 
 
 @given(st.data())
@@ -180,7 +187,7 @@ def test_prefix_minima_verdict_matches_brute_pair_minimal(data):
         nd = data.draw(st.integers(0, m - 1))
         pd = data.draw(st.integers(1, m))
         p = _pair(x * nd % m - m, nd, x * pd % m, pd)
-    neg, pos = brute_prefix_minima(r)
+    neg, pos, _ = brute_prefix_scan(r)
     threshold = p.pos.n - p.neg.n
     verdict = neg[p.neg.d] >= threshold and pos[p.pos.d] >= threshold
     assert verdict == brute_pair_minimal(p, r)
@@ -227,11 +234,13 @@ def test_oracle_lists_are_representations(data):
 def test_brute_minimum_is_a_minimal_representation():
     # The whole criterion, not just the max coefficient: a broken tie-break
     # on the denominator or on the class changes some residue's minimum.
-    # The step scan, minimum_fraction's slow twin, is held to it too.
+    # The step scan, minimum_fraction's slow twin, and the oracle's upward
+    # records scan, which leaves the tie-breaks to its order, are held to it too.
     for m in range(2, 101):
         for x in range(m):
             r = Residue(x, m)
             candidates = [f for cls in ResidueClass for f in enumerate_class(r, cls) if f.d >= 1]
             expected = min(candidates, key=criterion_key)
             assert brute_minimum(r) == expected, r
+            assert brute_prefix_scan(r)[2] == expected, r
             assert _scan_minimum(descent_steps(x, m)) == expected, r
