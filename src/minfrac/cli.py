@@ -38,8 +38,8 @@ from .check_names import CHECK_NAMES
 from .descent import descent_runs, descent_steps, run_descent  # noqa: F401
 from .errors import CeilingExceeded, InvariantError
 from .minimality import minimum_fraction, minimum_table, sqrt_bound_witness
-from .oracle import DEFAULT_ENUMERATION_CEILING, brute_minimum, check_ceiling
-from .residues import Fraction, Residue, check_modulus, represents
+from .oracle import DEFAULT_ENUMERATION_CEILING, brute_minimum, check_ceiling, enumerate_class
+from .residues import Fraction, Residue, ResidueClass, check_modulus, represents
 
 _EXIT_CODES = """\
 exit codes:
@@ -60,12 +60,8 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
-def render_fraction(f: Fraction) -> str:
-    """Fraction as text; d = 1 prints as a plain integer."""
-    return _ratio(f.n, f.d)
-
-
 def _ratio(n: int, d: int) -> str:
+    """A fraction as text; d = 1 prints as a plain integer."""
     return str(n) if d == 1 else f"{n}/{d}"
 
 
@@ -150,22 +146,19 @@ def _cmd_repr(args: argparse.Namespace) -> int:
         fractions = {"fractions": [(f.n, f.d) for f in (minimum, witness)]}
         _write_listing("json", {"modulus": m, "x": r.x}, fractions, _FRACTION_ENTRY, None)
     else:
-        print(render_fraction(minimum))
-        print(f"witness: {render_fraction(witness)}")
+        print(_ratio(minimum.n, minimum.d))
+        print(f"witness: {_ratio(witness.n, witness.d)}")
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     m = args.modulus
-    x = _reduce_x(args.x, m)
-    check_ceiling(m, args.ceiling_override, DEFAULT_ENUMERATION_CEILING,
-                  "class enumeration: modulus")
-    # One representation per denominator: 1..M positive, 0..M-1 negative.
-    lists = {"positive": ((x * d % m, d) for d in range(1, m + 1)),
-             "negative": ((x * d % m - m, d) for d in range(m))}
+    r = Residue(_reduce_x(args.x, m), m)
+    # Both streams are built, and so both gated, before anything is written.
+    lists = {c.value: enumerate_class(r, c, args.ceiling_override) for c in ResidueClass}
     if args.residue_class != "both":
         lists = {"fractions": lists[args.residue_class]}
-    _write_listing(args.format, {"modulus": m, "x": x, "class": args.residue_class}, lists,
+    _write_listing(args.format, {"modulus": m, "x": r.x, "class": args.residue_class}, lists,
                    _FRACTION_ENTRY, "%d/%d")
     return 0
 

@@ -54,25 +54,28 @@ def descent_steps(x: int, m: int) -> Iterator[RawStep]:
 def descent_runs(x: int, m: int) -> Iterator[tuple[int, int, int, int, ResidueClass, int]]:
     """The descent walk grouped into runs of same-side replacements.
 
-    Yields (neg_n, neg_d, pos_n, pos_d, replaced, k): the pair at the start
-    of a run, the side the run replaces and its length k >= 1.  Step j of
-    the run (1 <= j <= k) turns the replaced side a into a + j*b, where b is
-    the other side, so the walk's pair count is 1 + the sum of the k.  Runs
-    alternate sides; the terminal pair is not yielded.  Requires 0 <= x < m.
+    Yields (|a.n|, a.d, |b.n|, b.d, replaced, k) for each run: a is the
+    side the run replaces and b the other side, both as they stand at the
+    run's start, with numerators as magnitudes; k >= 1 is the run's length.
+    Step j of the run (1 <= j <= k) turns a into a + j*b, so its numerator
+    magnitude is |a.n| - j*|b.n| and its denominator a.d + j*b.d, and the
+    walk's pair count is 1 + the sum of the k.  Runs alternate sides; the
+    terminal pair is not yielded.  Requires 0 <= x < m.
     """
     if not 0 <= x < m:
         raise ValueError(f"residue {x} out of range [0, {m})")
-    nn, nd, pn, pd = -m, 0, x, 1
-    while pn != 0:
-        if -nn > pn:
-            k = (-nn - 1) // pn  # largest k with -(nn + (k-1)*pn) > pn
-            yield nn, nd, pn, pd, ResidueClass.NEGATIVE, k
-            nn += k * pn
+    neg, pos = ResidueClass.NEGATIVE, ResidueClass.POSITIVE
+    nm, nd, pn, pd = m, 0, x, 1  # nm = |neg.n|
+    while pn:
+        if nm > pn:
+            k = (nm - 1) // pn  # largest k with nm - (k-1)*pn > pn
+            yield nm, nd, pn, pd, neg, k
+            nm -= k * pn
             nd += k * pd
         else:
-            k = pn // -nn  # largest k with pn + (k-1)*nn >= -nn, ties included
-            yield nn, nd, pn, pd, ResidueClass.POSITIVE, k
-            pn += k * nn
+            k = pn // nm  # largest k with pn - (k-1)*nm >= nm, ties included
+            yield pn, pd, nm, nd, pos, k
+            pn -= k * nm
             pd += k * nd
 
 

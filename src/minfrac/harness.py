@@ -7,20 +7,21 @@ invariant.  Anomalies (currently only traces of more than TRACE_CAP_FACTOR
 pairs per bit of M) are flagged for inspection but never fail a report,
 because termination carries no stated step bound.
 
-A check is a function of one residue, check(x, m, params, env, steps, minima).
-It returns its pass count, one (replay subcommand, detail) pair per failure,
-and an anomaly's detail or None; env is what the check's per-modulus setup
-built, or None.  _chunk_worker is the one loop over moduli and residues, for
-every requested check at once, and the only place that builds Counterexample
-and Anomaly records; a replay reads `minfrac trace --modulus M --x X`, or
-`minfrac repr ...` for the agreement check's minimum mismatch.  Per residue
-it does the shared work once: steps is the residue's step walk, a list when
-a check reads all of it, and minima is the oracle's one scan of the residue,
-brute_prefix_scan's (neg, pos, minimum), when minimality or agreement is
-requested, else None.  _CHECKS gives each check's function, its setup,
-whether it reads the scan (only then is the pair-check ceiling resolved,
-once per sweep, so workers get a plain integer) and whether it reads the
-whole walk.
+A check is a function of one residue, check(x, m, config, env, steps, minima).
+config is the sweep's SweepConfig, the one object a worker is handed.  A
+check returns its pass count, one (replay subcommand, detail) pair per
+failure, and an anomaly's detail or None; env is what the check's
+per-modulus setup built, or None.  _chunk_worker is the one loop over
+moduli and residues, for every requested check at once, and the only place
+that builds Counterexample and Anomaly records; a replay reads `minfrac
+trace --modulus M --x X`, or `minfrac repr ...` for the agreement check's
+minimum mismatch.  Per residue it does the shared work once: steps is the
+residue's step walk, a list when a check reads all of it, and minima is the
+oracle's one scan of the residue, brute_prefix_scan's (neg, pos, minimum),
+when minimality or agreement is requested, else None.  _CHECKS gives each
+check's function, its setup, whether it reads the scan (only then is the
+pair-check ceiling resolved, once per sweep, into the config's ceiling, so
+workers get a plain integer) and whether it reads the whole walk.
 
 minimum_fraction and sqrt_bound_witness walk the descent by runs; the
 agreement and sqrt_bound checks compare them with scans of the step walk,
@@ -51,11 +52,10 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 from .check_names import CHECK_NAMES
-from .descent import RawStep, descent_steps, run_descent
+from .descent import RawStep, descent_steps
 from .errors import InvariantError
 from .minimality import minimum_fraction, minimum_table, pair_minimal, sqrt_bound_witness
 from .oracle import (
@@ -64,11 +64,12 @@ from .oracle import (
     check_pair_ceiling,
     resolve_ceiling,
 )
-from .residues import Fraction, FractionPair, Residue, ResidueClass, represents
+from .residues import Fraction, Residue, ResidueClass, represents
 
 # Not called here: the benchmark's traced run wraps these harness attributes
 # by name (perfbench/tracing.py), so they stay until its spans follow the int
 # routes and the oracle scan.
+from .descent import run_descent
 from .minimality import is_minimal_pair
 from .oracle import brute_minimum, brute_pair_minimal
 
@@ -172,14 +173,6 @@ class VerificationReport:
         return line + f" ({self.duration:.2f}s)"
 
 
-class _Params(NamedTuple):
-    """What the per-residue checks read from a config, ceilings resolved."""
-
-    seed: int
-    random_pairs: int
-    pair_ceiling: int
-
-
 # A check's outcome on one residue: its pass count, a (replay subcommand,
 # detail) pair per failure, and an anomaly's detail or None.
 _Outcome = tuple[int, Iterable[tuple[str, str]], str | None]
@@ -188,7 +181,7 @@ _Outcome = tuple[int, Iterable[tuple[str, str]], str | None]
 _Minima = tuple[list[int], list[int], Fraction]
 
 
-def _determinant(x: int, m: int, params: _Params, env: None,
+def _determinant(x: int, m: int, config: SweepConfig, env: None,
                  steps: list[RawStep], minima: _Minima | None) -> _Outcome:
     passes = 0
     bad = []
@@ -230,7 +223,7 @@ def _step_witness(r: Residue, steps: Iterable[RawStep]) -> Fraction:
     raise InvariantError(f"the step walk finds no sqrt-bounded representation for {r}")
 
 
-def _sqrt_bound(x: int, m: int, params: _Params, env: None,
+def _sqrt_bound(x: int, m: int, config: SweepConfig, env: None,
                 steps: Iterable[RawStep], minima: _Minima | None) -> _Outcome:
     # steps may be the lazy walk: the step witness stops at its first hit.
     r = Residue(x, m)
@@ -238,7 +231,7 @@ def _sqrt_bound(x: int, m: int, params: _Params, env: None,
         witness = sqrt_bound_witness(r)
         step_witness = _step_witness(r, steps)
     except InvariantError:
-        trace = ", ".join(str(p) for p in run_descent(r).pairs)
+        trace = ", ".join(f"({nn}/{nd}, {pn}/{pd})" for nn, nd, pn, pd, _ in descent_steps(x, m))
         detail = f"no representation with n^2 <= {m} and d^2 <= {m}; trace: {trace}"
     else:
         n, d = witness.n, witness.d
@@ -251,7 +244,7 @@ def _sqrt_bound(x: int, m: int, params: _Params, env: None,
     return 0, [("trace", detail)], None
 
 
-def _minimality(x: int, m: int, params: _Params, env: None,
+def _minimality(x: int, m: int, config: SweepConfig, env: None,
                 steps: list[RawStep], minima: _Minima) -> _Outcome:
     # One oracle scan per residue; each pair is then two lookups.
     neg, pos, _ = minima
@@ -266,7 +259,7 @@ def _minimality(x: int, m: int, params: _Params, env: None,
     return passes, bad, None
 
 
-def _progress(x: int, m: int, params: _Params, env: None,
+def _progress(x: int, m: int, config: SweepConfig, env: None,
               steps: list[RawStep], minima: _Minima | None) -> _Outcome:
     passes = 0
     bad = []
@@ -290,23 +283,23 @@ def _progress(x: int, m: int, params: _Params, env: None,
     return passes, bad, f"{npairs} pairs exceeds cap {cap} ({TRACE_CAP_FACTOR} * bit_length)"
 
 
-def _agreement_setup(m: int, params: _Params) -> tuple[tuple[list[int], list[int]], dict]:
+def _agreement_setup(m: int, config: SweepConfig) -> tuple[tuple[list[int], list[int]], dict]:
     """The modulus's sieve (numerators and denominators by x), and its random
     pairs grouped by x as (neg.n, neg.d, pos.n, pos.d, None), the shape of a
     trace step."""
     # The oracle scan that judges every pair is gated per residue; the
     # gate is held here too, before the sieve is built, so a refused
     # modulus costs nothing.
-    check_pair_ceiling(m, params.pair_ceiling)
+    check_pair_ceiling(m, config.ceiling)
     sieve = minimum_table(m)
     # The random pairs are drawn up front, in the sample's order.
     random_pairs: dict[int, list[tuple[int, int, int, int, None]]] = {}
-    if params.random_pairs:
+    if config.random_pairs_per_m:
         import random
 
         # Seeded per modulus so the sample is independent of chunking.
-        rng = random.Random(f"{params.seed}:{m}")
-        for _ in range(params.random_pairs):
+        rng = random.Random(f"{config.seed}:{m}")
+        for _ in range(config.random_pairs_per_m):
             x = rng.randrange(m)
             nd = rng.randrange(0, m)
             pd = rng.randrange(1, m + 1)
@@ -314,7 +307,7 @@ def _agreement_setup(m: int, params: _Params) -> tuple[tuple[list[int], list[int
     return sieve, random_pairs
 
 
-def _agreement(x: int, m: int, params: _Params, env: tuple[tuple, dict],
+def _agreement(x: int, m: int, config: SweepConfig, env: tuple[tuple, dict],
                steps: list[RawStep], minima: _Minima) -> _Outcome:
     (numerators, denominators), random_pairs = env
     neg, pos, slow_min = minima
@@ -336,8 +329,8 @@ def _agreement(x: int, m: int, params: _Params, env: tuple[tuple, dict],
         if fast == slow:
             passes += 1
         else:
-            p = FractionPair(Fraction(nn, nd), Fraction(pn, pd))
-            detail = f"is_minimal_pair says {fast} but the exhaustive scan says {slow} for {p}"
+            detail = (f"is_minimal_pair says {fast} but the exhaustive scan says {slow} "
+                      f"for ({nn}/{nd}, {pn}/{pd})")
             bad.append(("trace", detail))
     return passes, bad, None
 
@@ -353,12 +346,12 @@ _CHECKS = {
 }
 
 
-def _chunk_worker(task: tuple[tuple[str, ...], range, _Params]) -> list[list]:
-    """One pass of the checks over the moduli ms: per check, [passes,
-    counterexamples, anomalies, seconds], timed as run_checks says."""
-    names, ms, params = task
-    checks = [_CHECKS[name] for name in names]
-    parts = [[0, [], [], 0.0] for _ in names]
+def _chunk_worker(task: tuple[SweepConfig, range]) -> list[list]:
+    """One pass of the config's checks over the moduli ms: per check,
+    [passes, counterexamples, anomalies, seconds], timed as run_checks says."""
+    config, ms = task
+    checks = [_CHECKS[name] for name in config.checks]
+    parts = [[0, [], [], 0.0] for _ in checks]
     scan_part = next((part for part, (_, _, scans, _) in zip(parts, checks) if scans), None)
     whole_walk = any(whole for *_, whole in checks)
     now = time.perf_counter
@@ -366,13 +359,13 @@ def _chunk_worker(task: tuple[tuple[str, ...], range, _Params]) -> list[list]:
         envs = []
         for part, (_, setup, _, _) in zip(parts, checks):
             start = now()
-            envs.append(setup(m, params) if setup else None)
+            envs.append(setup(m, config) if setup else None)
             part[3] += now() - start
         for x in range(m):
             start = now()
             minima = None
             if scan_part is not None:
-                minima = brute_prefix_scan(Residue(x, m), params.pair_ceiling)
+                minima = brute_prefix_scan(Residue(x, m), config.ceiling)
                 end = now()
                 scan_part[3] += end - start
                 start = end
@@ -380,7 +373,7 @@ def _chunk_worker(task: tuple[tuple[str, ...], range, _Params]) -> list[list]:
             if whole_walk:
                 steps = list(steps)
             for part, (check_x, *_), env in zip(parts, checks, envs):
-                ok, failures, anomaly = check_x(x, m, params, env, steps, minima)
+                ok, failures, anomaly = check_x(x, m, config, env, steps, minima)
                 part[0] += ok
                 for command, detail in failures:
                     replay = f"minfrac {command} --modulus {m} --x {x}"
@@ -408,14 +401,12 @@ def run_checks(config: SweepConfig) -> tuple[VerificationReport, ...]:
     # More workers than CPUs or moduli only adds processes; the merged
     # report does not depend on the split.
     workers = min(config.parallelism, os.cpu_count() or 1, config.m_max - config.m_min + 1)
-    pair_ceiling = 0
     if any(_CHECKS[check][2] for check in config.checks):
         # $MINFRAC_CEILING is read here, once, not on every oracle call.
-        pair_ceiling = resolve_ceiling(config.ceiling, DEFAULT_PAIR_CHECK_CEILING)
-    params = _Params(config.seed, config.random_pairs_per_m, pair_ceiling)
+        ceiling = resolve_ceiling(config.ceiling, DEFAULT_PAIR_CHECK_CEILING)
+        config = replace(config, ceiling=ceiling)
     # Lazy ranges, striped: a typo'd --m-max allocates nothing before the checks run.
-    tasks = [(config.checks, range(config.m_min + i, config.m_max + 1, workers), params)
-             for i in range(workers)]
+    tasks = [(config, range(config.m_min + i, config.m_max + 1, workers)) for i in range(workers)]
     if workers == 1:
         results = [_chunk_worker(tasks[0])]
     else:

@@ -60,7 +60,7 @@ def pair_minimal(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: int)
     below D.  In a run that turns a into a + j*b (j = 1..k) that fraction
     is at j = (D - 1 - a.d) // b.d, clamped to k.  Visited denominators rise
     along the whole walk, so it stops at the first run whose first mediant
-    is past both bounds.  The runs are those of descent_runs, walked inline:
+    is past both bounds.  It is the same loop as descent_runs, inlined:
     this is the harness's hot loop, and the generator would cost about as
     much as the walk.
     """
@@ -112,17 +112,14 @@ def minimum_fraction(r: Residue) -> Fraction:
     fraction's numerator, so distinct fractions have distinct keys.
     """
     x = r.x
-    best_key, best_n, best_d = (max(x, 1), 1, 0), x, 1
-    for nn, nd, pn, pd, side, k in descent_runs(x, r.m):
-        if side is ResidueClass.NEGATIVE:
-            an, ad, bn, bd, negative = -nn, nd, pn, pd, 1
-        else:
-            an, ad, bn, bd, negative = pn, pd, -nn, nd, 0
+    best_key, best_n, best_d = (max(x, 1), 1, False), x, 1
+    for an, ad, bn, bd, side, k in descent_runs(x, r.m):
         if ad + bd > best_key[0]:
             # Mediant denominators rise along the whole walk and bound the
             # key from below, so no later fraction can win.
             break
         c = (an - ad) // (bn + bd)
+        negative = side is ResidueClass.NEGATIVE
         for j in (1,) if c < 1 else (k,) if c >= k else (c, c + 1):
             n = an - j * bn
             d = ad + j * bd
@@ -149,14 +146,11 @@ def sqrt_bound_witness(r: Residue) -> Fraction:
     s = isqrt(m)
     if r.x <= s:
         return Fraction(r.x, 1)
-    for nn, nd, pn, pd, side, k in descent_runs(r.x, m):
-        if side is ResidueClass.NEGATIVE:
-            an, ad, bn, bd, sign = -nn, nd, pn, pd, -1
-        else:
-            an, ad, bn, bd, sign = pn, pd, -nn, nd, 1
+    for an, ad, bn, bd, side, k in descent_runs(r.x, m):
         j = max(1, -((s - an) // bn))  # smallest j with an - j*bn <= s
         if j <= k and ad + j * bd <= s:
-            return Fraction(sign * (an - j * bn), ad + j * bd)
+            n = an - j * bn
+            return Fraction(-n if side is ResidueClass.NEGATIVE else n, ad + j * bd)
     raise InvariantError(
         f"no sqrt-bounded representation found for {r}; "
         f"this falsifies the existence bound and should be reported"

@@ -8,13 +8,15 @@ helpers.
 
 Brute-force work is gated behind ceilings so a typo'd modulus cannot start
 an hours-long run by accident; exceeding a ceiling raises CeilingExceeded
-rather than silently proceeding.  The CLI's `trace` and `table` hold their
-pair and entry counts against the enumeration ceiling through the same gate.
+rather than silently proceeding.  The CLI's `enumerate` is enumerate_class;
+its `trace` and `table` hold their pair and entry counts against the
+enumeration ceiling through the same gate.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 
 from .errors import CeilingExceeded
 from .residues import Fraction, FractionPair, Residue, ResidueClass
@@ -57,17 +59,21 @@ def check_pair_ceiling(m: int, ceiling: int | None = None) -> None:
     check_ceiling(m, ceiling, DEFAULT_PAIR_CHECK_CEILING, "pair-minimality check: modulus")
 
 
-def enumerate_class(r: Residue, cls: ResidueClass, ceiling: int | None = None) -> list[Fraction]:
-    """Every class-c representation of r, one per denominator, in denominator order.
+def enumerate_class(
+    r: Residue, cls: ResidueClass, ceiling: int | None = None
+) -> Iterator[tuple[int, int]]:
+    """Every class-c representation of r as (n, d), one per denominator, in denominator order.
 
     Positive class: denominators 1..M; negative class: 0..M-1.  Either way
-    the list has exactly M entries.
+    the stream has exactly M entries.  The ceiling is checked here, at the
+    call, and the stream is lazy: `minfrac enumerate` writes it out entry
+    by entry, and a refused modulus writes nothing.
     """
     check_ceiling(r.m, ceiling, DEFAULT_ENUMERATION_CEILING, "class enumeration: modulus")
     x, m = r.x, r.m
     if cls is ResidueClass.POSITIVE:
-        return [Fraction((x * d) % m, d) for d in range(1, m + 1)]
-    return [Fraction((x * d) % m - m, d) for d in range(0, m)]
+        return ((x * d % m, d) for d in range(1, m + 1))
+    return ((x * d % m - m, d) for d in range(m))
 
 
 def brute_minimum(r: Residue, ceiling: int | None = None) -> Fraction:

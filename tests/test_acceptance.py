@@ -68,7 +68,7 @@ def _verdict(n: int, label: str, body) -> None:
 def test_criterion_01_positive_enumeration():
     def body():
         fractions = enumerate_class(Residue(7, 17), ResidueClass.POSITIVE)
-        assert ", ".join(str(f) for f in fractions) == POS_LIST_7_17
+        assert ", ".join(f"{n}/{d}" for n, d in fractions) == POS_LIST_7_17
 
     _verdict(1, "positive-class enumeration of 7 mod 17 matches exactly", body)
 
@@ -76,7 +76,7 @@ def test_criterion_01_positive_enumeration():
 def test_criterion_02_negative_enumeration():
     def body():
         fractions = enumerate_class(Residue(7, 17), ResidueClass.NEGATIVE)
-        assert ", ".join(str(f) for f in fractions) == NEG_LIST_7_17
+        assert ", ".join(f"{n}/{d}" for n, d in fractions) == NEG_LIST_7_17
 
     _verdict(2, "negative-class enumeration of 7 mod 17 matches exactly", body)
 

@@ -13,7 +13,7 @@ import pytest
 
 import minfrac.cli as cli
 import minfrac.harness as harness
-from minfrac.cli import main, render_fraction
+from minfrac.cli import _ratio, main
 from minfrac.descent import run_descent
 from minfrac.minimality import minimum_fraction, sqrt_bound_witness
 from minfrac.oracle import CEILING_ENV_VAR, enumerate_class
@@ -136,8 +136,14 @@ def test_enumerate_json(capsys):
 
 
 def test_enumerate_ceiling_exit_code(capsys):
-    code, _, err = run(capsys, "enumerate", "-m", str(10**6 + 1), "--x", "3")
-    assert code == 4
+    # A refused enumeration writes nothing: the gate is held before the
+    # listing starts, not when its stream is first read.
+    code, out, err = run(capsys, "enumerate", "-m", str(10**6 + 1), "--x", "3")
+    assert code == 4 and out == ""
+    assert "ceiling" in err
+    code, out, err = run(capsys, "enumerate", "-m", "11", "--x", "3", "--ceiling-override", "10",
+                         "--format", "json")
+    assert code == 4 and out == ""
     assert "ceiling" in err
     code, out, _ = run(capsys, "enumerate", "-m", "11", "--x", "3", "--class", "positive",
                        "--ceiling-override", "11")
@@ -226,11 +232,11 @@ def test_trace_json_is_laid_out_as_json_dumps(capsys):
 
 @pytest.mark.parametrize("m", [2, 17, 97])
 def test_enumerate_and_repr_are_laid_out_as_json_dumps(capsys, m):
-    # Both stream their lists; the oracle's enumerate_class and the library's
-    # fractions are the reference the CLI's own arithmetic is held to.
+    # Both stream their lists; their layout is held to json.dumps of the
+    # lists the library returns, enumerate_class's and the fractions'.
     for x in sorted({0, 1, 7 % m, m - 1}):
         r = Residue(x, m)
-        lists = {c.value: [{"n": f.n, "d": f.d} for f in enumerate_class(r, c)]
+        lists = {c.value: [{"n": n, "d": d} for n, d in enumerate_class(r, c)]
                  for c in ResidueClass}
         texts = {cls: ", ".join(f"{f['n']}/{f['d']}" for f in fs) for cls, fs in lists.items()}
         expected = {cls: ({"modulus": m, "x": x, "class": cls, "fractions": lists[cls]},
@@ -550,6 +556,6 @@ def test_usage_exit_codes(capsys):
 
 
 def test_render_fraction_helper():
-    assert render_fraction(Fraction(-4, 1)) == "-4"
-    assert render_fraction(Fraction(0, 2)) == "0/2"
-    assert _parse_fraction(render_fraction(Fraction(-3, 2))) == Fraction(-3, 2)
+    assert _ratio(-4, 1) == "-4"
+    assert _ratio(0, 2) == "0/2"
+    assert _parse_fraction(_ratio(-3, 2)) == Fraction(-3, 2)

@@ -53,28 +53,29 @@ def test_descent_steps_rejects_out_of_range_residue():
 def _expand_runs(x, m):
     """Replay descent_runs step by step, in descent_steps' tuple format."""
     steps = [(-m, 0, x, 1, None)]
-    for nn, nd, pn, pd, side, k in descent_runs(x, m):
+    for an, ad, bn, bd, side, k in descent_runs(x, m):
         assert k >= 1
-        assert steps[-1][:4] == (nn, nd, pn, pd)
-        for _ in range(k):
+        nn, nd, pn, pd = steps[-1][:4]
+        # The replaced side first, numerators as magnitudes.
+        assert (an, ad, bn, bd) == ((-nn, nd, pn, pd) if side is NEG else (pn, pd, -nn, nd))
+        for j in range(1, k + 1):
             if side is NEG:
-                nn, nd = nn + pn, nd + pd
+                steps.append((-(an - j * bn), ad + j * bd, pn, pd, side))
             else:
-                pn, pd = pn + nn, pd + nd
-            steps.append((nn, nd, pn, pd, side))
+                steps.append((nn, nd, an - j * bn, ad + j * bd, side))
     return steps
 
 
 def test_descent_runs_groups_the_frozen_trace():
     # 7 mod 17 replaces neg, neg, pos, pos, neg, neg, pos
     assert list(descent_runs(7, 17)) == [
-        (-17, 0, 7, 1, NEG, 2),
-        (-3, 2, 7, 1, POS, 2),
-        (-3, 2, 1, 5, NEG, 2),
-        (-1, 12, 1, 5, POS, 1),
+        (17, 0, 7, 1, NEG, 2),
+        (7, 1, 3, 2, POS, 2),
+        (3, 2, 1, 5, NEG, 2),
+        (1, 5, 1, 12, POS, 1),
     ]
     assert list(descent_runs(0, 17)) == []
-    assert list(descent_runs(5, 10))[-1] == (-5, 1, 5, 1, POS, 1)  # tie: positive side
+    assert list(descent_runs(5, 10))[-1] == (5, 1, 5, 1, POS, 1)  # tie: positive side
 
 
 def test_descent_runs_expand_to_the_step_walk():

@@ -339,12 +339,12 @@ def test_a_huge_modulus_range_is_striped_lazily(monkeypatch):
 
     def record(task):
         tasks.append(task)
-        return [[0, [], [], 0.0] for _ in task[0]]
+        return [[0, [], [], 0.0] for _ in task[0].checks]
 
     monkeypatch.setattr(harness, "_chunk_worker", record)
     _check("determinant", 2, 10**15)
-    ((checks, ms, _),) = tasks
-    assert checks == ("determinant",)
+    ((config, ms),) = tasks
+    assert config.checks == ("determinant",)
     assert ms == range(2, 10**15 + 1)
     assert len(ms) == 10**15 - 1
 

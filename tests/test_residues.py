@@ -223,12 +223,13 @@ def test_residue_value_ranges(data):
     m = r.m
     pairs = []
     nn, nd, pn, pd = -m, 0, r.x, 1
-    for nn, nd, pn, pd, side, k in descent_runs(r.x, m):
+    for an, ad, bn, bd, side, k in descent_runs(r.x, m):
         pairs.append((nn, nd, pn, pd))
+        # The run turns the replaced side, |a.n|/a.d, into (|a.n| - k*|b.n|)/(a.d + k*b.d).
         if side is ResidueClass.NEGATIVE:
-            nn, nd = nn + k * pn, nd + k * pd
+            nn, nd = -(an - k * bn), ad + k * bd
         else:
-            pn, pd = pn + k * nn, pd + k * nd
+            pn, pd = an - k * bn, ad + k * bd
     pairs.append((nn, nd, pn, pd))
     assert pairs[-1][2] == 0
     for nn, nd, pn, pd in pairs:
