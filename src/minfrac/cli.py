@@ -73,37 +73,38 @@ _FRACTION_ENTRY = """\
     }"""
 
 _TRACE_ENTRY = """\
-    {{
-      "neg": {{
-        "n": {},
-        "d": {}
-      }},
-      "pos": {{
-        "n": {},
-        "d": {}
-      }},
-      "det": {},
-      "replaced": {}
-    }}"""
+    {
+      "neg": {
+        "n": %d,
+        "d": %d
+      },
+      "pos": {
+        "n": %d,
+        "d": %d
+      },
+      "det": %d,
+      "replaced": %s
+    }"""
 
+_TRACE_LINE = "(%d/%d, %d/%d) det=%d%s"
 
-def _trace_entry(nn, nd, pn, pd, det, rep) -> str:
-    return _TRACE_ENTRY.format(nn, nd, pn, pd, det, "null" if rep is None else f'"{rep.value}"')
-
-
-def _trace_line(nn, nd, pn, pd, det, rep) -> str:
-    return f"({nn}/{nd}, {pn}/{pd}) det={det}" + ("" if rep is None else f" replaced={rep.value}")
+# A trace pair's replaced side (None for the first pair) as each format writes it.
+_REPLACED = {
+    "json": {None: "null", **{c: f'"{c.value}"' for c in ResidueClass}},
+    "text": {None: "", **{c: f" replaced={c.value}" for c in ResidueClass}},
+}
 
 
 def _write_listing(fmt, scalars, lists, entry, item, sep=", "):
-    """Write top-level scalars (ints, plain words) and named lists of int tuples.
+    """Write top-level scalars (ints, plain words) and named lists of tuples.
 
     JSON is json.dumps(payload, indent=2)'s layout with entry(*t) per list entry;
     no list may be empty.  Text has no scalars: each list is its item(*t) joined
     by sep, then a newline, "key: " first if there are several.  Items go out
     1024 per write: one per item is slow, one per list holds it all in memory.
-    An entry or item may instead be a %-template over a tuple's ints, so that a
-    batch is one template applied to all of its ints at once.
+    An entry or item may instead be a %-template over a tuple's fields (ints,
+    and a trace pair's replaced-side token), so that a batch is one template
+    applied to all of its fields at once.
     """
     write = sys.stdout.write
     if fmt == "json":
@@ -170,10 +171,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # from the runs first and refuse a trace too long to print.
     pairs = 1 + sum(k for *_, k in descent_runs(x, m))
     check_ceiling(pairs, args.ceiling_override, DEFAULT_ENUMERATION_CEILING, "trace: pair count")
-    steps = ((nn, nd, pn, pd, pn * nd - nn * pd, rep)
+    replaced = _REPLACED[args.format]
+    steps = ((nn, nd, pn, pd, pn * nd - nn * pd, replaced[rep])
              for nn, nd, pn, pd, rep in descent_steps(x, m))
     _write_listing(args.format, {"modulus": m, "x": x}, {"trace": steps},
-                   _trace_entry, _trace_line, sep="\n")
+                   _TRACE_ENTRY, _TRACE_LINE, sep="\n")
     return 0
 
 

@@ -7,21 +7,23 @@ invariant.  Anomalies (currently only traces of more than TRACE_CAP_FACTOR
 pairs per bit of M) are flagged for inspection but never fail a report,
 because termination carries no stated step bound.
 
-A check is a function of one residue, check(x, m, config, env, steps, minima).
-config is the sweep's SweepConfig, the one object a worker is handed.  A
-check returns its pass count, one (replay subcommand, detail) pair per
-failure, and an anomaly's detail or None; env is what the check's
-per-modulus setup built, or None.  _chunk_worker is the one loop over
-moduli and residues, for every requested check at once, and the only place
-that builds Counterexample and Anomaly records; a replay reads `minfrac
-trace --modulus M --x X`, or `minfrac repr ...` for the agreement check's
-minimum mismatch.  Per residue it does the shared work once: steps is the
-residue's step walk, a list when a check reads all of it, and minima is the
-oracle's one scan of the residue, brute_prefix_scan's (neg, pos, minimum),
-when minimality or agreement is requested, else None.  _CHECKS gives each
-check's function, its setup, whether it reads the scan (only then is the
-pair-check ceiling resolved, once per sweep, into the config's ceiling, so
-workers get a plain integer) and whether it reads the whole walk.
+A check is a function of one residue, check(r, env, steps, minima), and
+takes only what it reads: r is the Residue, env is what the check's
+per-modulus setup built from (m, config), or None; only setups read the
+SweepConfig, the one object a worker is handed.  A check returns its pass
+count, one (replay subcommand, detail) pair per failure, and an anomaly's
+detail or None.  _chunk_worker is the one loop over moduli and residues,
+for every requested check at once, and the only place that builds
+Counterexample and Anomaly records; a replay reads `minfrac trace --modulus
+M --x X`, or `minfrac repr ...` for the agreement check's minimum mismatch.
+Per residue it does the shared work once: r, handed to the oracle and to
+every check; steps, the residue's step walk, a list when a check reads all
+of it; and minima, the oracle's one scan of the residue, brute_prefix_scan's
+(neg, pos, minimum), when minimality or agreement is requested, else None.
+_CHECKS gives each check's function, its setup, whether it reads the scan
+(only then is the pair-check ceiling resolved, once per sweep, into the
+config's ceiling, so workers get a plain integer) and whether it reads the
+whole walk.
 
 minimum_fraction and sqrt_bound_witness walk the descent by runs; the
 agreement and sqrt_bound checks compare them with scans of the step walk,
@@ -38,8 +40,8 @@ Only pair minimality is checked: it implies each side's per-class
 minimality, since the pair's threshold is at least either side's magnitude.
 
 Sweeps are embarrassingly parallel over moduli; with parallelism > 1 the
-moduli are striped across a process pool of at most one worker per CPU and
-per modulus, and the partial results merged into a canonical order, so a
+moduli are striped across a process pool of at most one worker per modulus
+and per CPU this process may run on, and the partial results merged into a canonical order, so a
 report is deterministic for a given config no matter how the work was split.
 The pool and the sampler are imported only when a sweep needs them.  The
 CLI imports this module only when `verify` runs, and takes the check names
@@ -173,16 +175,17 @@ class VerificationReport:
         return line + f" ({self.duration:.2f}s)"
 
 
-# A check's outcome on one residue: its pass count, a (replay subcommand,
-# detail) pair per failure, and an anomaly's detail or None.
+# What check(r, env, steps, minima) returns for one residue: its pass count,
+# a (replay subcommand, detail) pair per failure, empty (so falsy) on a pass,
+# and an anomaly's detail or None.
 _Outcome = tuple[int, Iterable[tuple[str, str]], str | None]
 
 # The oracle's scan of one residue, (neg, pos, minimum), from brute_prefix_scan.
 _Minima = tuple[list[int], list[int], Fraction]
 
 
-def _determinant(x: int, m: int, config: SweepConfig, env: None,
-                 steps: list[RawStep], minima: _Minima | None) -> _Outcome:
+def _determinant(r: Residue, env: None, steps: list[RawStep], minima: _Minima | None) -> _Outcome:
+    m = r.m
     passes = 0
     bad = []
     for nn, nd, pn, pd, _ in steps:
@@ -223,15 +226,15 @@ def _step_witness(r: Residue, steps: Iterable[RawStep]) -> Fraction:
     raise InvariantError(f"the step walk finds no sqrt-bounded representation for {r}")
 
 
-def _sqrt_bound(x: int, m: int, config: SweepConfig, env: None,
-                steps: Iterable[RawStep], minima: _Minima | None) -> _Outcome:
+def _sqrt_bound(r: Residue, env: None, steps: Iterable[RawStep],
+                minima: _Minima | None) -> _Outcome:
     # steps may be the lazy walk: the step witness stops at its first hit.
-    r = Residue(x, m)
+    m = r.m
     try:
         witness = sqrt_bound_witness(r)
         step_witness = _step_witness(r, steps)
     except InvariantError:
-        trace = ", ".join(f"({nn}/{nd}, {pn}/{pd})" for nn, nd, pn, pd, _ in descent_steps(x, m))
+        trace = ", ".join(f"({nn}/{nd}, {pn}/{pd})" for nn, nd, pn, pd, _ in descent_steps(r.x, m))
         detail = f"no representation with n^2 <= {m} and d^2 <= {m}; trace: {trace}"
     else:
         n, d = witness.n, witness.d
@@ -244,8 +247,7 @@ def _sqrt_bound(x: int, m: int, config: SweepConfig, env: None,
     return 0, [("trace", detail)], None
 
 
-def _minimality(x: int, m: int, config: SweepConfig, env: None,
-                steps: list[RawStep], minima: _Minima) -> _Outcome:
+def _minimality(r: Residue, env: None, steps: list[RawStep], minima: _Minima) -> _Outcome:
     # One oracle scan per residue; each pair is then two lookups.
     neg, pos, _ = minima
     passes = 0
@@ -259,8 +261,8 @@ def _minimality(x: int, m: int, config: SweepConfig, env: None,
     return passes, bad, None
 
 
-def _progress(x: int, m: int, config: SweepConfig, env: None,
-              steps: list[RawStep], minima: _Minima | None) -> _Outcome:
+def _progress(r: Residue, env: None, steps: list[RawStep], minima: _Minima | None) -> _Outcome:
+    negative = ResidueClass.NEGATIVE
     passes = 0
     bad = []
     npairs = 0
@@ -269,7 +271,7 @@ def _progress(x: int, m: int, config: SweepConfig, env: None,
         mag_sum = pn - nn
         npairs += 1
         if rep is not None:
-            new_mag = -nn if rep is ResidueClass.NEGATIVE else pn
+            new_mag = -nn if rep is negative else pn
             if mag_sum < prev_sum and new_mag < prev_max:
                 passes += 1
             else:
@@ -277,7 +279,7 @@ def _progress(x: int, m: int, config: SweepConfig, env: None,
                                      f"replaced side {new_mag} vs previous max {prev_max}"))
         prev_sum = mag_sum
         prev_max = pn if pn > -nn else -nn
-    cap = TRACE_CAP_FACTOR * m.bit_length()
+    cap = TRACE_CAP_FACTOR * r.m.bit_length()
     if npairs <= cap:
         return passes, bad, None
     return passes, bad, f"{npairs} pairs exceeds cap {cap} ({TRACE_CAP_FACTOR} * bit_length)"
@@ -307,11 +309,11 @@ def _agreement_setup(m: int, config: SweepConfig) -> tuple[tuple[list[int], list
     return sieve, random_pairs
 
 
-def _agreement(x: int, m: int, config: SweepConfig, env: tuple[tuple, dict],
-               steps: list[RawStep], minima: _Minima) -> _Outcome:
+def _agreement(r: Residue, env: tuple[tuple, dict], steps: list[RawStep],
+               minima: _Minima) -> _Outcome:
     (numerators, denominators), random_pairs = env
     neg, pos, slow_min = minima
-    r = Residue(x, m)
+    x, m = r.x, r.m
     passes = 0
     bad = []
     sieve_n, sieve_d = numerators[x], denominators[x]
@@ -322,7 +324,8 @@ def _agreement(x: int, m: int, config: SweepConfig, env: tuple[tuple, dict],
     else:
         bad.append(("repr", f"sieve minimum {sieve_n}/{sieve_d}, run minimum {run_min}, step "
                             f"minimum {step_min} and enumerated minimum {slow_min} differ"))
-    for nn, nd, pn, pd, _ in steps + random_pairs.get(x, []):
+    extra = random_pairs.get(x)
+    for nn, nd, pn, pd, _ in steps + extra if extra else steps:
         fast = pair_minimal(x, m, nn, nd, pn, pd)
         threshold = pn - nn
         slow = neg[nd] >= threshold and pos[pd] >= threshold
@@ -351,9 +354,11 @@ def _chunk_worker(task: tuple[SweepConfig, range]) -> list[list]:
     [passes, counterexamples, anomalies, seconds], timed as run_checks says."""
     config, ms = task
     checks = [_CHECKS[name] for name in config.checks]
+    functions = [check for check, _, _, _ in checks]
     parts = [[0, [], [], 0.0] for _ in checks]
     scan_part = next((part for part, (_, _, scans, _) in zip(parts, checks) if scans), None)
     whole_walk = any(whole for *_, whole in checks)
+    ceiling = config.ceiling
     now = time.perf_counter
     for m in ms:
         envs = []
@@ -361,23 +366,26 @@ def _chunk_worker(task: tuple[SweepConfig, range]) -> list[list]:
             start = now()
             envs.append(setup(m, config) if setup else None)
             part[3] += now() - start
+        dispatch = list(zip(parts, functions, envs))
         for x in range(m):
             start = now()
+            r = Residue(x, m)
             minima = None
             if scan_part is not None:
-                minima = brute_prefix_scan(Residue(x, m), config.ceiling)
+                minima = brute_prefix_scan(r, ceiling)
                 end = now()
                 scan_part[3] += end - start
                 start = end
             steps = descent_steps(x, m)
             if whole_walk:
                 steps = list(steps)
-            for part, (check_x, *_), env in zip(parts, checks, envs):
-                ok, failures, anomaly = check_x(x, m, config, env, steps, minima)
+            for part, check, env in dispatch:
+                ok, failures, anomaly = check(r, env, steps, minima)
                 part[0] += ok
-                for command, detail in failures:
-                    replay = f"minfrac {command} --modulus {m} --x {x}"
-                    part[1].append(Counterexample(m, x, detail, replay))
+                if failures:
+                    for command, detail in failures:
+                        replay = f"minfrac {command} --modulus {m} --x {x}"
+                        part[1].append(Counterexample(m, x, detail, replay))
                 if anomaly:
                     part[2].append(Anomaly(m, x, anomaly))
                 end = now()
@@ -389,18 +397,24 @@ def _chunk_worker(task: tuple[SweepConfig, range]) -> list[list]:
 def run_checks(config: SweepConfig) -> tuple[VerificationReport, ...]:
     """Run every requested check over the configured range in one sweep.
 
-    Reports come one per check, in canonical order.  Each residue's walk,
-    and, when minimality or agreement is requested, its one oracle scan
-    (prefix minima and enumerated minimum, brute_prefix_scan), are built
-    once and read by every check.  A report's duration is the time spent in
-    its own check's calls (per-modulus setup and per-residue function),
-    summed over workers, with shared work charged to the first requested
-    check that reads it: the walk to the first check, the oracle scan to
-    minimality, else agreement.
+    Reports come one per check, in canonical order.  Each residue's
+    Residue and walk, and, when minimality or agreement is requested, its
+    one oracle scan (prefix minima and enumerated minimum,
+    brute_prefix_scan), are built once and read by every check.  A report's
+    duration is the time spent in its own check's calls (per-modulus setup
+    and per-residue function), summed over workers, with shared work
+    charged to the first requested check that reads it: the Residue and the
+    oracle scan to minimality, else agreement, and the walk (with the
+    Residue when no check reads the scan) to the first check.
     """
-    # More workers than CPUs or moduli only adds processes; the merged
-    # report does not depend on the split.
-    workers = min(config.parallelism, os.cpu_count() or 1, config.m_max - config.m_min + 1)
+    # More workers than moduli, or than the CPUs this process may run on
+    # (its affinity mask, as taskset sets it, where the platform has one),
+    # only adds processes; the merged report does not depend on the split.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(config.parallelism, cpus, config.m_max - config.m_min + 1)
     if any(_CHECKS[check][2] for check in config.checks):
         # $MINFRAC_CEILING is read here, once, not on every oracle call.
         ceiling = resolve_ceiling(config.ceiling, DEFAULT_PAIR_CHECK_CEILING)

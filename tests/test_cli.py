@@ -393,11 +393,12 @@ def test_verify_workers_are_clamped(capsys, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     argv = ["verify", "--m-min", "2", "--m-max", "30", "--checks", "determinant",
             "--workers", str(10**9), "--format", "json"]
     code, clamped, _ = run(capsys, *argv)
     assert code == 0
-    assert pools == [4]  # bounded by the CPU count
+    assert pools == [4]  # bounded by the CPUs this process may run on
     code, serial, _ = run(capsys, *argv[:-4], "--workers", "1", "--format", "json")
     assert code == 0 and serial == clamped
     assert pools == [4]

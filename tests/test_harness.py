@@ -349,6 +349,29 @@ def test_a_huge_modulus_range_is_striped_lazily(monkeypatch):
     assert len(ms) == 10**15 - 1
 
 
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+def test_workers_are_capped_by_the_cpus_this_process_may_run_on(monkeypatch, affinity):
+    # Pinned to one CPU (as by taskset) of a four-CPU machine, --workers 2
+    # starts no pool: the one task runs in this process.  Where the platform
+    # has no affinity mask, the CPU count caps the workers.
+    tasks = []
+
+    def record(task):
+        tasks.append(task)
+        return [[0, [], [], 0.0] for _ in task[0].checks]
+
+    monkeypatch.setattr(harness, "_chunk_worker", record)
+    if affinity:
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    _check("determinant", 2, 10, parallelism=2)
+    ((_, ms),) = tasks
+    assert ms == range(2, 11)
+
+
 def test_a_sweep_refuses_a_modulus_over_the_pair_ceiling_before_walking_it(monkeypatch):
     # Every check's per-modulus setup runs before the modulus's residues, so
     # agreement's pair gate answers before determinant walks any x of 11.
@@ -369,9 +392,9 @@ def _durationless(reports):
 
 
 def test_one_sweep_of_every_check_matches_one_sweep_per_check(monkeypatch):
-    # The five checks share each residue's walk and oracle scan, built
-    # once per residue, and report what five separate sweeps report; the
-    # enumerated minimum comes from that scan, not from brute_minimum.
+    # The five checks share each residue's Residue, walk and oracle scan,
+    # built once per residue, and report what five separate sweeps report;
+    # the enumerated minimum comes from that scan, not from brute_minimum.
     config = {"random_pairs_per_m": 8, "seed": 3}
     singles = [_check(name, 2, 40, **config) for name in CHECK_NAMES]
     pooled = run_checks(SweepConfig(2, 40, parallelism=2, **config))
@@ -386,11 +409,12 @@ def test_one_sweep_of_every_check_matches_one_sweep_per_check(monkeypatch):
 
         return wrapper
 
-    for name in ("descent_steps", "brute_prefix_scan", "brute_minimum"):
+    for name in ("Residue", "descent_steps", "brute_prefix_scan", "brute_minimum"):
         monkeypatch.setattr(harness, name, counted(name))
     serial = run_checks(SweepConfig(2, 40, **config))
     residues = sum(range(2, 41))
-    assert calls == {"descent_steps": residues, "brute_prefix_scan": residues}
+    assert calls == {"Residue": residues, "descent_steps": residues,
+                     "brute_prefix_scan": residues}
     assert calls["brute_minimum"] == 0
     assert _durationless(serial) == _durationless(pooled) == _durationless(singles)
 
