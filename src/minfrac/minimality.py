@@ -5,13 +5,14 @@ below the pair's own in either class gives a residue magnitude under the
 threshold |neg.n| + |pos.n|.  Per-class minimality of each side (no smaller
 same-class denominator gives a numerator of smaller magnitude) follows from
 it, because the threshold is at least either side's magnitude, so it needs
-no check of its own.  The fractions the descent visits are exactly each
-class's prefix-minimum records, so is_minimal_pair reads both classes'
-minima off the descent's runs in O(log M) rather than scanning every
-smaller denominator.  The global minimum fraction is the representation
-with the smallest maximum coefficient, ties broken by the smaller
-denominator and then by the positive class (a tie of the same |n| and d in
-both classes is possible when 2x = 0 mod M).
+no check of its own.  A pair of class residues is minimal iff its
+determinant pos.n*neg.d - neg.n*pos.d is exactly M, just as two fractions
+are Farey neighbours iff their determinant is 1, so is_minimal_pair is one
+comparison, with no scan and no walk (pair_minimal has the proof).  The
+global minimum fraction is the representation with the smallest maximum
+coefficient, ties broken by the smaller denominator and then by the
+positive class (a tie of the same |n| and d in both classes is possible
+when 2x = 0 mod M).
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from .residues import Fraction, FractionPair, Residue, ResidueClass, check_modul
 
 
 def is_minimal_pair(p: FractionPair, r: Residue) -> bool:
-    """Check the generalized pair-minimality condition in O(log M) steps.
+    """Check the generalized pair-minimality condition in O(1).
 
     The pair is minimal iff any denominator whose residue magnitude (in
     either class) drops below |neg.n| + |pos.n| is at least as large as the
     pair's denominator of the matching class: iff the smallest |negative
     residue| over 0 <= d < neg.d and the smallest positive residue over
-    1 <= d < pos.d are both at least that threshold.  A side that does not
+    1 <= d < pos.d are both at least that threshold.  That holds iff the
+    pair's determinant is M (see pair_minimal).  A side that does not
     represent r, or whose denominator is outside its class's range, raises
     ValueError.  The work is done by pair_minimal, on the pair's four
     integers; the harness calls that directly on every pair it checks.
@@ -44,27 +46,45 @@ def pair_minimal(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: int)
 
     The sides are taken as a FractionPair would hold them (neg_n < 0 <=
     pos_n); representation and denominator ranges are checked here, with
-    is_minimal_pair's messages.
+    is_minimal_pair's messages.  The verdict is a determinant test.
 
-    Both classes' minima are read off the descent.  Record argument: let
-    (a, b) be a walk pair whose next step turns a into a + b.  Its
-    determinant is M, the index of the lattice {(n, d) : n = x*d (mod M)},
-    so a and b are a basis and every representation of r is w = s*a + t*b
-    for integers s, t.  If 0 <= w.d < a.d + b.d then s and t are not both
-    positive; s <= 0 < t puts w in b's class, t <= 0 < s gives
-    |w.n| >= |a.n|, and s, t <= 0 gives w.d <= 0.  So no denominator
-    strictly between a.d and (a + b).d has a magnitude below |a.n| in a's
-    class: the visited fractions of each class, from -M/0 and x/1 on, are
-    exactly its prefix-minimum records, and the minimum below a bound D is
-    the magnitude of the class's last visited fraction with denominator
-    below D.  In a run that turns a into a + j*b (j = 1..k) that fraction
-    is at j = (D - 1 - a.d) // b.d, clamped to k.  Visited denominators rise
-    along the whole walk, so it stops at the first run whose first mediant
-    is past both bounds.  It is the same loop as descent_runs, inlined:
-    this is the harness's hot loop, and the generator would cost about as
-    much as the walk.
+    Let L = {(n, d) : n = x*d (mod M)}, a lattice of index M in Z^2, and
+    take the sides at their class residues: a = (-A, a.d) with 1 <= A <= M
+    and b = (B, b.d) with 0 <= B < M.  A witness against the pair is a
+    point w of L with w.n < 0, 0 <= w.d < a.d and |w.n| < A + B, or with
+    w.n >= 0, 1 <= w.d < b.d and w.n < A + B; the pair is minimal iff there
+    is none, as a class's residue at d is at most |n| for any such point.
+    Both sides are in L, so det = B*a.d + A*b.d is a positive multiple of
+    M: it is M times the index of Za + Zb in L.
+
+    det = M means minimal.  Then a and b are a basis of L, and every w in
+    L is s*a + t*b for integers s, t.  If s, t <= 0, then w.d <= 0, and
+    w.d = 0 only for w = s*a with s*a.d = 0, whose w.n = -s*A >= 0: neither
+    kind of witness.  If s, t >= 0, not both 0, then w.d >= a.d when s >= 1,
+    w.d >= b.d when t >= 1, and w.n < 0 when t = 0.  If s and t have
+    opposite signs, |w.n| = |s|*A + |t|*B >= A + B.  So there is no
+    witness.
+
+    det = k*M with k >= 2 means not minimal.  The half-open parallelogram
+    {s*a + t*b : 0 <= s, t < 1} holds k points of L, so it holds some
+    w != 0.  If t = 0, w = s*a has w.n = -s*A < 0 and w.d = s*a.d < a.d
+    (a.d > 0, since at a.d = 0 the side is -M/0 and no multiple s*a with
+    0 < s < 1 is in L): a negative witness.  If s = 0, w = t*b is a
+    positive witness with 1 <= w.d < b.d.  Otherwise, if
+    (1 - t)*b.d > s*a.d, then b - w = (s*A + (1 - t)*B, (1 - t)*b.d - s*a.d)
+    is a positive witness; if not, w - b is a negative witness, with
+    0 <= d < a.d and |n| = s*A + (1 - t)*B < A + B.
+
+    A numerator off its class residue by i (negative side) or j (positive
+    side) multiples of M, i, j >= 0 and not both 0, still represents x but
+    raises the threshold above M: past the magnitude M of -M/0 at d = 0 and
+    x at d = 1.  So that pair is minimal iff both its ranges are empty,
+    neg_d = 0 and pos_d = 1.  Its determinant is the class pair's plus
+    M*(i*pos_d + j*neg_d), which is M only for such a pair; and -M/0 with
+    x/1 has determinant M.  So one test covers both: det = M, or both
+    ranges empty.
     """
-    # represents(), inlined for the same reason, negative side first.
+    # represents(), inlined (the harness calls this per pair), negative side first.
     if (x * neg_d - neg_n) % m:
         raise ValueError(f"{neg_n}/{neg_d} does not represent {x} (mod {m})")
     if (x * pos_d - pos_n) % m:
@@ -73,28 +93,7 @@ def pair_minimal(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: int)
         raise ValueError(f"negative-class denominator {neg_d} out of range [0, {m - 1}]")
     if not 1 <= pos_d <= m:
         raise ValueError(f"positive-class denominator {pos_d} out of range [1, {m}]")
-    threshold = pos_n - neg_n  # |neg.n| + |pos.n|
-    # -M/0 and x/1, the first record of each class.
-    if neg_d > 0 and m < threshold or pos_d > 1 and x < threshold:
-        return False
-    last = neg_d if neg_d > pos_d else pos_d
-    nm, nd, pn, pd = m, 0, x, 1  # nm = |neg.n|
-    while pn and nd + pd < last:
-        if nm > pn:  # a negative run: nm/nd becomes (nm - j*pn)/(nd + j*pd)
-            k = (nm - 1) // pn
-            j = (neg_d - 1 - nd) // pd  # the run's last mediant below the bound
-            if j >= 1 and nm - (j if j < k else k) * pn < threshold:
-                return False
-            nm -= k * pn
-            nd += k * pd
-        else:  # a positive run, ties included: pn/pd becomes (pn - j*nm)/(pd + j*nd)
-            k = pn // nm
-            j = (pos_d - 1 - pd) // nd
-            if j >= 1 and pn - (j if j < k else k) * nm < threshold:
-                return False
-            pn -= k * nm
-            pd += k * nd
-    return True
+    return pos_n * neg_d - neg_n * pos_d == m or neg_d == 0 and pos_d == 1
 
 
 def minimum_fraction(r: Residue) -> Fraction:

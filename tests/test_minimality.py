@@ -154,6 +154,26 @@ def test_is_minimal_pair_matches_the_oracle_on_every_in_class_pair():
                     assert fast == (neg[nd] >= threshold and pos[pd] >= threshold), (p, r)
 
 
+def test_pair_minimal_matches_the_oracle_off_the_class_residues():
+    # A numerator off its class residue by a multiple of M still represents
+    # x, but its threshold is above M, so the pair is minimal only when both
+    # of its ranges are empty (neg.d = 0, pos.d = 1), whatever its
+    # determinant: -34/0 with 7/1 has determinant 34 for 7 mod 17.
+    assert is_minimal_pair(FractionPair(neg=Fraction(-34, 0), pos=Fraction(7, 1)), Residue(7, 17))
+    assert is_minimal_pair(FractionPair(neg=Fraction(-17, 0), pos=Fraction(24, 1)), Residue(7, 17))
+    assert not is_minimal_pair(FractionPair(neg=Fraction(-27, 1), pos=Fraction(7, 1)), Residue(7, 17))
+    for m in range(2, 13):
+        for x in range(m):
+            for nd in range(m):
+                for pd in range(1, m + 1):
+                    for i, j in ((0, 1), (1, 0), (1, 1), (2, 0), (0, 2)):
+                        nn = (x * nd) % m - m - i * m
+                        pn = (x * pd) % m + j * m
+                        expected = brute_pair_scan(x, m, nn, nd, pn, pd)
+                        assert pair_minimal(x, m, nn, nd, pn, pd) == expected, (x, m, nn, nd, pn, pd)
+                        assert expected == (nd == 0 and pd == 1)
+
+
 # The acceptance input: the secp256k1 field prime and the first 77 decimal
 # digits of pi, whose walk has 2457 pairs.
 P256 = 2**256 - 2**32 - 977
@@ -191,6 +211,9 @@ def test_is_minimal_pair_refuses_a_256_bit_pair_with_a_deep_witness():
     pn, pd = min((pn, pd) for _, _, pn, pd, _ in steps if pn > pos_n)
     assert -prev_n < pn - a_n and 2**200 < prev_d < a_d
     assert not is_minimal_pair(FractionPair(neg=Fraction(a_n, a_d), pos=Fraction(pn, pd)), r)
+    # The refusal is the determinant's: a multiple of P256 other than P256.
+    k, rest = divmod(pn * a_d - a_n * pd, P256)
+    assert rest == 0 and k >= 2
 
 
 def test_is_minimal_pair_returns_a_plain_bool():

@@ -172,6 +172,26 @@ def test_prefix_minima_ceiling(monkeypatch):
     assert minimum == Fraction(1, 1)
 
 
+def test_a_class_pair_is_minimal_iff_its_determinant_is_m():
+    # The criterion pair_minimal evaluates, held by the oracle routes alone:
+    # for every in-class pair with M <= 24, the exhaustive scan and the
+    # prefix-minima verdict both say minimal iff the determinant is M, and
+    # every determinant is a positive multiple of M.
+    for m in range(2, 25):
+        for x in range(m):
+            neg, pos, _ = brute_prefix_scan(Residue(x, m))
+            for nd in range(m):
+                nn = (x * nd) % m - m
+                for pd in range(1, m + 1):
+                    pn = (x * pd) % m
+                    det = pn * nd - nn * pd
+                    assert det > 0 and det % m == 0, (x, m, nn, nd, pn, pd)
+                    minimal = det == m
+                    assert brute_pair_scan(x, m, nn, nd, pn, pd) == minimal, (x, m, nn, nd, pn, pd)
+                    threshold = pn - nn
+                    assert (neg[nd] >= threshold and pos[pd] >= threshold) == minimal
+
+
 @given(st.data())
 @settings(deadline=None)
 def test_prefix_minima_verdict_matches_brute_pair_minimal(data):
