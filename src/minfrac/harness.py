@@ -22,8 +22,8 @@ of it; and minima, the oracle's one scan of the residue, brute_prefix_scan's
 (neg, pos, minimum), when minimality or agreement is requested, else None.
 _CHECKS gives each check's function, its setup, whether it reads the scan
 (only then is the pair-check ceiling resolved, once per sweep, into the
-config's ceiling, so workers get a plain integer) and whether it reads the
-whole walk.
+config's ceiling, so workers get a plain integer, and the range is held to
+it before any modulus is swept) and whether it reads the whole walk.
 
 minimum_fraction and sqrt_bound_witness walk the descent by runs; the
 agreement and sqrt_bound checks compare them with scans of the step walk,
@@ -32,9 +32,9 @@ agreement takes the oracle's enumerated minimum from the same scan.
 The agreement check also holds each modulus's minimum_table, the sieve
 behind `minfrac table`, to the same minima: the sieve is two int lists,
 numerators and denominators indexed by x, and its x = 0 entry (0/1) is
-checked like every other.  It holds pair_minimal's verdict on every trace
-or random pair to the oracle's, read off the prefix minima: the same
-exhaustive scan of every smaller denominator that brute_pair_scan makes,
+checked like every other.  It holds is_minimal_pair's verdict on every
+trace or random pair to the oracle's, read off the prefix minima: the same
+exhaustive scan of every smaller denominator that brute_pair_minimal makes,
 done once per residue instead of once per pair.
 Only pair minimality is checked: it implies each side's per-class
 minimality, since the pair's threshold is at least either side's magnitude.
@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 from .check_names import CHECK_NAMES
 from .descent import RawStep, descent_steps
 from .errors import InvariantError
-from .minimality import minimum_fraction, minimum_table, pair_minimal, sqrt_bound_witness
+from .minimality import is_minimal_pair, minimum_fraction, minimum_table, sqrt_bound_witness
 from .oracle import (
     DEFAULT_PAIR_CHECK_CEILING,
     brute_prefix_scan,
@@ -69,10 +69,9 @@ from .oracle import (
 from .residues import Fraction, Residue, ResidueClass, represents
 
 # Not called here: the benchmark's traced run wraps these harness attributes
-# by name (perfbench/tracing.py), so they stay until its spans follow the int
-# routes and the oracle scan.
+# by name (perfbench/tracing.py), so they stay until its spans follow the
+# oracle scan.
 from .descent import run_descent
-from .minimality import is_minimal_pair
 from .oracle import brute_minimum, brute_pair_minimal
 
 # The progress check flags a trace of more than this many pairs per bit of M.
@@ -289,10 +288,6 @@ def _agreement_setup(m: int, config: SweepConfig) -> tuple[tuple[list[int], list
     """The modulus's sieve (numerators and denominators by x), and its random
     pairs grouped by x as (neg.n, neg.d, pos.n, pos.d, None), the shape of a
     trace step."""
-    # The oracle scan that judges every pair is gated per residue; the
-    # gate is held here too, before the sieve is built, so a refused
-    # modulus costs nothing.
-    check_pair_ceiling(m, config.ceiling)
     sieve = minimum_table(m)
     # The random pairs are drawn up front, in the sample's order.
     random_pairs: dict[int, list[tuple[int, int, int, int, None]]] = {}
@@ -326,7 +321,7 @@ def _agreement(r: Residue, env: tuple[tuple, dict], steps: list[RawStep],
                             f"minimum {step_min} and enumerated minimum {slow_min} differ"))
     extra = random_pairs.get(x)
     for nn, nd, pn, pd, _ in steps + extra if extra else steps:
-        fast = pair_minimal(x, m, nn, nd, pn, pd)
+        fast = is_minimal_pair(x, m, nn, nd, pn, pd)
         threshold = pn - nn
         slow = neg[nd] >= threshold and pos[pd] >= threshold
         if fast == slow:
@@ -416,8 +411,11 @@ def run_checks(config: SweepConfig) -> tuple[VerificationReport, ...]:
         cpus = os.cpu_count() or 1
     workers = min(config.parallelism, cpus, config.m_max - config.m_min + 1)
     if any(_CHECKS[check][2] for check in config.checks):
-        # $MINFRAC_CEILING is read here, once, not on every oracle call.
+        # $MINFRAC_CEILING is read here, once, not on every oracle call, and
+        # the range's first modulus above the ceiling, if any, is refused
+        # before any modulus is swept.
         ceiling = resolve_ceiling(config.ceiling, DEFAULT_PAIR_CHECK_CEILING)
+        check_pair_ceiling(min(config.m_max, max(config.m_min, ceiling + 1)), ceiling)
         config = replace(config, ceiling=ceiling)
     # Lazy ranges, striped: a typo'd --m-max allocates nothing before the checks run.
     tasks = [(config, range(config.m_min + i, config.m_max + 1, workers)) for i in range(workers)]

@@ -8,11 +8,11 @@ it, because the threshold is at least either side's magnitude, so it needs
 no check of its own.  A pair of class residues is minimal iff its
 determinant pos.n*neg.d - neg.n*pos.d is exactly M, just as two fractions
 are Farey neighbours iff their determinant is 1, so is_minimal_pair is one
-comparison, with no scan and no walk (pair_minimal has the proof).  The
-global minimum fraction is the representation with the smallest maximum
-coefficient, ties broken by the smaller denominator and then by the
-positive class (a tie of the same |n| and d in both classes is possible
-when 2x = 0 mod M).
+comparison on the pair's four integers, with no scan and no walk (its
+docstring has the proof).  The global minimum fraction is the
+representation with the smallest maximum coefficient, ties broken by the
+smaller denominator and then by the positive class (a tie of the same |n|
+and d in both classes is possible when 2x = 0 mod M).
 """
 
 from __future__ import annotations
@@ -21,32 +21,21 @@ from math import gcd, isqrt
 
 from .descent import descent_runs
 from .errors import InvariantError
-from .residues import Fraction, FractionPair, Residue, ResidueClass, check_modulus
+from .residues import Fraction, Residue, ResidueClass, check_modulus
 
 
-def is_minimal_pair(p: FractionPair, r: Residue) -> bool:
-    """Check the generalized pair-minimality condition in O(1).
+def is_minimal_pair(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: int) -> bool:
+    """Whether the pair (neg_n/neg_d, pos_n/pos_d) of x mod m is minimal, in O(1).
 
     The pair is minimal iff any denominator whose residue magnitude (in
-    either class) drops below |neg.n| + |pos.n| is at least as large as the
+    either class) drops below |neg_n| + |pos_n| is at least as large as the
     pair's denominator of the matching class: iff the smallest |negative
-    residue| over 0 <= d < neg.d and the smallest positive residue over
-    1 <= d < pos.d are both at least that threshold.  That holds iff the
-    pair's determinant is M (see pair_minimal).  A side that does not
-    represent r, or whose denominator is outside its class's range, raises
-    ValueError.  The work is done by pair_minimal, on the pair's four
-    integers; the harness calls that directly on every pair it checks.
-    """
-    neg, pos = p.neg, p.pos
-    return pair_minimal(r.x, r.m, neg.n, neg.d, pos.n, pos.d)
-
-
-def pair_minimal(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: int) -> bool:
-    """is_minimal_pair on plain integers: the pair (neg_n/neg_d, pos_n/pos_d) of x mod m.
-
-    The sides are taken as a FractionPair would hold them (neg_n < 0 <=
-    pos_n); representation and denominator ranges are checked here, with
-    is_minimal_pair's messages.  The verdict is a determinant test.
+    residue| over 0 <= d < neg_d and the smallest positive residue over
+    1 <= d < pos_d are both at least that threshold.  The negative side
+    has neg_n < 0 and the positive side pos_n >= 0.  A side that does not
+    represent x, or whose denominator is outside its class's range (0..M-1
+    negative, 1..M positive), raises ValueError.  The verdict is a
+    determinant test.
 
     Let L = {(n, d) : n = x*d (mod M)}, a lattice of index M in Z^2, and
     take the sides at their class residues: a = (-A, a.d) with 1 <= A <= M
@@ -187,22 +176,9 @@ def minimum_table(m: int) -> tuple[list[int], list[int]]:
         last_row = (*range(c + 1), *range(-1, -c - 1, -1))  # the numerators for d = c
         for d in range(1, c + 1):
             g, inv, step = per_d[d]
-            if g == 1 and d < c:
-                # The common case, unrolled: c/d and -c/d reach x and M - x
-                # (x is not 0, as 0 < c < M).
-                x = c * inv % m
-                if not denominators[x]:
-                    numerators[x] = c
-                    denominators[x] = d
-                    left -= 1
-                x = m - x
-                if not denominators[x]:
-                    numerators[x] = -c
-                    denominators[x] = d
-                    left -= 1
-            elif g == 1:
-                # d = c: one x per candidate.
-                for n in last_row:
+            if g == 1:
+                # One x per candidate.
+                for n in (c, -c) if d < c else last_row:
                     x = n * inv % m
                     if not denominators[x]:
                         numerators[x] = n

@@ -11,6 +11,10 @@ an hours-long run by accident; exceeding a ceiling raises CeilingExceeded
 rather than silently proceeding.  The CLI's `enumerate` is enumerate_class;
 its `trace` and `table` hold their pair and entry counts against the
 enumeration ceiling through the same gate.
+
+brute_pair_minimal takes a pair as is_minimal_pair does, as its four
+integers (neg_n, neg_d, pos_n, pos_d).  `verify` reads the same verdict off
+brute_prefix_scan's prefix minima, one scan per residue for all its pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import os
 from collections.abc import Iterator
 
 from .errors import CeilingExceeded
-from .residues import Fraction, FractionPair, Residue, ResidueClass
+from .residues import Fraction, Residue, ResidueClass
 
 DEFAULT_ENUMERATION_CEILING = 10**6
 DEFAULT_PAIR_CHECK_CEILING = 10**4
@@ -105,30 +109,23 @@ def brute_minimum(r: Residue, ceiling: int | None = None) -> Fraction:
     return Fraction(best_n, best_d)
 
 
-def brute_pair_minimal(p: FractionPair, r: Residue, ceiling: int | None = None) -> bool:
+def brute_pair_minimal(
+    x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: int, ceiling: int | None = None
+) -> bool:
     """Evaluate the pair-minimality definition literally, denominator by denominator.
-
-    The scan is brute_pair_scan, on the pair's four integers, gated by the
-    pair-check ceiling.
-    """
-    check_pair_ceiling(r.m, ceiling)
-    neg, pos = p.neg, p.pos
-    return brute_pair_scan(r.x, r.m, neg.n, neg.d, pos.n, pos.d)
-
-
-def brute_pair_scan(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: int) -> bool:
-    """brute_pair_minimal on plain integers, with no ceiling: callers gate the scan.
 
     For each d, if the residue magnitude in either class is below the sum of
     the pair's numerator magnitudes, d must be >= the pair's denominator of
     that class.  At or above that denominator the implication holds whatever
     the residue, so each class is scanned only below it: positive residues
-    for d = 1..pos_d-1, negative ones for d = 0..neg_d-1.  The domain is
+    for d = 1..pos_d-1, negative ones for d = 0..neg_d-1.  Gated by the
+    pair-check ceiling, which is checked first.  The domain is
     is_minimal_pair's: both sides must represent x, with the negative
     denominator in 0..M-1 and the positive one in 1..M, else ValueError with
     the same messages, in the same order: the negative side's representation,
     the positive side's, then the two ranges.
     """
+    check_pair_ceiling(m, ceiling)
     if (x * neg_d - neg_n) % m:
         raise ValueError(f"{neg_n}/{neg_d} does not represent {x} (mod {m})")
     if (x * pos_d - pos_n) % m:

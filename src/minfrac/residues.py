@@ -118,8 +118,5 @@ class FractionPair(Record):
         self.neg = neg
         self.pos = pos
 
-    def determinant(self) -> int:
-        return self.pos.n * self.neg.d - self.neg.n * self.pos.d
-
     def __str__(self) -> str:
         return f"({self.neg}, {self.pos})"

@@ -222,7 +222,7 @@ def test_trace_json_is_laid_out_as_json_dumps(capsys):
             {
                 "neg": {"n": p.neg.n, "d": p.neg.d},
                 "pos": {"n": p.pos.n, "d": p.pos.d},
-                "det": p.determinant(),
+                "det": p.pos.n * p.neg.d - p.neg.n * p.pos.d,
                 "replaced": None if rep is None else rep.value,
             }
             for p, rep in zip(t.pairs, t.replaced)

@@ -35,7 +35,7 @@ def test_run_descent_reproduces_frozen_trace():
     assert list(t.replaced) == [rep for _, rep in TRACE_7_MOD_17]
     assert len(t) == 8
     assert t.pairs[-1] == _pair(-1, 12, 0, 17)
-    assert [p.determinant() for p in t.pairs] == [17] * 8
+    assert [p.pos.n * p.neg.d - p.neg.n * p.pos.d for p in t.pairs] == [17] * 8
 
 
 def test_descent_steps_matches_object_level_trace():
@@ -120,7 +120,7 @@ def test_descent_invariants(data):
     assert t.pairs[0] == FractionPair(Fraction(-m, 0), Fraction(x, 1))
     assert t.replaced[0] is None
     assert t.pairs[-1].pos.n == 0
-    assert [p.determinant() for p in t.pairs] == [m] * len(t)
+    assert [p.pos.n * p.neg.d - p.neg.n * p.pos.d for p in t.pairs] == [m] * len(t)
     for p in t.pairs:
         assert represents(r, p.neg)
         assert represents(r, p.pos)

@@ -249,9 +249,10 @@ def _assert_one_pair_counterexample(base, report, detail):
 
 
 def test_agreement_reports_a_planted_pair_verdict(monkeypatch):
-    # Flip pair_minimal's verdict on one trace pair: every trace pair in
-    # the range must still be compared, once.
-    real = harness.pair_minimal
+    # Flip is_minimal_pair's verdict on one trace pair: every trace pair in
+    # the range must still be compared, once, through the harness's own
+    # is_minimal_pair, the name the benchmark's traced run wraps.
+    real = harness.is_minimal_pair
     target = (7, 17, -3, 2, 4, 3)
     seen = []
 
@@ -261,7 +262,7 @@ def test_agreement_reports_a_planted_pair_verdict(monkeypatch):
         return not verdict if pair == target else verdict
 
     base = _check("agreement", 2, 30)
-    monkeypatch.setattr(harness, "pair_minimal", planted)
+    monkeypatch.setattr(harness, "is_minimal_pair", planted)
     report = _check("agreement", 2, 30)
     assert len(seen) == sum(len(list(descent_steps(x, m))) for m in range(2, 31) for x in range(m))
     assert seen.count(target) == 1
@@ -373,8 +374,8 @@ def test_workers_are_capped_by_the_cpus_this_process_may_run_on(monkeypatch, aff
 
 
 def test_a_sweep_refuses_a_modulus_over_the_pair_ceiling_before_walking_it(monkeypatch):
-    # Every check's per-modulus setup runs before the modulus's residues, so
-    # agreement's pair gate answers before determinant walks any x of 11.
+    # run_checks holds the range to the pair ceiling before it sweeps, so
+    # agreement's scan is refused before determinant walks any x of 11.
     def unwalkable(x, m):
         raise AssertionError(f"walked {x} mod {m} for a refused modulus")
 
@@ -385,6 +386,25 @@ def test_a_sweep_refuses_a_modulus_over_the_pair_ceiling_before_walking_it(monke
         "pair-minimality check: modulus 11 exceeds the ceiling 10; "
         "raise the ceiling explicitly to proceed"
     )
+
+
+def test_a_range_across_the_pair_ceiling_is_refused_before_any_modulus_is_swept(monkeypatch):
+    # [2, 260] crosses the ceiling 250.  The refusal names 251, the first
+    # modulus above it, before any worker sweeps [2, 250], whatever the
+    # worker count.
+    def unreachable(task):
+        raise AssertionError(f"swept {task[1]} of a range that crosses the pair ceiling")
+
+    monkeypatch.setattr(harness, "_chunk_worker", unreachable)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for workers in (1, 2):
+        config = SweepConfig(2, 260, checks=("minimality",), parallelism=workers, ceiling=250)
+        with pytest.raises(CeilingExceeded) as exc:
+            run_checks(config)
+        assert str(exc.value) == (
+            "pair-minimality check: modulus 251 exceeds the ceiling 250; "
+            "raise the ceiling explicitly to proceed"
+        )
 
 
 def _durationless(reports):

@@ -11,11 +11,10 @@ from minfrac.minimality import (
     is_minimal_pair,
     minimum_fraction,
     minimum_table,
-    pair_minimal,
     sqrt_bound_witness,
 )
-from minfrac.oracle import brute_minimum, brute_pair_minimal, brute_pair_scan, brute_prefix_scan
-from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, represents
+from minfrac.oracle import brute_minimum, brute_pair_minimal, brute_prefix_scan
+from minfrac.residues import Fraction, Residue, ResidueClass, represents
 
 
 def criterion_key(f):
@@ -97,71 +96,60 @@ def test_minimum_table_rejects_bad_moduli():
 
 
 def test_is_minimal_pair_holds_on_trace_pairs():
-    r = Residue(7, 17)
-    for p in run_descent(r).pairs:
-        assert is_minimal_pair(p, r)
+    for nn, nd, pn, pd, _ in descent_steps(7, 17):
+        assert is_minimal_pair(7, 17, nn, nd, pn, pd)
 
 
 def test_is_minimal_pair_counterexample():
     # -6/4 pairs with 4/3 for 7 mod 17, but d=2 already gives magnitude
     # 3 < 6+4, so the pair is not minimal
-    r = Residue(7, 17)
-    p = FractionPair(neg=Fraction(-6, 4), pos=Fraction(4, 3))
-    assert not is_minimal_pair(p, r)
+    assert not is_minimal_pair(7, 17, -6, 4, 4, 3)
 
 
 def test_is_minimal_pair_rejects_non_representations():
     with pytest.raises(ValueError):
-        is_minimal_pair(FractionPair(neg=Fraction(-1, 2), pos=Fraction(4, 3)), Residue(7, 17))
+        is_minimal_pair(7, 17, -1, 2, 4, 3)
 
 
 def test_is_minimal_pair_rejects_out_of_class_denominators():
     # Both pairs represent their residue, but -n/18 lies outside the
     # negative class (denominators 0..M-1).  The first would pass the scan
     # and the second fail it at d = 1; both are refused before any scan.
-    cases = [
-        (FractionPair(neg=Fraction(-17, 18), pos=Fraction(0, 1)), Residue(0, 17)),
-        (FractionPair(neg=Fraction(-10, 18), pos=Fraction(7, 1)), Residue(7, 17)),
-    ]
-    for p, r in cases:
+    for pair in ((0, 17, -17, 18, 0, 1), (7, 17, -10, 18, 7, 1)):
         with pytest.raises(ValueError, match=r"^negative-class denominator 18 out of range \[0, 16\]$"):
-            is_minimal_pair(p, r)
+            is_minimal_pair(*pair)
     # The positive class takes denominators 1..M, so 7/18 is outside it.
-    p = FractionPair(neg=Fraction(-3, 2), pos=Fraction(7, 18))
     with pytest.raises(ValueError, match=r"^positive-class denominator 18 out of range \[1, 17\]$"):
-        is_minimal_pair(p, Residue(7, 17))
+        is_minimal_pair(7, 17, -3, 2, 7, 18)
 
 
 def test_is_minimal_pair_matches_the_oracle_on_every_in_class_pair():
     # Every representing pair with a negative denominator in 0..M-1 and a
-    # positive one in 1..M, for every residue of every M <= 24.  Each route
-    # gives its wrapper's verdict on the same four integers; the fourth
-    # reads it off the residue's prefix minima, as the agreement check does.
+    # positive one in 1..M, for every residue of every M <= 24.  The oracle
+    # gives its verdict twice: by its per-pair scan, and read off the
+    # residue's prefix minima, as the agreement check does.
     for m in range(2, 25):
         for x in range(m):
-            r = Residue(x, m)
-            neg, pos, _ = brute_prefix_scan(r)
+            neg, pos, _ = brute_prefix_scan(Residue(x, m))
             for nd in range(m):
                 nn = (x * nd) % m - m
                 for pd in range(1, m + 1):
                     pn = (x * pd) % m
-                    p = FractionPair(neg=Fraction(nn, nd), pos=Fraction(pn, pd))
-                    fast = is_minimal_pair(p, r)
-                    assert fast == brute_pair_minimal(p, r), (p, r)
-                    assert fast == pair_minimal(x, m, nn, nd, pn, pd), (p, r)
-                    assert fast == brute_pair_scan(x, m, nn, nd, pn, pd), (p, r)
+                    pair = (x, m, nn, nd, pn, pd)
+                    fast = is_minimal_pair(*pair)
+                    assert fast == brute_pair_minimal(*pair), pair
                     threshold = pn - nn
-                    assert fast == (neg[nd] >= threshold and pos[pd] >= threshold), (p, r)
+                    assert fast == (neg[nd] >= threshold and pos[pd] >= threshold), pair
 
 
-def test_pair_minimal_matches_the_oracle_off_the_class_residues():
+def test_is_minimal_pair_matches_the_oracle_off_the_class_residues():
     # A numerator off its class residue by a multiple of M still represents
     # x, but its threshold is above M, so the pair is minimal only when both
     # of its ranges are empty (neg.d = 0, pos.d = 1), whatever its
     # determinant: -34/0 with 7/1 has determinant 34 for 7 mod 17.
-    assert is_minimal_pair(FractionPair(neg=Fraction(-34, 0), pos=Fraction(7, 1)), Residue(7, 17))
-    assert is_minimal_pair(FractionPair(neg=Fraction(-17, 0), pos=Fraction(24, 1)), Residue(7, 17))
-    assert not is_minimal_pair(FractionPair(neg=Fraction(-27, 1), pos=Fraction(7, 1)), Residue(7, 17))
+    assert is_minimal_pair(7, 17, -34, 0, 7, 1)
+    assert is_minimal_pair(7, 17, -17, 0, 24, 1)
+    assert not is_minimal_pair(7, 17, -27, 1, 7, 1)
     for m in range(2, 13):
         for x in range(m):
             for nd in range(m):
@@ -169,8 +157,9 @@ def test_pair_minimal_matches_the_oracle_off_the_class_residues():
                     for i, j in ((0, 1), (1, 0), (1, 1), (2, 0), (0, 2)):
                         nn = (x * nd) % m - m - i * m
                         pn = (x * pd) % m + j * m
-                        expected = brute_pair_scan(x, m, nn, nd, pn, pd)
-                        assert pair_minimal(x, m, nn, nd, pn, pd) == expected, (x, m, nn, nd, pn, pd)
+                        pair = (x, m, nn, nd, pn, pd)
+                        expected = brute_pair_minimal(*pair)
+                        assert is_minimal_pair(*pair) == expected, pair
                         assert expected == (nd == 0 and pd == 1)
 
 
@@ -181,20 +170,16 @@ X256 = 3141592653589793238462643383279502884197169399375105820974944592307816406
 
 
 def test_is_minimal_pair_holds_on_every_256_bit_trace_pair():
-    r = Residue(X256, P256)
-    pairs = [FractionPair(neg=Fraction(nn, nd), pos=Fraction(pn, pd))
-             for nn, nd, pn, pd, _ in descent_steps(X256, P256)]
-    assert len(pairs) == 2457
-    assert all(is_minimal_pair(p, r) for p in pairs)
+    steps = list(descent_steps(X256, P256))
+    assert len(steps) == 2457
+    assert all(is_minimal_pair(X256, P256, nn, nd, pn, pd) for nn, nd, pn, pd, _ in steps)
 
 
 def test_is_minimal_pair_refuses_a_256_bit_pair_at_the_first_denominator():
     # (x-M)/1 and 2x/2 both represent x, and with 2x < M the threshold is
     # M + x, above the magnitude M of -M/0 at d = 0 < 1.
     for x in (1, X256, P256 // 3):
-        r = Residue(x, P256)
-        p = FractionPair(neg=Fraction(x - P256, 1), pos=Fraction(2 * x, 2))
-        assert not is_minimal_pair(p, r)
+        assert not is_minimal_pair(x, P256, x - P256, 1, 2 * x, 2)
 
 
 def test_is_minimal_pair_refuses_a_256_bit_pair_with_a_deep_witness():
@@ -203,23 +188,21 @@ def test_is_minimal_pair_refuses_a_256_bit_pair_with_a_deep_witness():
     # is larger, a has a threshold above |prev.n| = |a.n| + pos.n, so prev
     # is a witness.  The threshold is small, so every witness lies far past
     # the reach of a scan over smaller denominators.
-    r = Residue(X256, P256)
     steps = list(descent_steps(X256, P256))
     i = max(i for i, step in enumerate(steps) if step[4] is ResidueClass.NEGATIVE)
     prev_n, prev_d, pos_n, _, _ = steps[i - 1]
     a_n, a_d = steps[i][:2]
     pn, pd = min((pn, pd) for _, _, pn, pd, _ in steps if pn > pos_n)
     assert -prev_n < pn - a_n and 2**200 < prev_d < a_d
-    assert not is_minimal_pair(FractionPair(neg=Fraction(a_n, a_d), pos=Fraction(pn, pd)), r)
+    assert not is_minimal_pair(X256, P256, a_n, a_d, pn, pd)
     # The refusal is the determinant's: a multiple of P256 other than P256.
     k, rest = divmod(pn * a_d - a_n * pd, P256)
     assert rest == 0 and k >= 2
 
 
 def test_is_minimal_pair_returns_a_plain_bool():
-    r = Residue(7, 17)
-    assert is_minimal_pair(FractionPair(neg=Fraction(-3, 2), pos=Fraction(4, 3)), r) is True
-    assert is_minimal_pair(FractionPair(neg=Fraction(-6, 4), pos=Fraction(4, 3)), r) is False
+    assert is_minimal_pair(7, 17, -3, 2, 4, 3) is True
+    assert is_minimal_pair(7, 17, -6, 4, 4, 3) is False
 
 
 def test_sqrt_bound_witness_examples():

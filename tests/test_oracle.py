@@ -9,23 +9,18 @@ from hypothesis import strategies as st
 from minfrac.descent import descent_steps
 from minfrac.errors import CeilingExceeded
 from minfrac.harness import _scan_minimum
-from minfrac.minimality import is_minimal_pair, pair_minimal
+from minfrac.minimality import is_minimal_pair
 from minfrac.oracle import (
     CEILING_ENV_VAR,
     DEFAULT_ENUMERATION_CEILING,
     DEFAULT_PAIR_CHECK_CEILING,
     brute_minimum,
     brute_pair_minimal,
-    brute_pair_scan,
     brute_prefix_scan,
     enumerate_class,
 )
-from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, represents
+from minfrac.residues import Fraction, Residue, ResidueClass, represents
 from test_minimality import criterion_key
-
-
-def _pair(nn, nd, pn, pd):
-    return FractionPair(neg=Fraction(nn, nd), pos=Fraction(pn, pd))
 
 
 def test_enumerate_class_frozen_lists():
@@ -77,38 +72,32 @@ def test_brute_minimum_examples():
 
 
 def test_brute_pair_minimal_examples():
-    r = Residue(7, 17)
-    assert brute_pair_minimal(_pair(-17, 0, 7, 1), r)
-    assert brute_pair_minimal(_pair(-3, 2, 4, 3), r)
-    assert brute_pair_minimal(_pair(-1, 12, 0, 17), r)
-    assert not brute_pair_minimal(_pair(-6, 4, 4, 3), r)
+    assert brute_pair_minimal(7, 17, -17, 0, 7, 1)
+    assert brute_pair_minimal(7, 17, -3, 2, 4, 3)
+    assert brute_pair_minimal(7, 17, -1, 12, 0, 17)
+    assert not brute_pair_minimal(7, 17, -6, 4, 4, 3)
 
 
 def test_pair_routes_share_one_domain():
     # -1/2 does not represent 7 mod 17; -17/18 represents 0 mod 17 but lies
     # outside the negative class (denominators 0..16), and 0/18 outside the
     # positive one (1..17).  The oracle and the fast path refuse each with
-    # the same message, on Fractions and on plain integers alike.
+    # the same message.
     cases = [
-        (_pair(-1, 2, 4, 3), Residue(7, 17), r"^-1/2 does not represent 7 \(mod 17\)$"),
-        (_pair(-17, 18, 0, 1), Residue(0, 17),
-         r"^negative-class denominator 18 out of range \[0, 16\]$"),
-        (_pair(-17, 0, 0, 18), Residue(0, 17),
-         r"^positive-class denominator 18 out of range \[1, 17\]$"),
+        ((7, 17, -1, 2, 4, 3), r"^-1/2 does not represent 7 \(mod 17\)$"),
+        ((0, 17, -17, 18, 0, 1), r"^negative-class denominator 18 out of range \[0, 16\]$"),
+        ((0, 17, -17, 0, 0, 18), r"^positive-class denominator 18 out of range \[1, 17\]$"),
         # Neither side represents 7 mod 17: the negative side is named.
-        (_pair(-1, 2, 5, 3), Residue(7, 17), r"^-1/2 does not represent 7 \(mod 17\)$"),
+        ((7, 17, -1, 2, 5, 3), r"^-1/2 does not represent 7 \(mod 17\)$"),
         # A side both off the residue and out of its range: representation
         # is checked first, on either side, before either range.
-        (_pair(-1, 18, 0, 1), Residue(0, 17), r"^-1/18 does not represent 0 \(mod 17\)$"),
-        (_pair(-17, 18, 1, 1), Residue(0, 17), r"^1/1 does not represent 0 \(mod 17\)$"),
+        ((0, 17, -1, 18, 0, 1), r"^-1/18 does not represent 0 \(mod 17\)$"),
+        ((0, 17, -17, 18, 1, 1), r"^1/1 does not represent 0 \(mod 17\)$"),
     ]
-    for p, r, message in cases:
-        for route in (pair_minimal, brute_pair_scan):
-            with pytest.raises(ValueError, match=message):
-                route(r.x, r.m, p.neg.n, p.neg.d, p.pos.n, p.pos.d)
+    for pair, message in cases:
         for route in (is_minimal_pair, brute_pair_minimal):
             with pytest.raises(ValueError, match=message):
-                route(p, r)
+                route(*pair)
 
 
 def test_default_ceilings():
@@ -130,12 +119,15 @@ def test_enumeration_ceiling(monkeypatch):
 def test_pair_check_ceiling(monkeypatch):
     monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
     m = DEFAULT_PAIR_CHECK_CEILING + 1
-    r = Residue(1, m)
-    p = _pair(-m, 0, 1, 1)
+    pair = (1, m, -m, 0, 1, 1)
     with pytest.raises(CeilingExceeded):
-        brute_pair_minimal(p, r)
+        brute_pair_minimal(*pair)
     # explicit ceiling unlocks it
-    assert brute_pair_minimal(p, r, ceiling=m)
+    assert brute_pair_minimal(*pair, ceiling=m)
+    # The ceiling is checked before the pair: an over-ceiling modulus is
+    # refused even for a pair that does not represent x.
+    with pytest.raises(CeilingExceeded):
+        brute_pair_minimal(1, m, -1, 2, 1, 1)
 
 
 def test_brute_prefix_scan_example():
@@ -173,7 +165,7 @@ def test_prefix_minima_ceiling(monkeypatch):
 
 
 def test_a_class_pair_is_minimal_iff_its_determinant_is_m():
-    # The criterion pair_minimal evaluates, held by the oracle routes alone:
+    # The criterion is_minimal_pair evaluates, held by the oracle routes alone:
     # for every in-class pair with M <= 24, the exhaustive scan and the
     # prefix-minima verdict both say minimal iff the determinant is M, and
     # every determinant is a positive multiple of M.
@@ -187,7 +179,7 @@ def test_a_class_pair_is_minimal_iff_its_determinant_is_m():
                     det = pn * nd - nn * pd
                     assert det > 0 and det % m == 0, (x, m, nn, nd, pn, pd)
                     minimal = det == m
-                    assert brute_pair_scan(x, m, nn, nd, pn, pd) == minimal, (x, m, nn, nd, pn, pd)
+                    assert brute_pair_minimal(x, m, nn, nd, pn, pd) == minimal, (x, m, nn, nd, pn, pd)
                     threshold = pn - nn
                     assert (neg[nd] >= threshold and pos[pd] >= threshold) == minimal
 
@@ -197,20 +189,18 @@ def test_a_class_pair_is_minimal_iff_its_determinant_is_m():
 def test_prefix_minima_verdict_matches_brute_pair_minimal(data):
     m = data.draw(st.integers(2, 300))
     x = data.draw(st.integers(0, m - 1))
-    r = Residue(x, m)
     if data.draw(st.booleans()):
         # a descent pair: minimal, so both verdicts should be True
         steps = list(descent_steps(x, m))
         nn, nd, pn, pd, _ = steps[data.draw(st.integers(0, len(steps) - 1))]
-        p = _pair(nn, nd, pn, pd)
     else:
         nd = data.draw(st.integers(0, m - 1))
         pd = data.draw(st.integers(1, m))
-        p = _pair(x * nd % m - m, nd, x * pd % m, pd)
-    neg, pos, _ = brute_prefix_scan(r)
-    threshold = p.pos.n - p.neg.n
-    verdict = neg[p.neg.d] >= threshold and pos[p.pos.d] >= threshold
-    assert verdict == brute_pair_minimal(p, r)
+        nn, pn = x * nd % m - m, x * pd % m
+    neg, pos, _ = brute_prefix_scan(Residue(x, m))
+    threshold = pn - nn
+    verdict = neg[nd] >= threshold and pos[pd] >= threshold
+    assert verdict == brute_pair_minimal(x, m, nn, nd, pn, pd)
 
 
 def test_explicit_ceiling_argument():

