@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # Each public name and the module that defines it.
 _HOMES = {
     "check_names": ("CHECK_NAMES",),
-    "descent": ("DescentTrace", "descent_runs", "descent_steps", "run_descent"),
+    "descent": ("descent_runs", "descent_steps", "run_descent"),
     "errors": ("CeilingExceeded", "InvariantError"),
     "harness": (
         "Anomaly", "Counterexample", "SweepConfig", "VerificationReport", "run_checks",
@@ -29,7 +29,7 @@ _HOMES = {
         "brute_minimum", "brute_pair_minimal", "brute_prefix_scan", "enumerate_class",
     ),
     "residues": (
-        "Fraction", "FractionPair", "Residue", "ResidueClass", "check_modulus", "represents",
+        "Fraction", "Residue", "ResidueClass", "check_modulus", "represents",
     ),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -5,7 +5,8 @@ fraction whose numerator has the larger magnitude with the mediant of the
 two, until the positive-side numerator hits zero.  The mediant of fractions
 with opposite-sign numerators has a numerator strictly smaller in magnitude
 than the larger of the two, so the walk terminates; every pair along the way
-keeps the determinant identity pos.n*neg.d - neg.n*pos.d = M.
+keeps the determinant identity pos.n*neg.d - neg.n*pos.d = M, the modular
+analogue of the Farey neighbour identity, which equals 1 instead.
 
 On a tie in magnitudes the two numerators cancel exactly, so the mediant
 numerator is 0 and it must take the positive slot; replacing the negative
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .residues import Fraction, FractionPair, Record, Residue, ResidueClass
+from .residues import Residue, ResidueClass
 
 RawStep = tuple[int, int, int, int, "ResidueClass | None"]
 
@@ -33,7 +34,7 @@ def descent_steps(x: int, m: int) -> Iterator[RawStep]:
     Yields (neg_n, neg_d, pos_n, pos_d, replaced) for every pair from the
     initial one to the terminal one; `replaced` is None for the initial pair.
     Requires 0 <= x < m.  This is the one implementation of the step;
-    run_descent and the sweep harness both consume it.
+    the CLI's `trace`, the sweep harness and run_descent consume it.
     """
     if not 0 <= x < m:
         raise ValueError(f"residue {x} out of range [0, {m})")
@@ -79,33 +80,6 @@ def descent_runs(x: int, m: int) -> Iterator[tuple[int, int, int, int, ResidueCl
             pd += k * nd
 
 
-class DescentTrace(Record):
-    """Full record of one descent: every pair visited, in order.
-
-    replaced[i] is the side whose replacement made pairs[i]; None at step 0.
-    """
-
-    __slots__ = ("residue", "pairs", "replaced")
-
-    def __init__(
-        self,
-        residue: Residue,
-        pairs: tuple[FractionPair, ...],
-        replaced: tuple[ResidueClass | None, ...],
-    ) -> None:
-        self.residue = residue
-        self.pairs = pairs
-        self.replaced = replaced
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def run_descent(r: Residue) -> DescentTrace:
-    """Run the full descent for r and materialize the trace."""
-    pairs: list[FractionPair] = []
-    replaced: list[ResidueClass | None] = []
-    for nn, nd, pn, pd, rep in descent_steps(r.x, r.m):
-        pairs.append(FractionPair(neg=Fraction(nn, nd), pos=Fraction(pn, pd)))
-        replaced.append(rep)
-    return DescentTrace(residue=r, pairs=tuple(pairs), replaced=tuple(replaced))
+def run_descent(r: Residue) -> list[RawStep]:
+    """The full descent for r, as descent_steps' tuples in a list."""
+    return list(descent_steps(r.x, r.m))

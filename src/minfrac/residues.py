@@ -98,25 +98,3 @@ class Fraction(Record):
 def represents(r: Residue, f: Fraction) -> bool:
     """True iff x*D is congruent to N (mod M)."""
     return (r.x * f.d - f.n) % r.m == 0
-
-
-class FractionPair(Record):
-    """A negative-class and a positive-class fraction for the same residue.
-
-    Every pair produced by the descent satisfies the determinant identity
-    pos.n * neg.d - neg.n * pos.d = M (the modular analogue of the Farey
-    neighbour identity, which equals 1 instead).
-    """
-
-    __slots__ = ("neg", "pos")
-
-    def __init__(self, neg: Fraction, pos: Fraction) -> None:
-        if neg.n >= 0:
-            raise ValueError(f"neg side must have a negative numerator, got {neg}")
-        if pos.n < 0:
-            raise ValueError(f"pos side must have a non-negative numerator, got {pos}")
-        self.neg = neg
-        self.pos = pos
-
-    def __str__(self) -> str:
-        return f"({self.neg}, {self.pos})"

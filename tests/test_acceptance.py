@@ -84,7 +84,8 @@ def test_criterion_02_negative_enumeration():
 def test_criterion_03_descent_trace():
     def body():
         trace = run_descent(Residue(7, 17))
-        assert ", ".join(str(p) for p in trace.pairs) == TRACE_7_17
+        pairs = (f"({nn}/{nd}, {pn}/{pd})" for nn, nd, pn, pd, _ in trace)
+        assert ", ".join(pairs) == TRACE_7_17
 
     _verdict(3, "descent for 7 mod 17 yields the eight pinned pairs in order", body)
 
@@ -151,7 +152,7 @@ def test_criterion_09_progress():
         report = _check("progress", 2, 500)
         assert report.failures == 0, report.counterexamples[:3]
         assert report.passes == PROGRESS_TRANSITIONS_2_500
-        sums = [-p.neg.n + p.pos.n for p in run_descent(Residue(7, 17)).pairs]
+        sums = [-nn + pn for nn, _, pn, _, _ in run_descent(Residue(7, 17))]
         assert sums == MAGNITUDE_SUMS_7_17
 
     _verdict(9, "magnitude sums strictly decrease, M in [2, 500]; 7 mod 17 gives "

@@ -217,15 +217,14 @@ def test_trace_json_is_laid_out_as_json_dumps(capsys):
     for m, x in ((17, 7), (17, 0), (2, 1)):
         code, out, _ = run(capsys, "trace", "-m", str(m), "--x", str(x), "--format", "json")
         assert code == 0
-        t = run_descent(Residue(x, m))
         payload = {"modulus": m, "x": x, "trace": [
             {
-                "neg": {"n": p.neg.n, "d": p.neg.d},
-                "pos": {"n": p.pos.n, "d": p.pos.d},
-                "det": p.pos.n * p.neg.d - p.neg.n * p.pos.d,
+                "neg": {"n": nn, "d": nd},
+                "pos": {"n": pn, "d": pd},
+                "det": pn * nd - nn * pd,
                 "replaced": None if rep is None else rep.value,
             }
-            for p, rep in zip(t.pairs, t.replaced)
+            for nn, nd, pn, pd, rep in run_descent(Residue(x, m))
         ]}
         assert out == json.dumps(payload, indent=2) + "\n"
 

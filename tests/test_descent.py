@@ -1,46 +1,45 @@
-"""Tests for the mediant descent walk and its trace record."""
+"""Tests for the mediant descent walk and its trace."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minfrac.descent import descent_runs, descent_steps, run_descent
-from minfrac.residues import Fraction, FractionPair, Residue, ResidueClass, represents
+from minfrac.residues import Fraction, Residue, ResidueClass, represents
+from test_acceptance import P256, STEPS_256, X256
 
 NEG = ResidueClass.NEGATIVE
 POS = ResidueClass.POSITIVE
 
 
-def _pair(nn, nd, pn, pd):
-    return FractionPair(neg=Fraction(nn, nd), pos=Fraction(pn, pd))
-
-
-# The full walk for 7 mod 17, frozen: every pair plus which side the step
-# replaced to produce it.
+# The full walk for 7 mod 17, frozen: every pair (neg.n, neg.d, pos.n,
+# pos.d) plus which side the step replaced to produce it.
 TRACE_7_MOD_17 = [
-    (_pair(-17, 0, 7, 1), None),
-    (_pair(-10, 1, 7, 1), NEG),
-    (_pair(-3, 2, 7, 1), NEG),
-    (_pair(-3, 2, 4, 3), POS),
-    (_pair(-3, 2, 1, 5), POS),
-    (_pair(-2, 7, 1, 5), NEG),
-    (_pair(-1, 12, 1, 5), NEG),
-    (_pair(-1, 12, 0, 17), POS),
+    (-17, 0, 7, 1, None),
+    (-10, 1, 7, 1, NEG),
+    (-3, 2, 7, 1, NEG),
+    (-3, 2, 4, 3, POS),
+    (-3, 2, 1, 5, POS),
+    (-2, 7, 1, 5, NEG),
+    (-1, 12, 1, 5, NEG),
+    (-1, 12, 0, 17, POS),
 ]
 
 
 def test_run_descent_reproduces_frozen_trace():
     t = run_descent(Residue(7, 17))
-    assert list(t.pairs) == [p for p, _ in TRACE_7_MOD_17]
-    assert list(t.replaced) == [rep for _, rep in TRACE_7_MOD_17]
+    assert t == TRACE_7_MOD_17
     assert len(t) == 8
-    assert t.pairs[-1] == _pair(-1, 12, 0, 17)
-    assert [p.pos.n * p.neg.d - p.neg.n * p.pos.d for p in t.pairs] == [17] * 8
+    assert t[-1] == (-1, 12, 0, 17, POS)
+    assert [pn * nd - nn * pd for nn, nd, pn, pd, _ in t] == [17] * 8
+    assert len(run_descent(Residue(X256, P256))) == STEPS_256
 
 
 def test_descent_steps_matches_object_level_trace():
+    # run_descent on a Residue and descent_steps on its ints walk the same pairs.
     raw = list(descent_steps(7, 17))
-    assert raw == [(p.neg.n, p.neg.d, p.pos.n, p.pos.d, rep) for p, rep in TRACE_7_MOD_17]
+    assert raw == TRACE_7_MOD_17
+    assert raw == run_descent(Residue(7, 17))
 
 
 def test_descent_steps_rejects_out_of_range_residue():
@@ -92,22 +91,19 @@ def test_descent_runs_rejects_out_of_range_residue():
 
 
 def test_zero_residue_is_immediately_terminal():
-    t = run_descent(Residue(0, 17))
-    assert list(t.pairs) == [_pair(-17, 0, 0, 1)]
-    assert list(t.replaced) == [None]
+    assert run_descent(Residue(0, 17)) == [(-17, 0, 0, 1, None)]
 
 
 def test_smallest_modulus_trace():
     t = run_descent(Residue(1, 2))
-    assert list(t.pairs) == [_pair(-2, 0, 1, 1), _pair(-1, 1, 1, 1), _pair(-1, 1, 0, 2)]
-    assert list(t.replaced) == [None, NEG, POS]
+    assert t == [(-2, 0, 1, 1, None), (-1, 1, 1, 1, NEG), (-1, 1, 0, 2, POS)]
 
 
 def test_tie_replaces_the_positive_side():
     # 5 mod 10 reaches (-5/1, 5/1); the tied step must zero the positive slot
     t = run_descent(Residue(5, 10))
-    assert list(t.pairs) == [_pair(-10, 0, 5, 1), _pair(-5, 1, 5, 1), _pair(-5, 1, 0, 2)]
-    assert t.replaced[-1] is POS
+    assert t == [(-10, 0, 5, 1, None), (-5, 1, 5, 1, NEG), (-5, 1, 0, 2, POS)]
+    assert t[-1][4] is POS
 
 
 @given(st.data())
@@ -117,15 +113,14 @@ def test_descent_invariants(data):
     x = data.draw(st.integers(0, m - 1))
     r = Residue(x, m)
     t = run_descent(r)
-    assert t.pairs[0] == FractionPair(Fraction(-m, 0), Fraction(x, 1))
-    assert t.replaced[0] is None
-    assert t.pairs[-1].pos.n == 0
-    assert [p.pos.n * p.neg.d - p.neg.n * p.pos.d for p in t.pairs] == [m] * len(t)
-    for p in t.pairs:
-        assert represents(r, p.neg)
-        assert represents(r, p.pos)
+    assert t[0] == (-m, 0, x, 1, None)
+    assert t[-1][2] == 0
+    assert [pn * nd - nn * pd for nn, nd, pn, pd, _ in t] == [m] * len(t)
+    for nn, nd, pn, pd, _ in t:
+        assert represents(r, Fraction(nn, nd))
+        assert represents(r, Fraction(pn, pd))
     # strict progress: the numerator-magnitude sum shrinks every step
-    sums = [-p.neg.n + p.pos.n for p in t.pairs]
+    sums = [-nn + pn for nn, _, pn, _, _ in t]
     assert all(a > b for a, b in zip(sums, sums[1:]))
 
 
@@ -135,11 +130,9 @@ def test_each_step_replaces_the_larger_numerator_with_the_mediant(data):
     m = data.draw(st.integers(2, 500))
     x = data.draw(st.integers(0, m - 1))
     t = run_descent(Residue(x, m))
-    for prev, new, rep in zip(t.pairs, t.pairs[1:], t.replaced[1:]):
-        med = Fraction(prev.neg.n + prev.pos.n, prev.neg.d + prev.pos.d)
-        if -prev.neg.n > prev.pos.n:
-            assert rep is NEG
-            assert new == FractionPair(neg=med, pos=prev.pos)
+    for (nn, nd, pn, pd, _), new in zip(t, t[1:]):
+        med = (nn + pn, nd + pd)
+        if -nn > pn:
+            assert new == (*med, pn, pd, NEG)
         else:  # ties go to the positive slot
-            assert rep is POS
-            assert new == FractionPair(neg=prev.neg, pos=med)
+            assert new == (nn, nd, *med, POS)

@@ -243,9 +243,9 @@ def test_trace_fractions_are_class_minimal():
         for x in range(m):
             r = Residue(x, m)
             minima = brute_prefix_scan(r)
-            for p in run_descent(r).pairs:
-                assert _class_minimal(p.neg, minima)
-                assert _class_minimal(p.pos, minima)
+            for nn, nd, pn, pd, _ in run_descent(r):
+                assert _class_minimal(Fraction(nn, nd), minima)
+                assert _class_minimal(Fraction(pn, pd), minima)
 
 
 @given(st.data())

@@ -13,7 +13,7 @@ import minfrac
 # Each public name and the module that defines it.
 HOMES = {
     "minfrac.check_names": ["CHECK_NAMES"],
-    "minfrac.descent": ["DescentTrace", "descent_runs", "descent_steps", "run_descent"],
+    "minfrac.descent": ["descent_runs", "descent_steps", "run_descent"],
     "minfrac.errors": ["CeilingExceeded", "InvariantError"],
     "minfrac.harness": [
         "Anomaly", "Counterexample", "SweepConfig", "VerificationReport", "run_checks",
@@ -26,13 +26,13 @@ HOMES = {
         "brute_minimum", "brute_pair_minimal", "brute_prefix_scan", "enumerate_class",
     ],
     "minfrac.residues": [
-        "Fraction", "FractionPair", "Residue", "ResidueClass", "check_modulus", "represents",
+        "Fraction", "Residue", "ResidueClass", "check_modulus", "represents",
     ],
 }
 
 
 def test_every_public_name_is_its_home_modules_object():
-    assert len(minfrac.__all__) == 29
+    assert len(minfrac.__all__) == 27
     assert sorted(minfrac.__all__) == sorted(name for names in HOMES.values() for name in names)
     for module_name, names in HOMES.items():
         module = importlib.import_module(module_name)
@@ -52,7 +52,8 @@ def test_star_import_binds_every_public_name():
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         minfrac.no_such_name
-    assert not hasattr(minfrac, "Record")
+    for name in ("Record", "FractionPair", "DescentTrace"):
+        assert not hasattr(minfrac, name)
     # Names that only tests ever called are gone from the package.
     for name in ("is_minimal_in_class", "MinimalityVerdict", "mediant", "parse_fraction",
                  "check_minimality", "check_determinant", "check_sqrt_bound", "check_progress",

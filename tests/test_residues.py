@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minfrac.descent import DescentTrace, descent_runs, run_descent
+from minfrac.descent import descent_runs, descent_steps
 from minfrac.residues import (
     Fraction,
-    FractionPair,
     Residue,
     ResidueClass,
     check_modulus,
@@ -82,12 +81,10 @@ def test_mediant_examples():
 
 def test_mediant_zero_numerator_is_positive_class():
     # The mediant of -1/12 and 1/5 is 0/17; a zero numerator counts as
-    # positive, so it fills a pair's positive slot and never the negative.
+    # positive, so it fills the walk's positive slot and never the negative.
     z = Fraction(-1 + 1, 12 + 5)
     assert z == Fraction(0, 17)
-    assert FractionPair(neg=Fraction(-1, 12), pos=z).pos == z
-    with pytest.raises(ValueError):
-        FractionPair(neg=z, pos=Fraction(1, 5))
+    assert list(descent_steps(7, 17))[-1] == (-1, 12, z.n, z.d, ResidueClass.POSITIVE)
 
 
 def test_fraction_validation():
@@ -103,39 +100,15 @@ def test_fraction_validation():
 
 
 def test_fraction_class_and_rendering():
-    # The numerator's sign is the class: 0 counts as positive, so 0/17 can
-    # only fill a pair's positive slot.
-    assert FractionPair(neg=Fraction(-3, 2), pos=Fraction(0, 17)).pos == Fraction(0, 17)
-    with pytest.raises(ValueError):
-        FractionPair(neg=Fraction(0, 17), pos=Fraction(4, 3))
     assert str(Fraction(-3, 2)) == "-3/2"
     assert str(Fraction(7, 1)) == "7/1"
 
 
-def test_fraction_pair():
-    p = FractionPair(neg=Fraction(-3, 2), pos=Fraction(4, 3))
-    assert p.pos.n * p.neg.d - p.neg.n * p.pos.d == 17
-    assert str(p) == "(-3/2, 4/3)"
-    with pytest.raises(ValueError):
-        FractionPair(neg=Fraction(4, 3), pos=Fraction(4, 3))
-    with pytest.raises(ValueError):
-        FractionPair(neg=Fraction(-3, 2), pos=Fraction(-1, 2))
-
-
 def _value_types():
     """One instance of each value type, a copy of it, and each one-field variant."""
-    third, half = Fraction(-1, 3), Fraction(1, 2)
-    pair = FractionPair(neg=third, pos=half)
-    trace = run_descent(Residue(0, 2))
     return [
         (Residue(7, 17), Residue(7, 17), [Residue(8, 17), Residue(7, 19)]),
-        (half, Fraction(1, 2), [Fraction(2, 2), Fraction(1, 3)]),
-        (pair, FractionPair(Fraction(-1, 3), Fraction(1, 2)),
-         [FractionPair(Fraction(-2, 3), half), FractionPair(third, Fraction(1, 3))]),
-        (trace, DescentTrace(Residue(0, 2), trace.pairs, trace.replaced),
-         [DescentTrace(Residue(1, 2), trace.pairs, trace.replaced),
-          DescentTrace(Residue(0, 2), (), trace.replaced),
-          DescentTrace(Residue(0, 2), trace.pairs, (ResidueClass.POSITIVE,))]),
+        (Fraction(1, 2), Fraction(1, 2), [Fraction(2, 2), Fraction(1, 3)]),
     ]
 
 
@@ -156,14 +129,6 @@ def test_value_types_compare_and_hash_by_their_fields():
 def test_value_type_reprs_and_keywords():
     assert repr(Residue(x=7, m=17)) == "Residue(x=7, m=17)"
     assert repr(Fraction(n=1, d=2)) == "Fraction(n=1, d=2)"
-    assert repr(FractionPair(neg=Fraction(-17, 0), pos=Fraction(7, 1))) == (
-        "FractionPair(neg=Fraction(n=-17, d=0), pos=Fraction(n=7, d=1))"
-    )
-    assert repr(run_descent(Residue(0, 2))) == (
-        "DescentTrace(residue=Residue(x=0, m=2), "
-        "pairs=(FractionPair(neg=Fraction(n=-2, d=0), pos=Fraction(n=0, d=1)),), "
-        "replaced=(None,))"
-    )
 
 
 def test_value_type_validation_messages():
@@ -173,10 +138,6 @@ def test_value_type_validation_messages():
         (lambda: Residue(17, 17), "residue 17 out of range [0, 17)"),
         (lambda: Fraction(1, -1), "denominator must be >= 0, got -1"),
         (lambda: Fraction(0, 0), "positive-class fractions need a denominator >= 1"),
-        (lambda: FractionPair(neg=Fraction(4, 3), pos=Fraction(4, 3)),
-         "neg side must have a negative numerator, got 4/3"),
-        (lambda: FractionPair(neg=Fraction(-3, 2), pos=Fraction(-1, 2)),
-         "pos side must have a non-negative numerator, got -1/2"),
     ]
     for make, message in cases:
         with pytest.raises(ValueError) as exc:
