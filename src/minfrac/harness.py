@@ -28,14 +28,17 @@ it before any modulus is swept) and whether it reads the whole walk.
 minimum_fraction and sqrt_bound_witness walk the descent by runs; the
 agreement and sqrt_bound checks compare them with scans of the step walk,
 kept here as their slow twins, as well as with the oracle and the bound:
-agreement takes the oracle's enumerated minimum from the same scan.
+agreement takes the oracle's enumerated minimum from the same scan.  The
+twins return (n, d) int tuples, and the checks compare every minimum and
+witness as (n, d); a failure's detail prints each as n/d.
 The agreement check also holds each modulus's minimum_table, the sieve
 behind `minfrac table`, to the same minima: the sieve is two int lists,
 numerators and denominators indexed by x, and its x = 0 entry (0/1) is
 checked like every other.  It holds is_minimal_pair's verdict on every
 trace or random pair to the oracle's, read off the prefix minima: the same
 exhaustive scan of every smaller denominator that brute_pair_minimal makes,
-done once per residue instead of once per pair.
+done once per residue instead of once per pair.  Random pairs include
+off-class pairs, whose numerator is off its class residue by M.
 Only pair minimality is checked: it implies each side's per-class
 minimality, since the pair's threshold is at least either side's magnitude.
 
@@ -46,7 +49,9 @@ report is deterministic for a given config no matter how the work was split.
 The pool and the sampler are imported only when a sweep needs them.  The
 CLI imports this module only when `verify` runs, and takes the check names
 from the leaf module check_names, so no other command pays for the harness
-or for `dataclasses`, which its records still use.
+or for `dataclasses`.  The findings, Counterexample and Anomaly, are slotted
+Records like Residue and Fraction; SweepConfig and VerificationReport stay
+dataclasses, since callers derive variants of them with dataclasses.replace.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ from .oracle import (
     check_pair_ceiling,
     resolve_ceiling,
 )
-from .residues import Fraction, Residue, ResidueClass, represents
+from .residues import Fraction, Record, Residue, ResidueClass
 
 # Not called here: the benchmark's traced run wraps these harness attributes
 # by name (perfbench/tracing.py), so they stay until its spans follow the
@@ -111,23 +116,27 @@ class SweepConfig:
         object.__setattr__(self, "checks", tuple(c for c in CHECK_NAMES if c in requested))
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """A falsifying instance, with a CLI command that replays it."""
 
-    m: int
-    x: int
-    detail: str
-    replay: str
+    __slots__ = ("m", "x", "detail", "replay")
+
+    def __init__(self, m: int, x: int, detail: str, replay: str) -> None:
+        self.m = m
+        self.x = x
+        self.detail = detail
+        self.replay = replay
 
 
-@dataclass(frozen=True)
-class Anomaly:
+class Anomaly(Record):
     """Something worth inspecting that is not a falsified invariant."""
 
-    m: int
-    x: int
-    detail: str
+    __slots__ = ("m", "x", "detail")
+
+    def __init__(self, m: int, x: int, detail: str) -> None:
+        self.m = m
+        self.x = x
+        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -180,7 +189,7 @@ class VerificationReport:
 _Outcome = tuple[int, Iterable[tuple[str, str]], str | None]
 
 # The oracle's scan of one residue, (neg, pos, minimum), from brute_prefix_scan.
-_Minima = tuple[list[int], list[int], Fraction]
+_Minima = tuple[list[float], list[float], Fraction]
 
 
 def _determinant(r: Residue, env: None, steps: list[RawStep], minima: _Minima | None) -> _Outcome:
@@ -197,9 +206,10 @@ def _determinant(r: Residue, env: None, steps: list[RawStep], minima: _Minima | 
     return passes, bad, None
 
 
-def _scan_minimum(steps: Iterable[RawStep]) -> Fraction:
-    """The minimum over both sides of every step pair, with its order spelled out:
-    smallest max(|n|, d), then the smaller denominator, then the positive class."""
+def _scan_minimum(steps: Iterable[RawStep]) -> tuple[int, int]:
+    """Slow twin of minimum_fraction: the minimum over both sides of every step
+    pair, as (n, d), with its order spelled out: smallest max(|n|, d), then the
+    smaller denominator, then the positive class."""
     steps = iter(steps)
     _, _, best_n, best_d, _ = next(steps)  # the walk starts at (-M/0, x/1)
     best_max = best_n if best_n > 1 else 1
@@ -211,17 +221,18 @@ def _scan_minimum(steps: Iterable[RawStep]) -> Fraction:
         a = pn if pn > pd else pd
         if a < best_max or a == best_max and (pd < best_d or pd == best_d and best_n < 0):
             best_n, best_d, best_max = pn, pd, a
-    return Fraction(best_n, best_d)
+    return best_n, best_d
 
 
-def _step_witness(r: Residue, steps: Iterable[RawStep]) -> Fraction:
-    """Slow twin of sqrt_bound_witness: the first qualifying fraction of r's step walk."""
+def _step_witness(r: Residue, steps: Iterable[RawStep]) -> tuple[int, int]:
+    """Slow twin of sqrt_bound_witness: the first qualifying fraction of r's
+    step walk, as (n, d)."""
     m = r.m
     for nn, nd, pn, pd, _ in steps:
         if nn * nn <= m and nd * nd <= m:
-            return Fraction(nn, nd)
+            return nn, nd
         if pn * pn <= m and pd * pd <= m:
-            return Fraction(pn, pd)
+            return pn, pd
     raise InvariantError(f"the step walk finds no sqrt-bounded representation for {r}")
 
 
@@ -237,10 +248,12 @@ def _sqrt_bound(r: Residue, env: None, steps: Iterable[RawStep],
         detail = f"no representation with n^2 <= {m} and d^2 <= {m}; trace: {trace}"
     else:
         n, d = witness.n, witness.d
-        if witness == step_witness and represents(r, witness) and n * n <= m and d * d <= m:
+        # Equal to the step witness, represents x, and within the bound.
+        if (n, d) == step_witness and not (r.x * d - n) % m and n * n <= m and d * d <= m:
             return 1, (), None
+        step_n, step_d = step_witness
         detail = (
-            f"run witness {witness} vs step witness {step_witness}: "
+            f"run witness {witness} vs step witness {step_n}/{step_d}: "
             f"must be equal, represent x and have n^2 <= {m} and d^2 <= {m}"
         )
     return 0, [("trace", detail)], None
@@ -287,7 +300,12 @@ def _progress(r: Residue, env: None, steps: list[RawStep], minima: _Minima | Non
 def _agreement_setup(m: int, config: SweepConfig) -> tuple[tuple[list[int], list[int]], dict]:
     """The modulus's sieve (numerators and denominators by x), and its random
     pairs grouped by x as (neg.n, neg.d, pos.n, pos.d, None), the shape of a
-    trace step."""
+    trace step.  One random pair in three has its numerators at their class
+    residues; one in three has its negative numerator one M further down,
+    and one in three its positive numerator one M further up.  Such an
+    off-class pair is minimal only when both its ranges are empty
+    (neg.d = 0 and pos.d = 1), the case is_minimal_pair settles apart from
+    its determinant test."""
     sieve = minimum_table(m)
     # The random pairs are drawn up front, in the sample's order.
     random_pairs: dict[int, list[tuple[int, int, int, int, None]]] = {}
@@ -300,7 +318,13 @@ def _agreement_setup(m: int, config: SweepConfig) -> tuple[tuple[list[int], list
             x = rng.randrange(m)
             nd = rng.randrange(0, m)
             pd = rng.randrange(1, m + 1)
-            random_pairs.setdefault(x, []).append(((x * nd) % m - m, nd, (x * pd) % m, pd, None))
+            nn, pn = (x * nd) % m - m, (x * pd) % m
+            off = rng.randrange(3)
+            if off == 0:
+                nn -= m
+            elif off == 1:
+                pn += m
+            random_pairs.setdefault(x, []).append((nn, nd, pn, pd, None))
     return sieve, random_pairs
 
 
@@ -313,12 +337,12 @@ def _agreement(r: Residue, env: tuple[tuple, dict], steps: list[RawStep],
     bad = []
     sieve_n, sieve_d = numerators[x], denominators[x]
     run_min = minimum_fraction(r)
-    step_min = _scan_minimum(steps)
-    if run_min == step_min == slow_min and sieve_n == run_min.n and sieve_d == run_min.d:
+    step_n, step_d = step_min = _scan_minimum(steps)
+    if (sieve_n, sieve_d) == (run_min.n, run_min.d) == step_min == (slow_min.n, slow_min.d):
         passes += 1
     else:
         bad.append(("repr", f"sieve minimum {sieve_n}/{sieve_d}, run minimum {run_min}, step "
-                            f"minimum {step_min} and enumerated minimum {slow_min} differ"))
+                            f"minimum {step_n}/{step_d} and enumerated minimum {slow_min} differ"))
     extra = random_pairs.get(x)
     for nn, nd, pn, pd, _ in steps + extra if extra else steps:
         fast = is_minimal_pair(x, m, nn, nd, pn, pd)

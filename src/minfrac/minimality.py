@@ -100,9 +100,9 @@ def minimum_fraction(r: Residue) -> Fraction:
     fraction's numerator, so distinct fractions have distinct keys.
     """
     x = r.x
-    best_key, best_n, best_d = (max(x, 1), 1, False), x, 1
+    best_max, best_n, best_d = max(x, 1), x, 1
     for an, ad, bn, bd, side, k in descent_runs(x, r.m):
-        if ad + bd > best_key[0]:
+        if ad + bd > best_max:
             # Mediant denominators rise along the whole walk and bound the
             # key from below, so no later fraction can win.
             break
@@ -111,9 +111,12 @@ def minimum_fraction(r: Residue) -> Fraction:
         for j in (1,) if c < 1 else (k,) if c >= k else (c, c + 1):
             n = an - j * bn
             d = ad + j * bd
-            key = (n if n > d else d, d, negative)
-            if key < best_key:
-                best_key, best_n, best_d = key, -n if negative else n, d
+            a = n if n > d else d
+            # The key (a, d, negative), compared field by field.
+            if a < best_max or a == best_max and (
+                d < best_d or d == best_d and best_n < 0 and not negative
+            ):
+                best_max, best_n, best_d = a, -n if negative else n, d
     return Fraction(best_n, best_d)
 
 

@@ -1,9 +1,12 @@
 """Brute-force ground truth for cross-checking the algorithmic modules.
 
-Everything here recomputes residues from first principles (multiply, mod,
-shift) and evaluates definitions by exhaustive iteration.  The duplication
-with the residues/minimality modules is deliberate: this module has to stay
-an independent witness, so it shares data types with them but no arithmetic
+Everything here recomputes residues from first principles and evaluates
+definitions by exhaustive iteration: the per-call routes multiply and take
+the residue mod M at each denominator, and brute_prefix_scan, which `verify`
+calls once per residue, steps from one denominator's residue to the next by
+adding x and subtracting M on a wrap.  The duplication with the
+residues/minimality modules is deliberate: this module has to stay an
+independent witness, so it shares data types with them but no arithmetic
 helpers.
 
 Brute-force work is gated behind ceilings so a typo'd modulus cannot start
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
+from math import inf
 
 from .errors import CeilingExceeded
 from .residues import Fraction, Residue, ResidueClass
@@ -146,22 +150,29 @@ def brute_pair_minimal(
 
 def brute_prefix_scan(
     r: Residue, ceiling: int | None = None
-) -> tuple[list[int], list[int], Fraction]:
+) -> tuple[list[float], list[float], Fraction]:
     """Both classes' running minima and the criterion-minimal representation, from one scan.
 
     Returns (neg, pos, minimum).  neg[D] is the smallest |negative residue|
     over 0 <= d < D, and pos[D] the smallest positive residue over
     1 <= d < D, for every denominator D a pair can carry (0..M).  An empty
-    range reads 2M, above every pair threshold |neg.n| + |pos.n| < 2M.  A
-    pair is minimal iff neg[neg.d] and pos[pos.d] are both at least its
-    threshold: the same definition brute_pair_minimal evaluates, with the
-    scan over d shared by every pair of one residue.  minimum is the
-    representation brute_minimum finds.  Gated by the pair-check ceiling.
+    range (neg[0], pos[0] and pos[1]) reads +inf, above every pair
+    threshold |neg.n| + |pos.n|, including those of pairs whose numerators
+    are off their class residues by multiples of M.  A pair is minimal iff
+    neg[neg.d] and pos[pos.d] are both at least its threshold: the same
+    definition brute_pair_minimal evaluates, with the scan over d shared by
+    every pair of one residue.  minimum is the representation brute_minimum
+    finds.  Gated by the pair-check ceiling.
 
-    The scan recomputes x*d % M for d = 1..M-1, upwards, and writes each
-    class's running minimum to slot d + 1, so it costs O(M) per residue
-    with no intermediate list.  d = 0 has residue 0, the negative
-    candidate -M/0 of magnitude M; the positive class starts at d = 1.
+    The scan walks d = 1..M-1 upwards and gets each positive residue
+    x*d % M from the previous one by adding x and, past M, subtracting M
+    once.  It appends each class's running minimum as slot d + 1, so it
+    costs O(M) per residue.  d = 0 has residue 0, the negative candidate
+    -M/0 of magnitude M; the positive class starts at d = 1.  A negative
+    residue's magnitude is M minus the positive one, so a new smallest
+    |negative residue| is a new largest positive residue (M - rp < low iff
+    rp > high): the scan tracks that largest residue and subtracts only at
+    such a record.
 
     The minimum is compared only at records: denominators whose residue
     magnitude sets a new running minimum of their class.  Lemma: a
@@ -179,25 +190,27 @@ def brute_prefix_scan(
     """
     check_pair_ceiling(r.m, ceiling)
     x, m = r.x, r.m
-    empty = 2 * m
-    neg = [empty] * (m + 1)
-    pos = [empty] * (m + 1)
-    low_neg = neg[1] = m  # d = 0
-    low_pos = empty
+    neg = [inf, m]  # d = 0: -M/0
+    pos = [inf, inf]
+    low_neg = m
+    low_pos = m  # above every residue, so d = 1 is a record; never a slot
+    high = rp = 0
     best_n, best_d, best_max = 0, m, m
     for d in range(1, m):
-        rp = x * d % m
+        rp += x
+        if rp >= m:
+            rp -= m
         if rp < low_pos:
             low_pos = rp
             maxc = rp if rp > d else d
             if maxc < best_max:
                 best_n, best_d, best_max = rp, d, maxc
-        a = m - rp  # the negative candidate, rp - M
-        if a < low_neg:
-            low_neg = a
-            maxc = a if a > d else d
+        if rp > high:
+            high = rp
+            low_neg = m - rp  # the negative candidate, rp - M
+            maxc = low_neg if low_neg > d else d
             if maxc < best_max:
-                best_n, best_d, best_max = -a, d, maxc
-        neg[d + 1] = low_neg
-        pos[d + 1] = low_pos
+                best_n, best_d, best_max = -low_neg, d, maxc
+        neg.append(low_neg)
+        pos.append(low_pos)
     return neg, pos, Fraction(best_n, best_d)

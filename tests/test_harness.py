@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import re
 
 import pytest
 
@@ -271,6 +272,24 @@ def test_agreement_reports_a_planted_pair_verdict(monkeypatch):
     )
 
 
+def _determinant_only(x, m, neg_n, neg_d, pos_n, pos_d):
+    """is_minimal_pair without its empty-ranges disjunct (neg_d == 0 and pos_d == 1)."""
+    return pos_n * neg_d - neg_n * pos_d == m
+
+
+def test_agreement_holds_off_class_random_pairs_to_the_oracle(monkeypatch):
+    # Some random pairs have a numerator one M off its class residue.  Such
+    # a pair is minimal only with both ranges empty, neg.d = 0 and
+    # pos.d = 1, where its determinant exceeds M: a verdict from the
+    # determinant alone is wrong on exactly those pairs.
+    monkeypatch.setattr(harness, "is_minimal_pair", _determinant_only)
+    report = _check("agreement", 2, 30, random_pairs_per_m=16)
+    assert report.failures
+    for ce in report.counterexamples:
+        assert re.fullmatch(r"is_minimal_pair says False but the exhaustive scan says True "
+                            r"for \(-\d+/0, \d+/1\)", ce.detail), ce.detail
+
+
 def test_agreement_reports_a_planted_oracle_verdict(monkeypatch):
     # Lower pos[3] of 7 mod 17's prefix minima below 7, the threshold of
     # (-3/2, 4/3), the walk's only pair with positive denominator 3: the
@@ -439,10 +458,21 @@ def test_one_sweep_of_every_check_matches_one_sweep_per_check(monkeypatch):
     assert _durationless(serial) == _durationless(pooled) == _durationless(singles)
 
 
-def test_parallel_sweep_matches_serial():
+def test_parallel_sweep_matches_serial(monkeypatch):
     serial = run_checks(SweepConfig(2, 40, parallelism=1))
     parallel = run_checks(SweepConfig(2, 40, parallelism=3))
     assert _durationless(serial) == _durationless(parallel)
+    # Planted counterexamples and anomalies come back from two workers,
+    # pickled, and merge into what one worker reports.  The workers are
+    # forked, so they inherit the plants.
+    monkeypatch.setattr(harness, "is_minimal_pair", _determinant_only)
+    monkeypatch.setattr(harness, "TRACE_CAP_FACTOR", 1)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    config = {"checks": ("progress", "agreement"), "random_pairs_per_m": 16}
+    serial = run_checks(SweepConfig(2, 30, **config))
+    pooled = run_checks(SweepConfig(2, 30, parallelism=2, **config))
+    assert serial[0].anomaly_count and serial[1].failures
+    assert _durationless(serial) == _durationless(pooled)
 
 
 def test_agreement_random_pairs_are_seed_deterministic():

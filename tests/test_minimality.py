@@ -293,5 +293,7 @@ def test_run_length_paths_match_step_scans_up_to_256_bits(data):
     x = data.draw(st.integers(0, m - 1))
     assume(_euclid_steps(x, m) <= 10**5)  # keeps the step scans bounded
     r = Residue(x, m)
-    assert minimum_fraction(r) == _scan_minimum(descent_steps(x, m))
-    assert sqrt_bound_witness(r) == _step_witness(r, descent_steps(x, m))
+    f = minimum_fraction(r)
+    assert (f.n, f.d) == _scan_minimum(descent_steps(x, m))
+    f = sqrt_bound_witness(r)
+    assert (f.n, f.d) == _step_witness(r, descent_steps(x, m))

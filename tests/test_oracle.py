@@ -1,5 +1,6 @@
 """Tests for the brute-force oracle and its ceilings."""
 
+import math
 from itertools import accumulate
 
 import pytest
@@ -132,19 +133,19 @@ def test_pair_check_ceiling(monkeypatch):
 
 def test_brute_prefix_scan_example():
     # |negative residues| of 7 mod 17 for d = 0..16: 17 10 3 13 6 16 9 2 12 5 ...;
-    # positive residues for d = 1..16: 7 14 4 11 1 ...; an empty range reads 2M
+    # positive residues for d = 1..16: 7 14 4 11 1 ...; an empty range reads +inf
     neg, pos, minimum = brute_prefix_scan(Residue(7, 17))
-    assert neg == [34, 17, 10] + [3] * 5 + [2] * 5 + [1] * 5
-    assert pos == [34, 34, 7, 7, 4, 4] + [1] * 12
+    assert neg == [math.inf, 17, 10] + [3] * 5 + [2] * 5 + [1] * 5
+    assert pos == [math.inf, math.inf, 7, 7, 4, 4] + [1] * 12
     assert minimum == Fraction(-3, 2)
 
 
 def test_brute_prefix_scan_matches_the_definitions():
     # Every x mod M for M <= 300: slot D of each class holds the minimum
-    # magnitude over the class's denominators below D (2M when there are
+    # magnitude over the class's denominators below D (+inf when there are
     # none), and the minimum is the one the downward scan finds.
+    empty = math.inf
     for m in range(2, 301):
-        empty = 2 * m
         for x in range(m):
             r = Residue(x, m)
             neg, pos, minimum = brute_prefix_scan(r)
@@ -182,6 +183,27 @@ def test_a_class_pair_is_minimal_iff_its_determinant_is_m():
                     assert brute_pair_minimal(x, m, nn, nd, pn, pd) == minimal, (x, m, nn, nd, pn, pd)
                     threshold = pn - nn
                     assert (neg[nd] >= threshold and pos[pd] >= threshold) == minimal
+
+
+def test_prefix_minima_verdict_matches_brute_pair_minimal_off_the_class_residues():
+    # A numerator off its class residue by a multiple of M raises the
+    # threshold above M, and can raise it above 2M, so an empty range must
+    # read above every threshold: -34/0 with 7/1 of 7 mod 17 (threshold 41)
+    # is minimal.  The shifts are those of the is_minimal_pair test on the
+    # same pairs.
+    neg, pos, _ = brute_prefix_scan(Residue(7, 17))
+    assert neg[0] >= 34 + 7 and pos[1] >= 34 + 7
+    for m in range(2, 13):
+        for x in range(m):
+            neg, pos, _ = brute_prefix_scan(Residue(x, m))
+            for nd in range(m):
+                for pd in range(1, m + 1):
+                    for i, j in ((0, 1), (1, 0), (1, 1), (2, 0), (0, 2)):
+                        nn = (x * nd) % m - m - i * m
+                        pn = (x * pd) % m + j * m
+                        threshold = pn - nn
+                        verdict = neg[nd] >= threshold and pos[pd] >= threshold
+                        assert verdict == brute_pair_minimal(x, m, nn, nd, pn, pd), (x, m, nn, nd, pn, pd)
 
 
 @given(st.data())
@@ -254,4 +276,4 @@ def test_brute_minimum_is_a_minimal_representation():
             expected = min(candidates, key=criterion_key)
             assert brute_minimum(r) == expected, r
             assert brute_prefix_scan(r)[2] == expected, r
-            assert _scan_minimum(descent_steps(x, m)) == expected, r
+            assert _scan_minimum(descent_steps(x, m)) == (expected.n, expected.d), r

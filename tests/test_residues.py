@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minfrac.descent import descent_runs, descent_steps
+from minfrac.harness import Anomaly, Counterexample
 from minfrac.residues import (
     Fraction,
     Residue,
@@ -106,9 +107,15 @@ def test_fraction_class_and_rendering():
 
 def _value_types():
     """One instance of each value type, a copy of it, and each one-field variant."""
+    replay = "minfrac trace --modulus 17 --x 7"
     return [
         (Residue(7, 17), Residue(7, 17), [Residue(8, 17), Residue(7, 19)]),
         (Fraction(1, 2), Fraction(1, 2), [Fraction(2, 2), Fraction(1, 3)]),
+        (Counterexample(17, 7, "broken", replay), Counterexample(17, 7, "broken", replay),
+         [Counterexample(19, 7, "broken", replay), Counterexample(17, 8, "broken", replay),
+          Counterexample(17, 7, "bent", replay), Counterexample(17, 7, "broken", "minfrac")]),
+        (Anomaly(17, 7, "long"), Anomaly(17, 7, "long"),
+         [Anomaly(19, 7, "long"), Anomaly(17, 8, "long"), Anomaly(17, 7, "longer")]),
     ]
 
 
@@ -124,11 +131,21 @@ def test_value_types_compare_and_hash_by_their_fields():
     # A value of another class, even with equal fields, is never equal.
     assert Fraction(1, 2) != Residue(1, 2) and Residue(1, 2) != Fraction(1, 2)
     assert Fraction(1, 2) != (1, 2) and (1, 2) != Fraction(1, 2)
+    values = [value for value, _, _ in _value_types()]
+    for i, value in enumerate(values):
+        for other in values[i + 1:]:
+            assert value != other and other != value
 
 
 def test_value_type_reprs_and_keywords():
     assert repr(Residue(x=7, m=17)) == "Residue(x=7, m=17)"
     assert repr(Fraction(n=1, d=2)) == "Fraction(n=1, d=2)"
+    # The findings print as the frozen dataclasses they replaced did.
+    replay = "minfrac trace --modulus 17 --x 7"
+    assert repr(Counterexample(m=17, x=7, detail="broken", replay=replay)) == (
+        f"Counterexample(m=17, x=7, detail='broken', replay='{replay}')"
+    )
+    assert repr(Anomaly(m=17, x=7, detail="long")) == "Anomaly(m=17, x=7, detail='long')"
 
 
 def test_value_type_validation_messages():
