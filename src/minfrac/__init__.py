@@ -17,17 +17,17 @@ __version__ = "0.1.0"
 _HOMES = {
     "check_names": ("CHECK_NAMES",),
     "descent": ("descent_runs", "descent_steps", "run_descent"),
-    "errors": ("CeilingExceeded", "InvariantError"),
+    "errors": (
+        "CEILING_ENV_VAR", "DEFAULT_ENUMERATION_CEILING", "DEFAULT_PAIR_CHECK_CEILING",
+        "CeilingExceeded", "InvariantError",
+    ),
     "harness": (
         "Anomaly", "Counterexample", "SweepConfig", "VerificationReport", "run_checks",
     ),
     "minimality": (
         "is_minimal_pair", "minimum_fraction", "minimum_table", "sqrt_bound_witness",
     ),
-    "oracle": (
-        "CEILING_ENV_VAR", "DEFAULT_ENUMERATION_CEILING", "DEFAULT_PAIR_CHECK_CEILING",
-        "brute_minimum", "brute_pair_minimal", "brute_prefix_scan", "enumerate_class",
-    ),
+    "oracle": ("brute_minimum", "brute_pair_minimal", "brute_prefix_scan", "enumerate_class"),
     "residues": (
         "Fraction", "Residue", "ResidueClass", "check_modulus", "represents",
     ),

@@ -20,8 +20,11 @@ moduli paste in directly.  JSON output for identical inputs is identical
 across runs (no timestamps or durations).
 
 Start-up is most of a short call, so each subcommand imports only what it
-runs: the harness is loaded when `verify` runs (its `SweepConfig` and
-`run_checks` are still attributes of this module), and `json` only by
+runs: `repr`, `trace` and `table` load the descent, the minimality module
+and the ceiling gate of the errors module; the oracle is loaded only by
+`enumerate` and `table --cross-check` (its `enumerate_class` and
+`brute_minimum` are still attributes of this module), the harness only by
+`verify` (likewise its `SweepConfig` and `run_checks`), and `json` only by
 `verify --format json`.  Every listing streams: one writer prints `repr`
 JSON, `enumerate`, `trace` and `table` entry by entry, so memory is flat in M.
 """
@@ -36,10 +39,28 @@ from itertools import chain, islice, starmap
 from .check_names import CHECK_NAMES
 # run_descent is not called here: the benchmark's traced run wraps it by name.
 from .descent import descent_runs, descent_steps, run_descent  # noqa: F401
-from .errors import CeilingExceeded, InvariantError
+from .errors import DEFAULT_ENUMERATION_CEILING, CeilingExceeded, InvariantError, check_ceiling
 from .minimality import minimum_fraction, minimum_table, sqrt_bound_witness
-from .oracle import DEFAULT_ENUMERATION_CEILING, brute_minimum, check_ceiling, enumerate_class
 from .residues import Fraction, Residue, ResidueClass, check_modulus, represents
+
+# Oracle and harness names reachable as attributes of this module, and the
+# module that defines each: only the subcommands that call them load them.
+# They are looked up on _THIS, so a wrapper set onto this module (as the
+# benchmark's traced run sets one) is the one that runs.
+_LAZY_HOMES = {"brute_minimum": "oracle", "enumerate_class": "oracle",
+               "SweepConfig": "harness", "run_checks": "harness"}
+_THIS = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    home = _LAZY_HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows in `python -X importtime`.
+    value = getattr(__import__(f"{__package__}.{home}", fromlist=(name,)), name)
+    globals()[name] = value
+    return value
+
 
 _EXIT_CODES = """\
 exit codes:
@@ -156,7 +177,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     m = args.modulus
     r = Residue(_reduce_x(args.x, m), m)
     # Both streams are built, and so both gated, before anything is written.
-    lists = {c.value: enumerate_class(r, c, args.ceiling_override) for c in ResidueClass}
+    lists = {c.value: _THIS.enumerate_class(r, c, args.ceiling_override) for c in ResidueClass}
     if args.residue_class != "both":
         lists = {"fractions": lists[args.residue_class]}
     _write_listing(args.format, {"modulus": m, "x": r.x, "class": args.residue_class}, lists,
@@ -185,6 +206,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     check_ceiling(m - 1, args.ceiling_override, DEFAULT_ENUMERATION_CEILING, "table: entry count")
     numerators, denominators = minimum_table(m)
     if args.cross_check:
+        brute_minimum = _THIS.brute_minimum
         for x in range(1, m):
             f = Fraction(numerators[x], denominators[x])
             r = Residue(x, m)
@@ -203,32 +225,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-# Harness names reachable as attributes of this module; only `verify` loads them.
-_HARNESS_NAMES = ("SweepConfig", "run_checks")
-
-
-def __getattr__(name: str):
-    if name not in _HARNESS_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import harness
-
-    value = getattr(harness, name)
-    globals()[name] = value
-    return value
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.checks == "all":
         checks = CHECK_NAMES
     else:
         checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
-    # Looked up as module attributes, so a run_checks set onto this module
-    # (as the benchmark's traced run does) is the one that runs.
-    this = sys.modules[__name__]
-    config = this.SweepConfig(
+    config = _THIS.SweepConfig(
         m_min=args.m_min, m_max=args.m_max, checks=checks, parallelism=args.workers,
         seed=args.seed, ceiling=args.ceiling_override, random_pairs_per_m=args.random_pairs)
-    reports = this.run_checks(config)
+    reports = _THIS.run_checks(config)
     if args.format == "json":
         import json
 

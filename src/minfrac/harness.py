@@ -16,14 +16,14 @@ detail or None.  _chunk_worker is the one loop over moduli and residues,
 for every requested check at once, and the only place that builds
 Counterexample and Anomaly records; a replay reads `minfrac trace --modulus
 M --x X`, or `minfrac repr ...` for the agreement check's minimum mismatch.
-Per residue it does the shared work once: r, handed to the oracle and to
-every check; steps, the residue's step walk, a list when a check reads all
-of it; and minima, the oracle's one scan of the residue, brute_prefix_scan's
-(neg, pos, minimum), when minimality or agreement is requested, else None.
+Per residue it does the shared work once: r, handed to every check;
+steps, the residue's step walk, a list when a check reads all of it; and
+minima, the oracle's one scan of the residue, prefix_scan's (neg, pos,
+minimum), when minimality or agreement is requested, else None.
 _CHECKS gives each check's function, its setup, whether it reads the scan
-(only then is the pair-check ceiling resolved, once per sweep, into the
-config's ceiling, so workers get a plain integer, and the range is held to
-it before any modulus is swept) and whether it reads the whole walk.
+(only then does run_checks hold the whole range to the pair-check ceiling,
+once, before any modulus is swept; the workers call the scan ungated) and
+whether it reads the whole walk.
 
 minimum_fraction and sqrt_bound_witness walk the descent by runs; the
 agreement and sqrt_bound checks compare them with scans of the step walk,
@@ -49,9 +49,10 @@ report is deterministic for a given config no matter how the work was split.
 The pool and the sampler are imported only when a sweep needs them.  The
 CLI imports this module only when `verify` runs, and takes the check names
 from the leaf module check_names, so no other command pays for the harness
-or for `dataclasses`.  The findings, Counterexample and Anomaly, are slotted
-Records like Residue and Fraction; SweepConfig and VerificationReport stay
-dataclasses, since callers derive variants of them with dataclasses.replace.
+or for `dataclasses`.  The findings, Counterexample and Anomaly, and the
+VerificationReport are slotted Records like Residue and Fraction; SweepConfig
+stays a dataclass, since callers derive variants of it with
+dataclasses.replace.
 """
 
 from __future__ import annotations
@@ -59,18 +60,18 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .check_names import CHECK_NAMES
 from .descent import RawStep, descent_steps
-from .errors import InvariantError
-from .minimality import is_minimal_pair, minimum_fraction, minimum_table, sqrt_bound_witness
-from .oracle import (
+from .errors import (
     DEFAULT_PAIR_CHECK_CEILING,
-    brute_prefix_scan,
+    InvariantError,
     check_pair_ceiling,
     resolve_ceiling,
 )
+from .minimality import is_minimal_pair, minimum_fraction, minimum_table, sqrt_bound_witness
+from .oracle import prefix_scan
 from .residues import Fraction, Record, Residue, ResidueClass
 
 # Not called here: the benchmark's traced run wraps these harness attributes
@@ -139,16 +140,20 @@ class Anomaly(Record):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one check over one sweep."""
 
-    check: str
-    passes: int
-    counterexamples: tuple[Counterexample, ...]
-    anomaly_count: int = 0
-    anomalies: tuple[Anomaly, ...] = ()
-    duration: float = 0.0
+    __slots__ = ("check", "passes", "counterexamples", "anomaly_count", "anomalies", "duration")
+
+    def __init__(self, check: str, passes: int, counterexamples: tuple[Counterexample, ...],
+                 anomaly_count: int = 0, anomalies: tuple[Anomaly, ...] = (),
+                 duration: float = 0.0) -> None:
+        self.check = check
+        self.passes = passes
+        self.counterexamples = counterexamples
+        self.anomaly_count = anomaly_count
+        self.anomalies = anomalies
+        self.duration = duration
 
     @property
     def failures(self) -> int:
@@ -188,7 +193,7 @@ class VerificationReport:
 # and an anomaly's detail or None.
 _Outcome = tuple[int, Iterable[tuple[str, str]], str | None]
 
-# The oracle's scan of one residue, (neg, pos, minimum), from brute_prefix_scan.
+# The oracle's scan of one residue, (neg, pos, minimum), from prefix_scan.
 _Minima = tuple[list[float], list[float], Fraction]
 
 
@@ -377,7 +382,6 @@ def _chunk_worker(task: tuple[SweepConfig, range]) -> list[list]:
     parts = [[0, [], [], 0.0] for _ in checks]
     scan_part = next((part for part, (_, _, scans, _) in zip(parts, checks) if scans), None)
     whole_walk = any(whole for *_, whole in checks)
-    ceiling = config.ceiling
     now = time.perf_counter
     for m in ms:
         envs = []
@@ -391,7 +395,7 @@ def _chunk_worker(task: tuple[SweepConfig, range]) -> list[list]:
             r = Residue(x, m)
             minima = None
             if scan_part is not None:
-                minima = brute_prefix_scan(r, ceiling)
+                minima = prefix_scan(x, m)
                 end = now()
                 scan_part[3] += end - start
                 start = end
@@ -419,7 +423,7 @@ def run_checks(config: SweepConfig) -> tuple[VerificationReport, ...]:
     Reports come one per check, in canonical order.  Each residue's
     Residue and walk, and, when minimality or agreement is requested, its
     one oracle scan (prefix minima and enumerated minimum,
-    brute_prefix_scan), are built once and read by every check.  A report's
+    prefix_scan), are built once and read by every check.  A report's
     duration is the time spent in its own check's calls (per-modulus setup
     and per-residue function), summed over workers, with shared work
     charged to the first requested check that reads it: the Residue and the
@@ -435,12 +439,11 @@ def run_checks(config: SweepConfig) -> tuple[VerificationReport, ...]:
         cpus = os.cpu_count() or 1
     workers = min(config.parallelism, cpus, config.m_max - config.m_min + 1)
     if any(_CHECKS[check][2] for check in config.checks):
-        # $MINFRAC_CEILING is read here, once, not on every oracle call, and
+        # The sweep's only gate: $MINFRAC_CEILING is read here, once, and
         # the range's first modulus above the ceiling, if any, is refused
-        # before any modulus is swept.
+        # before any modulus is swept, so the workers scan ungated.
         ceiling = resolve_ceiling(config.ceiling, DEFAULT_PAIR_CHECK_CEILING)
         check_pair_ceiling(min(config.m_max, max(config.m_min, ceiling + 1)), ceiling)
-        config = replace(config, ceiling=ceiling)
     # Lazy ranges, striped: a typo'd --m-max allocates nothing before the checks run.
     tasks = [(config, range(config.m_min + i, config.m_max + 1, workers)) for i in range(workers)]
     if workers == 1:

@@ -32,10 +32,10 @@ def is_minimal_pair(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: i
     pair's denominator of the matching class: iff the smallest |negative
     residue| over 0 <= d < neg_d and the smallest positive residue over
     1 <= d < pos_d are both at least that threshold.  The negative side
-    has neg_n < 0 and the positive side pos_n >= 0.  A side that does not
-    represent x, or whose denominator is outside its class's range (0..M-1
-    negative, 1..M positive), raises ValueError.  The verdict is a
-    determinant test.
+    has neg_n < 0 and the positive side pos_n >= 0.  An x outside 0..M-1,
+    a side that does not represent x, or a side whose denominator is
+    outside its class's range (0..M-1 negative, 1..M positive) raises
+    ValueError, in that order.  The verdict is a determinant test.
 
     Let L = {(n, d) : n = x*d (mod M)}, a lattice of index M in Z^2, and
     take the sides at their class residues: a = (-A, a.d) with 1 <= A <= M
@@ -73,7 +73,10 @@ def is_minimal_pair(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: i
     x/1 has determinant M.  So one test covers both: det = M, or both
     ranges empty.
     """
-    # represents(), inlined (the harness calls this per pair), negative side first.
+    # Residue's range check and represents(), inlined (the harness calls
+    # this per pair), negative side first.
+    if not 0 <= x < m:
+        raise ValueError(f"residue {x} out of range [0, {m})")
     if (x * neg_d - neg_n) % m:
         raise ValueError(f"{neg_n}/{neg_d} does not represent {x} (mod {m})")
     if (x * pos_d - pos_n) % m:

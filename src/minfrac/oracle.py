@@ -2,69 +2,32 @@
 
 Everything here recomputes residues from first principles and evaluates
 definitions by exhaustive iteration: the per-call routes multiply and take
-the residue mod M at each denominator, and brute_prefix_scan, which `verify`
-calls once per residue, steps from one denominator's residue to the next by
+the residue mod M at each denominator, and the prefix scan, which `verify`
+makes once per residue, steps from one denominator's residue to the next by
 adding x and subtracting M on a wrap.  The duplication with the
 residues/minimality modules is deliberate: this module has to stay an
 independent witness, so it shares data types with them but no arithmetic
 helpers.
 
-Brute-force work is gated behind ceilings so a typo'd modulus cannot start
-an hours-long run by accident; exceeding a ceiling raises CeilingExceeded
-rather than silently proceeding.  The CLI's `enumerate` is enumerate_class;
-its `trace` and `table` hold their pair and entry counts against the
-enumeration ceiling through the same gate.
+Brute-force work is gated behind the ceilings of the errors module, so a
+typo'd modulus cannot start an hours-long run by accident; exceeding a
+ceiling raises CeilingExceeded rather than silently proceeding.  The CLI's
+`enumerate` is enumerate_class.  prefix_scan is brute_prefix_scan without
+its gate: `verify` calls it once per residue, after run_checks has held
+the whole modulus range to the pair-check ceiling.
 
 brute_pair_minimal takes a pair as is_minimal_pair does, as its four
 integers (neg_n, neg_d, pos_n, pos_d).  `verify` reads the same verdict off
-brute_prefix_scan's prefix minima, one scan per residue for all its pairs.
+the prefix scan's minima, one scan per residue for all its pairs.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 from math import inf
 
-from .errors import CeilingExceeded
+from .errors import DEFAULT_ENUMERATION_CEILING, check_ceiling, check_pair_ceiling
 from .residues import Fraction, Residue, ResidueClass
-
-DEFAULT_ENUMERATION_CEILING = 10**6
-DEFAULT_PAIR_CHECK_CEILING = 10**4
-
-# Environment override for the default ceilings (every gate); explicit
-# `ceiling=` arguments still win over it.
-CEILING_ENV_VAR = "MINFRAC_CEILING"
-
-
-def resolve_ceiling(explicit: int | None, default: int) -> int:
-    """The ceiling in force: `explicit` if given, else $MINFRAC_CEILING, else `default`."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(CEILING_ENV_VAR)
-    if env is None:
-        return default
-    try:
-        return int(env, 0)
-    except ValueError:
-        raise ValueError(
-            f"{CEILING_ENV_VAR}={env!r} is not an integer (decimal or 0x hex)"
-        ) from None
-
-
-def check_ceiling(size: int, explicit: int | None, default: int, what: str) -> None:
-    """Raise CeilingExceeded if size is above the resolved ceiling.
-
-    The ceiling is `explicit` if given, else $MINFRAC_CEILING, else `default`.
-    """
-    ceiling = resolve_ceiling(explicit, default)
-    if size > ceiling:
-        raise CeilingExceeded(size, ceiling, what)
-
-
-def check_pair_ceiling(m: int, ceiling: int | None = None) -> None:
-    """The pair-minimality gate: raise CeilingExceeded if modulus m is above its ceiling."""
-    check_ceiling(m, ceiling, DEFAULT_PAIR_CHECK_CEILING, "pair-minimality check: modulus")
 
 
 def enumerate_class(
@@ -124,12 +87,15 @@ def brute_pair_minimal(
     the residue, so each class is scanned only below it: positive residues
     for d = 1..pos_d-1, negative ones for d = 0..neg_d-1.  Gated by the
     pair-check ceiling, which is checked first.  The domain is
-    is_minimal_pair's: both sides must represent x, with the negative
-    denominator in 0..M-1 and the positive one in 1..M, else ValueError with
-    the same messages, in the same order: the negative side's representation,
-    the positive side's, then the two ranges.
+    is_minimal_pair's: x must be in 0..M-1, and both sides must represent x,
+    with the negative denominator in 0..M-1 and the positive one in 1..M,
+    else ValueError with the same messages, in the same order: x's range,
+    the negative side's representation, the positive side's, then the two
+    ranges.
     """
     check_pair_ceiling(m, ceiling)
+    if not 0 <= x < m:
+        raise ValueError(f"residue {x} out of range [0, {m})")
     if (x * neg_d - neg_n) % m:
         raise ValueError(f"{neg_n}/{neg_d} does not represent {x} (mod {m})")
     if (x * pos_d - pos_n) % m:
@@ -151,7 +117,13 @@ def brute_pair_minimal(
 def brute_prefix_scan(
     r: Residue, ceiling: int | None = None
 ) -> tuple[list[float], list[float], Fraction]:
-    """Both classes' running minima and the criterion-minimal representation, from one scan.
+    """prefix_scan of r, gated by the pair-check ceiling."""
+    check_pair_ceiling(r.m, ceiling)
+    return prefix_scan(r.x, r.m)
+
+
+def prefix_scan(x: int, m: int) -> tuple[list[float], list[float], Fraction]:
+    """Running minima of both classes and the criterion-minimal representation of x mod m.
 
     Returns (neg, pos, minimum).  neg[D] is the smallest |negative residue|
     over 0 <= d < D, and pos[D] the smallest positive residue over
@@ -162,7 +134,8 @@ def brute_prefix_scan(
     neg[neg.d] and pos[pos.d] are both at least its threshold: the same
     definition brute_pair_minimal evaluates, with the scan over d shared by
     every pair of one residue.  minimum is the representation brute_minimum
-    finds.  Gated by the pair-check ceiling.
+    finds.  No ceiling is checked: the caller holds m to one, as
+    brute_prefix_scan and run_checks do.
 
     The scan walks d = 1..M-1 upwards and gets each positive residue
     x*d % M from the previous one by adding x and, past M, subtracting M
@@ -188,8 +161,6 @@ def brute_prefix_scan(
     At a shared d the positive candidate is tested before the negative one,
     so it wins the class tie.  x/1 has max below M, so 0/M never stands.
     """
-    check_pair_ceiling(r.m, ceiling)
-    x, m = r.x, r.m
     neg = [inf, m]  # d = 0: -M/0
     pos = [inf, inf]
     low_neg = m

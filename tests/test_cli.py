@@ -16,7 +16,8 @@ import minfrac.harness as harness
 from minfrac.cli import _ratio, main
 from minfrac.descent import run_descent
 from minfrac.minimality import minimum_fraction, sqrt_bound_witness
-from minfrac.oracle import CEILING_ENV_VAR, enumerate_class
+from minfrac.errors import CEILING_ENV_VAR
+from minfrac.oracle import enumerate_class
 from minfrac.residues import Fraction, Residue, ResidueClass
 
 TABLE_17 = "1, 2, 3, 4, -2/3, 1/3, -3/2, -1/2, 1/2, 3/2, -1/3, 2/3, -4, -3, -2, -1"
@@ -463,6 +464,36 @@ def test_start_up_leaves_the_harness_dataclasses_and_json_out():
     code, loaded = _imports_of("-m", "minfrac.cli", "verify", "--m-min", "2", "--m-max", "5",
                                "--format", "json")
     assert code == 0 and heavy <= loaded
+
+
+def test_only_enumerate_and_the_table_cross_check_load_the_oracle():
+    # The ceiling gate lives in minfrac.errors, so a command that only
+    # holds a size to a ceiling loads no brute-force scan.
+    for args in (("repr", "-m", "17", "--x", "7"), ("trace", "-m", "17", "--x", "7"),
+                 ("table", "-m", "17"), ("table", "-m", "0x10000000000")):
+        code, loaded = _imports_of("-m", "minfrac.cli", *args)
+        assert code in (0, 4) and "minfrac.oracle" not in loaded, args
+    for args in (("enumerate", "-m", "17", "--x", "7"), ("table", "-m", "17", "--cross-check")):
+        code, loaded = _imports_of("-m", "minfrac.cli", *args)
+        assert code == 0 and "minfrac.oracle" in loaded, args
+
+
+def test_table_cross_check_calls_the_brute_minimum_set_on_the_module(capsys, monkeypatch):
+    # The benchmark's traced run sets a timing wrapper onto
+    # minfrac.cli.brute_minimum; the cross-check must call that one.
+    real = cli.brute_minimum
+    seen = []
+
+    def planted(r, ceiling=None):
+        seen.append(r.x)
+        return Fraction(4, 3) if r.x == 7 else real(r, ceiling)
+
+    monkeypatch.setattr(cli, "brute_minimum", planted)
+    code, out, err = run(capsys, "table", "-m", "17", "--cross-check")
+    assert (code, out) == (1, "") and seen == list(range(1, 8))
+    assert err == (
+        "cross-check failed at x=7: table has -3/2, oracle says 4/3, descent says -3/2\n"
+    )
 
 
 def test_verify_runs_the_run_checks_set_on_the_module(capsys, monkeypatch):

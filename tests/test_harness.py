@@ -1,12 +1,12 @@
 """Tests for the sweep harness: reports, determinism, parallel merge."""
 
 import collections
-import dataclasses
 import re
 
 import pytest
 
 import minfrac.harness as harness
+import minfrac.oracle as oracle
 from minfrac.descent import descent_steps
 from minfrac.errors import CeilingExceeded, InvariantError
 from minfrac.harness import (
@@ -295,18 +295,18 @@ def test_agreement_reports_a_planted_oracle_verdict(monkeypatch):
     # (-3/2, 4/3), the walk's only pair with positive denominator 3: the
     # oracle then calls that pair, and no other, non-minimal.  Every residue
     # in the range is scanned, once.
-    real = harness.brute_prefix_scan
+    real = harness.prefix_scan
     scanned = []
 
-    def planted(r, ceiling=None):
-        scanned.append((r.x, r.m))
-        neg, pos, minimum = real(r, ceiling)
-        if (r.x, r.m) == (7, 17):
+    def planted(x, m):
+        scanned.append((x, m))
+        neg, pos, minimum = real(x, m)
+        if (x, m) == (7, 17):
             pos[3] = 0
         return neg, pos, minimum
 
     base = _check("agreement", 2, 30)
-    monkeypatch.setattr(harness, "brute_prefix_scan", planted)
+    monkeypatch.setattr(harness, "prefix_scan", planted)
     report = _check("agreement", 2, 30)
     assert scanned == [(x, m) for m in range(2, 31) for x in range(m)]
     _assert_one_pair_counterexample(
@@ -318,14 +318,14 @@ def test_agreement_reports_a_planted_enumerated_minimum(monkeypatch):
     # Replace the oracle scan's minimum for 7 mod 17, -3/2, by 4/3, which
     # represents 7 too: that residue's minimum comparison, and nothing
     # else, fails, with a replay through `repr`.
-    real = harness.brute_prefix_scan
+    real = harness.prefix_scan
 
-    def planted(r, ceiling=None):
-        neg, pos, minimum = real(r, ceiling)
-        return neg, pos, Fraction(4, 3) if (r.x, r.m) == (7, 17) else minimum
+    def planted(x, m):
+        neg, pos, minimum = real(x, m)
+        return neg, pos, Fraction(4, 3) if (x, m) == (7, 17) else minimum
 
     base = _check("agreement", 2, 30)
-    monkeypatch.setattr(harness, "brute_prefix_scan", planted)
+    monkeypatch.setattr(harness, "prefix_scan", planted)
     report = _check("agreement", 2, 30)
     assert report.passes == base.passes - 1
     (ce,) = report.counterexamples
@@ -427,34 +427,39 @@ def test_a_range_across_the_pair_ceiling_is_refused_before_any_modulus_is_swept(
 
 
 def _durationless(reports):
-    return [dataclasses.replace(r, duration=0.0) for r in reports]
+    return [VerificationReport(r.check, r.passes, r.counterexamples, r.anomaly_count,
+                               r.anomalies, duration=0.0) for r in reports]
 
 
 def test_one_sweep_of_every_check_matches_one_sweep_per_check(monkeypatch):
     # The five checks share each residue's Residue, walk and oracle scan,
     # built once per residue, and report what five separate sweeps report;
     # the enumerated minimum comes from that scan, not from brute_minimum.
+    # run_checks gates the range once; the workers scan ungated, never
+    # through the gated brute_prefix_scan.
     config = {"random_pairs_per_m": 8, "seed": 3}
     singles = [_check(name, 2, 40, **config) for name in CHECK_NAMES]
     pooled = run_checks(SweepConfig(2, 40, parallelism=2, **config))
     calls = collections.Counter()
 
-    def counted(name):
-        real = getattr(harness, name)
+    def count(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("Residue", "descent_steps", "brute_prefix_scan", "brute_minimum"):
-        monkeypatch.setattr(harness, name, counted(name))
+    for name in ("Residue", "descent_steps", "prefix_scan", "brute_minimum",
+                 "check_pair_ceiling"):
+        count(harness, name)
+    count(oracle, "brute_prefix_scan")
     serial = run_checks(SweepConfig(2, 40, **config))
     residues = sum(range(2, 41))
     assert calls == {"Residue": residues, "descent_steps": residues,
-                     "brute_prefix_scan": residues}
-    assert calls["brute_minimum"] == 0
+                     "prefix_scan": residues, "check_pair_ceiling": 1}
+    assert calls["brute_minimum"] == calls["brute_prefix_scan"] == 0
     assert _durationless(serial) == _durationless(pooled) == _durationless(singles)
 
 

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minfrac.descent import descent_steps
-from minfrac.errors import CeilingExceeded
-from minfrac.harness import _scan_minimum
-from minfrac.minimality import is_minimal_pair
-from minfrac.oracle import (
+from minfrac.errors import (
     CEILING_ENV_VAR,
     DEFAULT_ENUMERATION_CEILING,
     DEFAULT_PAIR_CHECK_CEILING,
+    CeilingExceeded,
+)
+from minfrac.harness import _scan_minimum
+from minfrac.minimality import is_minimal_pair
+from minfrac.oracle import (
     brute_minimum,
     brute_pair_minimal,
     brute_prefix_scan,
@@ -94,6 +96,12 @@ def test_pair_routes_share_one_domain():
         # is checked first, on either side, before either range.
         ((0, 17, -1, 18, 0, 1), r"^-1/18 does not represent 0 \(mod 17\)$"),
         ((0, 17, -17, 18, 1, 1), r"^1/1 does not represent 0 \(mod 17\)$"),
+        # x outside [0, M) is refused before either side, as Residue refuses
+        # it, even where both sides would represent x's class; so is every x
+        # at M = 0, which would otherwise divide by zero.
+        ((20, 17, -17, 0, 20, 1), r"^residue 20 out of range \[0, 17\)$"),
+        ((-3, 17, -17, 0, 14, 1), r"^residue -3 out of range \[0, 17\)$"),
+        ((0, 0, 0, 0, 1, 1), r"^residue 0 out of range \[0, 0\)$"),
     ]
     for pair, message in cases:
         for route in (is_minimal_pair, brute_pair_minimal):

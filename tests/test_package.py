@@ -14,7 +14,10 @@ import minfrac
 HOMES = {
     "minfrac.check_names": ["CHECK_NAMES"],
     "minfrac.descent": ["descent_runs", "descent_steps", "run_descent"],
-    "minfrac.errors": ["CeilingExceeded", "InvariantError"],
+    "minfrac.errors": [
+        "CEILING_ENV_VAR", "DEFAULT_ENUMERATION_CEILING", "DEFAULT_PAIR_CHECK_CEILING",
+        "CeilingExceeded", "InvariantError",
+    ],
     "minfrac.harness": [
         "Anomaly", "Counterexample", "SweepConfig", "VerificationReport", "run_checks",
     ],
@@ -22,7 +25,6 @@ HOMES = {
         "is_minimal_pair", "minimum_fraction", "minimum_table", "sqrt_bound_witness",
     ],
     "minfrac.oracle": [
-        "CEILING_ENV_VAR", "DEFAULT_ENUMERATION_CEILING", "DEFAULT_PAIR_CHECK_CEILING",
         "brute_minimum", "brute_pair_minimal", "brute_prefix_scan", "enumerate_class",
     ],
     "minfrac.residues": [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minfrac.descent import descent_runs, descent_steps
-from minfrac.harness import Anomaly, Counterexample
+from minfrac.harness import Anomaly, Counterexample, VerificationReport
 from minfrac.residues import (
     Fraction,
     Residue,
@@ -108,6 +108,7 @@ def test_fraction_class_and_rendering():
 def _value_types():
     """One instance of each value type, a copy of it, and each one-field variant."""
     replay = "minfrac trace --modulus 17 --x 7"
+    ce, an = Counterexample(17, 7, "broken", replay), Anomaly(17, 7, "long")
     return [
         (Residue(7, 17), Residue(7, 17), [Residue(8, 17), Residue(7, 19)]),
         (Fraction(1, 2), Fraction(1, 2), [Fraction(2, 2), Fraction(1, 3)]),
@@ -116,6 +117,14 @@ def _value_types():
           Counterexample(17, 7, "bent", replay), Counterexample(17, 7, "broken", "minfrac")]),
         (Anomaly(17, 7, "long"), Anomaly(17, 7, "long"),
          [Anomaly(19, 7, "long"), Anomaly(17, 8, "long"), Anomaly(17, 7, "longer")]),
+        (VerificationReport("determinant", 3, (ce,), 1, (an,), 0.5),
+         VerificationReport("determinant", 3, (ce,), 1, (an,), 0.5),
+         [VerificationReport("progress", 3, (ce,), 1, (an,), 0.5),
+          VerificationReport("determinant", 4, (ce,), 1, (an,), 0.5),
+          VerificationReport("determinant", 3, (), 1, (an,), 0.5),
+          VerificationReport("determinant", 3, (ce,), 2, (an,), 0.5),
+          VerificationReport("determinant", 3, (ce,), 1, (), 0.5),
+          VerificationReport("determinant", 3, (ce,), 1, (an,), 0.0)]),
     ]
 
 
@@ -140,12 +149,16 @@ def test_value_types_compare_and_hash_by_their_fields():
 def test_value_type_reprs_and_keywords():
     assert repr(Residue(x=7, m=17)) == "Residue(x=7, m=17)"
     assert repr(Fraction(n=1, d=2)) == "Fraction(n=1, d=2)"
-    # The findings print as the frozen dataclasses they replaced did.
+    # The findings and reports print as the frozen dataclasses they replaced did.
     replay = "minfrac trace --modulus 17 --x 7"
     assert repr(Counterexample(m=17, x=7, detail="broken", replay=replay)) == (
         f"Counterexample(m=17, x=7, detail='broken', replay='{replay}')"
     )
     assert repr(Anomaly(m=17, x=7, detail="long")) == "Anomaly(m=17, x=7, detail='long')"
+    assert repr(VerificationReport(check="progress", passes=2, counterexamples=())) == (
+        "VerificationReport(check='progress', passes=2, counterexamples=(), anomaly_count=0, "
+        "anomalies=(), duration=0.0)"
+    )
 
 
 def test_value_type_validation_messages():
