@@ -9,8 +9,6 @@ Public names are resolved on first access (PEP 562), so importing the
 package, or one of its modules, loads only the modules actually used.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 # Each public name and the module that defines it.
@@ -27,7 +25,7 @@ _HOMES = {
     "minimality": (
         "is_minimal_pair", "minimum_fraction", "minimum_table", "sqrt_bound_witness",
     ),
-    "oracle": ("brute_minimum", "brute_pair_minimal", "brute_prefix_scan", "enumerate_class"),
+    "oracle": ("brute_minimum", "brute_pair_minimal", "enumerate_class"),
     "residues": (
         "Fraction", "Residue", "ResidueClass", "check_modulus", "represents",
     ),
@@ -41,7 +39,8 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
+    # __import__, unlike importlib.import_module, shows in `python -X importtime`.
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=(name,)), name)
     globals()[name] = value  # later lookups skip this function
     return value
 

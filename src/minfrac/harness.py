@@ -19,7 +19,7 @@ M --x X`, or `minfrac repr ...` for the agreement check's minimum mismatch.
 Per residue it does the shared work once: r, handed to every check;
 steps, the residue's step walk, a list when a check reads all of it; and
 minima, the oracle's one scan of the residue, prefix_scan's (neg, pos,
-minimum), when minimality or agreement is requested, else None.
+(n, d)), when minimality or agreement is requested, else None.
 _CHECKS gives each check's function, its setup, whether it reads the scan
 (only then does run_checks hold the whole range to the pair-check ceiling,
 once, before any modulus is swept; the workers call the scan ungated) and
@@ -29,8 +29,9 @@ minimum_fraction and sqrt_bound_witness walk the descent by runs; the
 agreement and sqrt_bound checks compare them with scans of the step walk,
 kept here as their slow twins, as well as with the oracle and the bound:
 agreement takes the oracle's enumerated minimum from the same scan.  The
-twins return (n, d) int tuples, and the checks compare every minimum and
-witness as (n, d); a failure's detail prints each as n/d.
+twins return (n, d) int tuples, as the scan returns its minimum, and the
+checks compare every minimum and witness as (n, d); a failure's detail
+prints each as n/d.
 The agreement check also holds each modulus's minimum_table, the sieve
 behind `minfrac table`, to the same minima: the sieve is two int lists,
 numerators and denominators indexed by x, and its x = 0 entry (0/1) is
@@ -44,8 +45,9 @@ minimality, since the pair's threshold is at least either side's magnitude.
 
 Sweeps are embarrassingly parallel over moduli; with parallelism > 1 the
 moduli are striped across a process pool of at most one worker per modulus
-and per CPU this process may run on, and the partial results merged into a canonical order, so a
-report is deterministic for a given config no matter how the work was split.
+and per CPU this process may run on.  _merge, which the serial path calls
+too, sorts the partial results into a canonical order, so a report is
+deterministic for a given config no matter how the work was split.
 The pool and the sampler are imported only when a sweep needs them.  The
 CLI imports this module only when `verify` runs, and takes the check names
 from the leaf module check_names, so no other command pays for the harness
@@ -72,7 +74,7 @@ from .errors import (
 )
 from .minimality import is_minimal_pair, minimum_fraction, minimum_table, sqrt_bound_witness
 from .oracle import prefix_scan
-from .residues import Fraction, Record, Residue, ResidueClass
+from .residues import Record, Residue, ResidueClass
 
 # Not called here: the benchmark's traced run wraps these harness attributes
 # by name (perfbench/tracing.py), so they stay until its spans follow the
@@ -193,8 +195,8 @@ class VerificationReport(Record):
 # and an anomaly's detail or None.
 _Outcome = tuple[int, Iterable[tuple[str, str]], str | None]
 
-# The oracle's scan of one residue, (neg, pos, minimum), from prefix_scan.
-_Minima = tuple[list[float], list[float], Fraction]
+# The oracle's scan of one residue, (neg, pos, (n, d)), from prefix_scan.
+_Minima = tuple[list[float], list[float], tuple[int, int]]
 
 
 def _determinant(r: Residue, env: None, steps: list[RawStep], minima: _Minima | None) -> _Outcome:
@@ -340,14 +342,15 @@ def _agreement(r: Residue, env: tuple[tuple, dict], steps: list[RawStep],
     x, m = r.x, r.m
     passes = 0
     bad = []
-    sieve_n, sieve_d = numerators[x], denominators[x]
+    sieve_min = numerators[x], denominators[x]
     run_min = minimum_fraction(r)
-    step_n, step_d = step_min = _scan_minimum(steps)
-    if (sieve_n, sieve_d) == (run_min.n, run_min.d) == step_min == (slow_min.n, slow_min.d):
+    step_min = _scan_minimum(steps)
+    if sieve_min == (run_min.n, run_min.d) == step_min == slow_min:
         passes += 1
     else:
-        bad.append(("repr", f"sieve minimum {sieve_n}/{sieve_d}, run minimum {run_min}, step "
-                            f"minimum {step_n}/{step_d} and enumerated minimum {slow_min} differ"))
+        sieve, step, slow = ("{}/{}".format(*pair) for pair in (sieve_min, step_min, slow_min))
+        bad.append(("repr", f"sieve minimum {sieve}, run minimum {run_min}, step "
+                            f"minimum {step} and enumerated minimum {slow} differ"))
     extra = random_pairs.get(x)
     for nn, nd, pn, pd, _ in steps + extra if extra else steps:
         fast = is_minimal_pair(x, m, nn, nd, pn, pd)
@@ -447,14 +450,18 @@ def run_checks(config: SweepConfig) -> tuple[VerificationReport, ...]:
     # Lazy ranges, striped: a typo'd --m-max allocates nothing before the checks run.
     tasks = [(config, range(config.m_min + i, config.m_max + 1, workers)) for i in range(workers)]
     if workers == 1:
-        results = [_chunk_worker(tasks[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+        return _merge(config.checks, [_chunk_worker(tasks[0])])
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_worker, tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _merge(config.checks, list(pool.map(_chunk_worker, tasks)))
+
+
+def _merge(checks: tuple[str, ...], results: list[list[list]]) -> tuple[VerificationReport, ...]:
+    """One report per check from the workers' parts (results[i][j] is worker
+    i's part for checks[j]), in an order that does not depend on the split."""
     reports = []
-    for check, parts in zip(config.checks, zip(*results)):
+    for check, parts in zip(checks, zip(*results)):
         bad = sorted((c for _, cs, _, _ in parts for c in cs), key=lambda c: (c.m, c.x, c.detail))
         anomalies = sorted(
             (a for _, _, an, _ in parts for a in an), key=lambda a: (a.m, a.x, a.detail)

@@ -12,9 +12,9 @@ helpers.
 Brute-force work is gated behind the ceilings of the errors module, so a
 typo'd modulus cannot start an hours-long run by accident; exceeding a
 ceiling raises CeilingExceeded rather than silently proceeding.  The CLI's
-`enumerate` is enumerate_class.  prefix_scan is brute_prefix_scan without
-its gate: `verify` calls it once per residue, after run_checks has held
-the whole modulus range to the pair-check ceiling.
+`enumerate` is enumerate_class.  prefix_scan alone checks no ceiling:
+`verify` calls it once per residue, after run_checks has held the whole
+modulus range to the pair-check ceiling (errors.check_pair_ceiling) once.
 
 brute_pair_minimal takes a pair as is_minimal_pair does, as its four
 integers (neg_n, neg_d, pos_n, pos_d).  `verify` reads the same verdict off
@@ -58,8 +58,8 @@ def brute_minimum(r: Residue, ceiling: int | None = None) -> Fraction:
     the later candidate through the denominator or the class tie-break:
     none of the order is left to the scan.
     Only `minfrac table --cross-check` calls it: `verify` reads the same
-    minimum off brute_prefix_scan, a different scan that the tests hold to
-    this one.
+    minimum off prefix_scan, a different scan that the tests hold to this
+    one.
     """
     check_ceiling(r.m, ceiling, DEFAULT_ENUMERATION_CEILING, "minimum enumeration: modulus")
     x, m = r.x, r.m
@@ -114,15 +114,7 @@ def brute_pair_minimal(
     return True
 
 
-def brute_prefix_scan(
-    r: Residue, ceiling: int | None = None
-) -> tuple[list[float], list[float], Fraction]:
-    """prefix_scan of r, gated by the pair-check ceiling."""
-    check_pair_ceiling(r.m, ceiling)
-    return prefix_scan(r.x, r.m)
-
-
-def prefix_scan(x: int, m: int) -> tuple[list[float], list[float], Fraction]:
+def prefix_scan(x: int, m: int) -> tuple[list[float], list[float], tuple[int, int]]:
     """Running minima of both classes and the criterion-minimal representation of x mod m.
 
     Returns (neg, pos, minimum).  neg[D] is the smallest |negative residue|
@@ -134,8 +126,8 @@ def prefix_scan(x: int, m: int) -> tuple[list[float], list[float], Fraction]:
     neg[neg.d] and pos[pos.d] are both at least its threshold: the same
     definition brute_pair_minimal evaluates, with the scan over d shared by
     every pair of one residue.  minimum is the representation brute_minimum
-    finds.  No ceiling is checked: the caller holds m to one, as
-    brute_prefix_scan and run_checks do.
+    finds, as (n, d).  No ceiling is checked: the caller holds m to one, as
+    run_checks does.
 
     The scan walks d = 1..M-1 upwards and gets each positive residue
     x*d % M from the previous one by adding x and, past M, subtracting M
@@ -184,4 +176,4 @@ def prefix_scan(x: int, m: int) -> tuple[list[float], list[float], Fraction]:
                 best_n, best_d, best_max = -low_neg, d, maxc
         neg.append(low_neg)
         pos.append(low_pos)
-    return neg, pos, Fraction(best_n, best_d)
+    return neg, pos, (best_n, best_d)

@@ -476,6 +476,9 @@ def test_only_enumerate_and_the_table_cross_check_load_the_oracle():
     for args in (("enumerate", "-m", "17", "--x", "7"), ("table", "-m", "17", "--cross-check")):
         code, loaded = _imports_of("-m", "minfrac.cli", *args)
         assert code == 0 and "minfrac.oracle" in loaded, args
+    # A library caller's lazy load of a public name shows in the profile too.
+    code, loaded = _imports_of("-c", "import minfrac; minfrac.brute_minimum")
+    assert code == 0 and "minfrac.oracle" in loaded
 
 
 def test_table_cross_check_calls_the_brute_minimum_set_on_the_module(capsys, monkeypatch):

@@ -1,12 +1,12 @@
 """Tests for the sweep harness: reports, determinism, parallel merge."""
 
 import collections
+import pickle
 import re
 
 import pytest
 
 import minfrac.harness as harness
-import minfrac.oracle as oracle
 from minfrac.descent import descent_steps
 from minfrac.errors import CeilingExceeded, InvariantError
 from minfrac.harness import (
@@ -315,14 +315,14 @@ def test_agreement_reports_a_planted_oracle_verdict(monkeypatch):
 
 
 def test_agreement_reports_a_planted_enumerated_minimum(monkeypatch):
-    # Replace the oracle scan's minimum for 7 mod 17, -3/2, by 4/3, which
-    # represents 7 too: that residue's minimum comparison, and nothing
+    # Replace the oracle scan's minimum for 7 mod 17, (-3, 2), by (4, 3),
+    # which represents 7 too: that residue's minimum comparison, and nothing
     # else, fails, with a replay through `repr`.
     real = harness.prefix_scan
 
     def planted(x, m):
         neg, pos, minimum = real(x, m)
-        return neg, pos, Fraction(4, 3) if (x, m) == (7, 17) else minimum
+        return neg, pos, (4, 3) if (x, m) == (7, 17) else minimum
 
     base = _check("agreement", 2, 30)
     monkeypatch.setattr(harness, "prefix_scan", planted)
@@ -435,8 +435,7 @@ def test_one_sweep_of_every_check_matches_one_sweep_per_check(monkeypatch):
     # The five checks share each residue's Residue, walk and oracle scan,
     # built once per residue, and report what five separate sweeps report;
     # the enumerated minimum comes from that scan, not from brute_minimum.
-    # run_checks gates the range once; the workers scan ungated, never
-    # through the gated brute_prefix_scan.
+    # run_checks gates the range once; the workers scan ungated.
     config = {"random_pairs_per_m": 8, "seed": 3}
     singles = [_check(name, 2, 40, **config) for name in CHECK_NAMES]
     pooled = run_checks(SweepConfig(2, 40, parallelism=2, **config))
@@ -454,30 +453,32 @@ def test_one_sweep_of_every_check_matches_one_sweep_per_check(monkeypatch):
     for name in ("Residue", "descent_steps", "prefix_scan", "brute_minimum",
                  "check_pair_ceiling"):
         count(harness, name)
-    count(oracle, "brute_prefix_scan")
     serial = run_checks(SweepConfig(2, 40, **config))
     residues = sum(range(2, 41))
     assert calls == {"Residue": residues, "descent_steps": residues,
                      "prefix_scan": residues, "check_pair_ceiling": 1}
-    assert calls["brute_minimum"] == calls["brute_prefix_scan"] == 0
+    assert calls["brute_minimum"] == 0
     assert _durationless(serial) == _durationless(pooled) == _durationless(singles)
 
 
 def test_parallel_sweep_matches_serial(monkeypatch):
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     serial = run_checks(SweepConfig(2, 40, parallelism=1))
     parallel = run_checks(SweepConfig(2, 40, parallelism=3))
     assert _durationless(serial) == _durationless(parallel)
-    # Planted counterexamples and anomalies come back from two workers,
-    # pickled, and merge into what one worker reports.  The workers are
-    # forked, so they inherit the plants.
+    # Planted counterexamples and anomalies, found stripe by stripe as three
+    # workers find them and pickled as the pool returns them, merge into
+    # what one worker reports.  The stripes run in this process, so the
+    # plants hold whatever start method a pool would use.
     monkeypatch.setattr(harness, "is_minimal_pair", _determinant_only)
     monkeypatch.setattr(harness, "TRACE_CAP_FACTOR", 1)
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    config = {"checks": ("progress", "agreement"), "random_pairs_per_m": 16}
-    serial = run_checks(SweepConfig(2, 30, **config))
-    pooled = run_checks(SweepConfig(2, 30, parallelism=2, **config))
+    config = SweepConfig(2, 30, checks=("progress", "agreement"), random_pairs_per_m=16)
+    serial = run_checks(config)
+    parts = [pickle.loads(pickle.dumps(harness._chunk_worker((config, range(2 + i, 31, 3)))))
+             for i in range(3)]
+    merged = harness._merge(config.checks, parts)
     assert serial[0].anomaly_count and serial[1].failures
-    assert _durationless(serial) == _durationless(pooled)
+    assert _durationless(serial) == _durationless(merged)
 
 
 def test_agreement_random_pairs_are_seed_deterministic():

@@ -13,7 +13,7 @@ from minfrac.minimality import (
     minimum_table,
     sqrt_bound_witness,
 )
-from minfrac.oracle import brute_minimum, brute_pair_minimal, brute_prefix_scan
+from minfrac.oracle import brute_minimum, brute_pair_minimal, prefix_scan
 from minfrac.residues import Fraction, Residue, ResidueClass, represents
 
 
@@ -130,7 +130,7 @@ def test_is_minimal_pair_matches_the_oracle_on_every_in_class_pair():
     # residue's prefix minima, as the agreement check does.
     for m in range(2, 25):
         for x in range(m):
-            neg, pos, _ = brute_prefix_scan(Residue(x, m))
+            neg, pos, _ = prefix_scan(x, m)
             for nd in range(m):
                 nn = (x * nd) % m - m
                 for pd in range(1, m + 1):
@@ -229,7 +229,7 @@ def _class_minimal(f, scan):
 
 
 def test_is_minimal_in_class():
-    minima = brute_prefix_scan(Residue(7, 17))
+    minima = prefix_scan(7, 17)
     assert _class_minimal(Fraction(4, 3), minima)  # positive residues 7, 14 before d = 3
     assert _class_minimal(Fraction(-3, 2), minima)  # negative magnitudes 17, 10 before d = 2
     # the positive prefix minimum at d = 4 is 4 (from 4/3), below 11
@@ -242,7 +242,7 @@ def test_trace_fractions_are_class_minimal():
     for m in (2, 3, 17, 60, 97):
         for x in range(m):
             r = Residue(x, m)
-            minima = brute_prefix_scan(r)
+            minima = prefix_scan(x, m)
             for nn, nd, pn, pd, _ in run_descent(r):
                 assert _class_minimal(Fraction(nn, nd), minima)
                 assert _class_minimal(Fraction(pn, pd), minima)

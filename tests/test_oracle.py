@@ -13,14 +13,15 @@ from minfrac.errors import (
     DEFAULT_ENUMERATION_CEILING,
     DEFAULT_PAIR_CHECK_CEILING,
     CeilingExceeded,
+    check_pair_ceiling,
 )
 from minfrac.harness import _scan_minimum
 from minfrac.minimality import is_minimal_pair
 from minfrac.oracle import (
     brute_minimum,
     brute_pair_minimal,
-    brute_prefix_scan,
     enumerate_class,
+    prefix_scan,
 )
 from minfrac.residues import Fraction, Residue, ResidueClass, represents
 from test_minimality import criterion_key
@@ -139,38 +140,42 @@ def test_pair_check_ceiling(monkeypatch):
         brute_pair_minimal(1, m, -1, 2, 1, 1)
 
 
-def test_brute_prefix_scan_example():
+def test_prefix_scan_example():
     # |negative residues| of 7 mod 17 for d = 0..16: 17 10 3 13 6 16 9 2 12 5 ...;
     # positive residues for d = 1..16: 7 14 4 11 1 ...; an empty range reads +inf
-    neg, pos, minimum = brute_prefix_scan(Residue(7, 17))
+    neg, pos, minimum = prefix_scan(7, 17)
     assert neg == [math.inf, 17, 10] + [3] * 5 + [2] * 5 + [1] * 5
     assert pos == [math.inf, math.inf, 7, 7, 4, 4] + [1] * 12
-    assert minimum == Fraction(-3, 2)
+    assert minimum == (-3, 2)
 
 
-def test_brute_prefix_scan_matches_the_definitions():
+def test_prefix_scan_matches_the_definitions():
     # Every x mod M for M <= 300: slot D of each class holds the minimum
     # magnitude over the class's denominators below D (+inf when there are
     # none), and the minimum is the one the downward scan finds.
     empty = math.inf
     for m in range(2, 301):
         for x in range(m):
-            r = Residue(x, m)
-            neg, pos, minimum = brute_prefix_scan(r)
+            neg, pos, minimum = prefix_scan(x, m)
             assert neg == list(accumulate((m - x * d % m for d in range(m)), min, initial=empty))
             assert pos == [empty, *accumulate((x * d % m for d in range(1, m)), min, initial=empty)]
-            assert minimum == brute_minimum(r), r
+            expected = brute_minimum(Residue(x, m))
+            assert minimum == (expected.n, expected.d), (x, m)
 
 
 def test_prefix_minima_ceiling(monkeypatch):
+    # The scan checks no ceiling: its callers hold M to the pair-check
+    # ceiling, as run_checks does once per sweep, and scan past it only
+    # when it is raised.
     monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
     m = DEFAULT_PAIR_CHECK_CEILING + 1
     with pytest.raises(CeilingExceeded) as exc:
-        brute_prefix_scan(Residue(1, m))
+        check_pair_ceiling(m)
     assert str(exc.value).startswith(f"pair-minimality check: modulus {m} exceeds")
-    neg, pos, minimum = brute_prefix_scan(Residue(1, m), ceiling=m)
+    check_pair_ceiling(m, m)
+    neg, pos, minimum = prefix_scan(1, m)
     assert len(neg) == len(pos) == m + 1
-    assert minimum == Fraction(1, 1)
+    assert minimum == (1, 1)
 
 
 def test_a_class_pair_is_minimal_iff_its_determinant_is_m():
@@ -180,7 +185,7 @@ def test_a_class_pair_is_minimal_iff_its_determinant_is_m():
     # every determinant is a positive multiple of M.
     for m in range(2, 25):
         for x in range(m):
-            neg, pos, _ = brute_prefix_scan(Residue(x, m))
+            neg, pos, _ = prefix_scan(x, m)
             for nd in range(m):
                 nn = (x * nd) % m - m
                 for pd in range(1, m + 1):
@@ -199,11 +204,11 @@ def test_prefix_minima_verdict_matches_brute_pair_minimal_off_the_class_residues
     # read above every threshold: -34/0 with 7/1 of 7 mod 17 (threshold 41)
     # is minimal.  The shifts are those of the is_minimal_pair test on the
     # same pairs.
-    neg, pos, _ = brute_prefix_scan(Residue(7, 17))
+    neg, pos, _ = prefix_scan(7, 17)
     assert neg[0] >= 34 + 7 and pos[1] >= 34 + 7
     for m in range(2, 13):
         for x in range(m):
-            neg, pos, _ = brute_prefix_scan(Residue(x, m))
+            neg, pos, _ = prefix_scan(x, m)
             for nd in range(m):
                 for pd in range(1, m + 1):
                     for i, j in ((0, 1), (1, 0), (1, 1), (2, 0), (0, 2)):
@@ -227,7 +232,7 @@ def test_prefix_minima_verdict_matches_brute_pair_minimal(data):
         nd = data.draw(st.integers(0, m - 1))
         pd = data.draw(st.integers(1, m))
         nn, pn = x * nd % m - m, x * pd % m
-    neg, pos, _ = brute_prefix_scan(Residue(x, m))
+    neg, pos, _ = prefix_scan(x, m)
     threshold = pn - nn
     verdict = neg[nd] >= threshold and pos[pd] >= threshold
     assert verdict == brute_pair_minimal(x, m, nn, nd, pn, pd)
@@ -283,5 +288,5 @@ def test_brute_minimum_is_a_minimal_representation():
                           for n, d in enumerate_class(r, cls) if d >= 1]
             expected = min(candidates, key=criterion_key)
             assert brute_minimum(r) == expected, r
-            assert brute_prefix_scan(r)[2] == expected, r
+            assert prefix_scan(x, m)[2] == (expected.n, expected.d), r
             assert _scan_minimum(descent_steps(x, m)) == (expected.n, expected.d), r

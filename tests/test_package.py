@@ -25,7 +25,7 @@ HOMES = {
         "is_minimal_pair", "minimum_fraction", "minimum_table", "sqrt_bound_witness",
     ],
     "minfrac.oracle": [
-        "brute_minimum", "brute_pair_minimal", "brute_prefix_scan", "enumerate_class",
+        "brute_minimum", "brute_pair_minimal", "enumerate_class",
     ],
     "minfrac.residues": [
         "Fraction", "Residue", "ResidueClass", "check_modulus", "represents",
@@ -34,7 +34,7 @@ HOMES = {
 
 
 def test_every_public_name_is_its_home_modules_object():
-    assert len(minfrac.__all__) == 27
+    assert len(minfrac.__all__) == 26
     assert sorted(minfrac.__all__) == sorted(name for names in HOMES.values() for name in names)
     for module_name, names in HOMES.items():
         module = importlib.import_module(module_name)
@@ -60,7 +60,7 @@ def test_unknown_names_raise_attribute_error():
     for name in ("is_minimal_in_class", "MinimalityVerdict", "mediant", "parse_fraction",
                  "check_minimality", "check_determinant", "check_sqrt_bound", "check_progress",
                  "check_agreement", "pos_residue", "neg_residue", "residue_fraction",
-                 "criterion_key"):
+                 "criterion_key", "brute_prefix_scan"):
         with pytest.raises(AttributeError):
             getattr(minfrac, name)
     assert "minimum_fraction" in dir(minfrac)
