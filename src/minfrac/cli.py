@@ -27,11 +27,16 @@ and the ceiling gate of the errors module; the oracle is loaded only by
 `verify` (likewise its `SweepConfig` and `run_checks`), and `json` only by
 `verify --format json`.  Every listing streams: one writer prints `repr`
 JSON, `enumerate`, `trace` and `table` entry by entry, so memory is flat in M.
+The end of a process costs too: the interpreter's teardown takes several ms, so
+`python -m minfrac.cli` and the `minfrac` script end through run(), which
+skips it unless a tracer, profiler or debugger is attached.  main() is the
+in-process entry point and never ends the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 from itertools import chain, islice, starmap
@@ -78,6 +83,14 @@ def _int_arg(text: str) -> int:
     try:
         return int(text, 0)
     except ValueError:
+        # CPython converts at most sys.get_int_max_str_digits() decimal digits
+        # (4300 by default, 0 for no limit; 3.10.7 added the limit).
+        digits = text.strip().lstrip("+-").replace("_", "")
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if digits.isdecimal() and 0 < limit < len(digits):
+            raise argparse.ArgumentTypeError(
+                f"{len(digits)} decimal digits exceed Python's limit of {limit} digits for "
+                "converting a string to an integer (PYTHONINTMAXSTRDIGITS sets the limit)")
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
@@ -333,5 +346,36 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def _watched() -> bool:
+    """Whether a tracer, profiler or debugger is attached to this process."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: tool ids 0..5
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or "bdb" in sys.modules  # pdb and other bdb debuggers, even with no hook set
+            or (monitoring is not None and any(map(monitoring.get_tool, range(6)))))
+
+
+def run():
+    """The process entry point: `python -m minfrac.cli` and the `minfrac` script.
+
+    Runs main() and ends the process with its exit code; never returns.  Once
+    main() returns, the output is written, a verify pool is joined and no
+    thread is left, so the interpreter's teardown has nothing to finish: run()
+    runs the atexit handlers, flushes stdout and stderr and calls os._exit.
+    It raises SystemExit, as a plain exit does, when a tracer, profiler or
+    debugger is attached (so it sees the exit) or a stream fails to flush.
+    """
+    code = main()
+    if not _watched():
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):
+            pass  # a stream that is None (closed at start-up), failing or closed
+        else:
+            os._exit(code)
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -6,7 +6,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -355,6 +357,130 @@ def test_a_closed_pipe_exits_141_quietly(command):
     assert err == b""
 
 
+def _python(*args, **kwargs):
+    """Run the interpreter on args with minfrac's src on the path and no ceiling set.
+
+    stdout is block-buffered, as by default for a pipe, so that output a
+    process fails to flush before it ends goes missing.
+    """
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in (CEILING_ENV_VAR, "PYTHONUNBUFFERED")}
+    return subprocess.run([sys.executable, *args], env={**env, "PYTHONPATH": src},
+                          capture_output=True, timeout=120, **kwargs)
+
+
+# Exit code and argv: outputs of each kind, and each error exit.
+PARITY_CASES = [
+    (0, ["repr", "-m", "17", "--x", "7"]),
+    (0, ["repr", "-m", "97", "--x", "200", "--format", "json"]),
+    (0, ["trace", "-m", "17", "--x", "7", "--format", "json"]),
+    (0, ["table", "-m", "97", "--format", "json"]),
+    (0, ["enumerate", "-m", "17", "--x", "7"]),
+    (0, ["verify", "--m-min", "2", "--m-max", "30", "--random-pairs", "2", "--format", "json"]),
+    (2, ["repr", "-m", "17"]),  # usage error
+    (2, ["repr", "-m", "1", "--x", "1"]),  # ValueError
+    (4, ["table", "-m", "11", "--cross-check", "--ceiling-override", "10"]),
+]
+
+
+@pytest.mark.parametrize("code, argv", PARITY_CASES, ids=[" ".join(a) for _, a in PARITY_CASES])
+def test_a_process_ends_as_main_returns(capsys, monkeypatch, code, argv):
+    # A process ends through cli.run, skipping the interpreter's teardown:
+    # its output and exit code are main()'s, byte for byte.
+    monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
+    proc = _python("-m", "minfrac.cli", *argv)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == run(capsys, *argv)
+    assert proc.returncode == code
+
+
+class _Exited(Exception):
+    """Raised by the os._exit stand-in, which must not return."""
+
+
+@pytest.fixture
+def unwatched(monkeypatch):
+    """cli.run as in a plain process: no hooks, no debugger, os._exit recorded."""
+    ended = []
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: ended.append("atexit"))
+
+    def _exit(code):
+        ended.append(code)
+        raise _Exited
+
+    monkeypatch.setattr(cli.os, "_exit", _exit)
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.delattr(sys, "monitoring", raising=False)
+    monkeypatch.delitem(sys.modules, "bdb", raising=False)  # pytest loads pdb
+    return ended
+
+
+def test_run_ends_the_process_after_the_atexit_handlers(unwatched):
+    with pytest.raises(_Exited):
+        cli.run()
+    assert unwatched == ["atexit", 3]
+
+
+@pytest.mark.parametrize("watcher", ["trace", "profile", "monitoring", "bdb"])
+def test_run_exits_as_usual_under_a_tracer_profiler_or_debugger(unwatched, monkeypatch,
+                                                                 watcher):
+    if watcher == "monitoring":  # Python 3.12+; a tool such as coverage.py holds id 1
+        monitoring = types.SimpleNamespace(get_tool={1: "coverage.py"}.get)
+        monkeypatch.setattr(sys, "monitoring", monitoring, raising=False)
+    elif watcher == "bdb":
+        monkeypatch.setitem(sys.modules, "bdb", sys)
+    else:
+        monkeypatch.setattr(sys, f"get{watcher}", lambda: print)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 3 and unwatched == []
+
+
+def test_run_exits_as_usual_when_a_stream_fails_to_flush(unwatched, monkeypatch):
+    class Full:
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 3 and unwatched == ["atexit"]
+
+
+def test_atexit_handlers_still_run_and_their_output_arrives():
+    code = ("import atexit, runpy, sys; atexit.register(print, 'handler ran'); "
+            "sys.argv = ['minfrac', 'repr', '-m', '17', '--x', '7']; "
+            "runpy.run_module('minfrac.cli', run_name='__main__'); print('not reached')")
+    proc = _python("-c", code, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "-3/2\nwitness: -3/2\nhandler ran\n", "")
+
+
+def test_a_profiled_run_still_prints_its_profile():
+    proc = _python("-m", "cProfile", "-m", "minfrac.cli", "repr", "-m", "17", "--x", "7",
+                   text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("-3/2\nwitness: -3/2\n") and "function calls" in proc.stdout
+
+
+def test_a_parallel_verify_leaves_no_process_behind():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minfrac.cli", "verify", "--m-min", "2", "--m-max", "60",
+         "--workers", "2"],
+        env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])},
+        stdout=subprocess.DEVNULL, start_new_session=True)
+    assert proc.wait(timeout=120) == 0
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # the session's group is empty: every worker is gone
+
+
+def test_a_parallel_verify_leaves_no_thread_behind(capsys):
+    # The fast exit joins no thread, so main() must return with none left.
+    assert run(capsys, "verify", "--m-min", "2", "--m-max", "60", "--workers", "2")[0] == 0
+    assert threading.active_count() == 1
+
+
 def test_verify_clean_range(capsys):
     code, out, _ = run(capsys, "verify", "--m-min", "2", "--m-max", "40")
     assert code == 0
@@ -587,6 +713,19 @@ def test_usage_exit_codes(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "repr", "-m", "1", "--x", "0")[0] == 2  # modulus too small
     assert run(capsys, "--help")[0] == 0
+
+
+def test_a_decimal_over_the_int_string_limit_is_named_as_such(capsys):
+    # CPython converts at most 4300 decimal digits by default: the value is
+    # an integer, so the usage error names the limit, not "not an integer".
+    code, out, err = run(capsys, "repr", "-m", "1" + "0" * 4816, "--x", "1")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --modulus/-m: 4817 decimal digits exceed Python's "
+                        "limit of 4300 digits for converting a string to an integer "
+                        "(PYTHONINTMAXSTRDIGITS sets the limit)\n")
+    code, _, err = run(capsys, "repr", "-m", "1" * 4816 + "a", "--x", "1")
+    assert code == 2 and err.endswith("argument --modulus/-m: not an integer: '" + "1" * 4816
+                                      + "a'\n")
 
 
 def test_render_fraction_helper():
