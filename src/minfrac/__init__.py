@@ -27,7 +27,7 @@ _HOMES = {
     ),
     "oracle": ("brute_minimum", "brute_pair_minimal", "enumerate_class"),
     "residues": (
-        "Fraction", "Residue", "ResidueClass", "check_modulus", "represents",
+        "Fraction", "Residue", "ResidueClass", "check_modulus",
     ),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -10,7 +10,9 @@ Subcommands:
 Exit codes are part of the contract: 0 success, 1 a sweep or cross-check
 found a counterexample, 2 usage error, 3 internal invariant failure,
 4 ceiling exceeded (a brute-force scan, or a trace or table too long to print),
-141 stdout closed early (128 + SIGPIPE, what a shell reports for `yes | head -1`).
+141 stdout closed early (128 + SIGPIPE, what a shell reports for `yes | head -1`)
+or closed at start-up, in which case the command does not run.  A closed
+stderr changes no exit code: the lines meant for it are dropped.
 
 `table --cross-check` holds every sieve entry to two independent routes,
 the per-x run-length descent and the brute-force oracle.
@@ -25,15 +27,15 @@ and the ceiling gate of the errors module; the oracle is loaded only by
 `enumerate` and `table --cross-check` (its `enumerate_class` and
 `brute_minimum` are still attributes of this module), the harness only by
 `verify` (likewise its `SweepConfig` and `run_checks`), and `json` only by
-`verify --format json`.  Every listing streams: one writer prints `repr`
+`verify --format json`.  Those four names resolve on first access through
+the package's lazy loader, `minfrac.__getattr__`, so `-X importtime` shows
+each load.  Every listing streams: one writer prints `repr`
 JSON, `enumerate`, `trace` and `table` entry by entry, so memory is flat in M.
 The end of a process costs too: the interpreter's teardown takes several ms, so
 `python -m minfrac.cli` and the `minfrac` script end through run(), which
 skips it unless a tracer, profiler or debugger is attached.  main() is the
 in-process entry point and never ends the process.
 """
-
-from __future__ import annotations
 
 import argparse
 import atexit
@@ -46,23 +48,20 @@ from .check_names import CHECK_NAMES
 from .descent import descent_runs, descent_steps, run_descent  # noqa: F401
 from .errors import DEFAULT_ENUMERATION_CEILING, CeilingExceeded, InvariantError, check_ceiling
 from .minimality import minimum_fraction, minimum_table, sqrt_bound_witness
-from .residues import Fraction, Residue, ResidueClass, check_modulus, represents
+from .residues import Residue, ResidueClass, check_modulus
 
-# Oracle and harness names reachable as attributes of this module, and the
-# module that defines each: only the subcommands that call them load them.
+# Oracle and harness names reachable as attributes of this module: only the
+# subcommands that call them load them, through the package's own loader.
 # They are looked up on _THIS, so a wrapper set onto this module (as the
 # benchmark's traced run sets one) is the one that runs.
-_LAZY_HOMES = {"brute_minimum": "oracle", "enumerate_class": "oracle",
-               "SweepConfig": "harness", "run_checks": "harness"}
+_LAZY = {"brute_minimum", "enumerate_class", "SweepConfig", "run_checks"}
 _THIS = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    home = _LAZY_HOMES.get(name)
-    if home is None:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # __import__, unlike importlib.import_module, shows in `python -X importtime`.
-    value = getattr(__import__(f"{__package__}.{home}", fromlist=(name,)), name)
+    value = getattr(sys.modules[__package__], name)
     globals()[name] = value
     return value
 
@@ -163,12 +162,21 @@ def _write_listing(fmt, scalars, lists, entry, item, sep=", "):
         write(tail)
 
 
+def _to_stderr(line: str) -> None:
+    """Write one line to stderr, or drop it if stderr is closed, as argparse does."""
+    if sys.stderr is not None:  # print(file=None) would write to stdout
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def _reduce_x(x: int, m: int) -> int:
     check_modulus(m)
     if 0 <= x < m:
         return x
     reduced = x % m
-    print(f"note: x = {x} reduced to {reduced} (mod {m})", file=sys.stderr)
+    _to_stderr(f"note: x = {x} reduced to {reduced} (mod {m})")
     return reduced
 
 
@@ -221,15 +229,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.cross_check:
         brute_minimum = _THIS.brute_minimum
         for x in range(1, m):
-            f = Fraction(numerators[x], denominators[x])
+            n, d = numerators[x], denominators[x]
+            if (x * d - n) % m:
+                raise InvariantError(f"table entry {n}/{d} does not represent {x} mod {m}")
             r = Residue(x, m)
-            if not represents(r, f):
-                raise InvariantError(f"table entry {f} does not represent {x} mod {m}")
             descent = minimum_fraction(r)
             expected = brute_minimum(r, ceiling=args.ceiling_override)
-            if not f == descent == expected:
-                print(f"cross-check failed at x={x}: table has {f}, oracle says {expected}, "
-                      f"descent says {descent}", file=sys.stderr)
+            if not (n, d) == (descent.n, descent.d) == (expected.n, expected.d):
+                _to_stderr(f"cross-check failed at x={x}: table has {n}/{d}, "
+                           f"oracle says {expected}, descent says {descent}")
                 return 1
     # x = 0 is the sieve's first entry, 0/1; the table lists x = 1..M-1.
     fractions = zip(islice(numerators, 1, None), islice(denominators, 1, None))
@@ -321,12 +329,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error a command reports as `error: ...` on stderr.
+_ERROR_EXITS = {ValueError: 2, CeilingExceeded: 4, InvariantError: 3}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if sys.stdout is None:  # stdout was closed at start-up: nothing can be written
+        return 141
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
@@ -335,15 +349,9 @@ def main(argv: list[str] | None = None) -> int:
         # Silence the interpreter's final flush of what is still buffered.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CeilingExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except tuple(_ERROR_EXITS) as exc:
+        _to_stderr(f"error: {exc}")
+        return next(code for kind, code in _ERROR_EXITS.items() if isinstance(exc, kind))
 
 
 def _watched() -> bool:

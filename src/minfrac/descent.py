@@ -19,8 +19,6 @@ replacements of the same side into runs, of which there are O(log M); the
 step walk `descent_steps` stays as the reference it is checked against.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator
 
 from .residues import Residue, ResidueClass

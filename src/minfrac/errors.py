@@ -6,8 +6,6 @@ lives here, next to the exception it raises, so a command that only holds a
 size to a ceiling loads no oracle.
 """
 
-from __future__ import annotations
-
 import os
 
 DEFAULT_ENUMERATION_CEILING = 10**6

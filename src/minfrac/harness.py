@@ -57,8 +57,6 @@ stays a dataclass, since callers derive variants of it with
 dataclasses.replace.
 """
 
-from __future__ import annotations
-
 import os
 import time
 from collections.abc import Iterable

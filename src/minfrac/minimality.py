@@ -15,8 +15,6 @@ smaller denominator and then by the positive class (a tie of the same |n|
 and d in both classes is possible when 2x = 0 mod M).
 """
 
-from __future__ import annotations
-
 from math import gcd, isqrt
 
 from .descent import descent_runs
@@ -73,8 +71,8 @@ def is_minimal_pair(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: i
     x/1 has determinant M.  So one test covers both: det = M, or both
     ranges empty.
     """
-    # Residue's range check and represents(), inlined (the harness calls
-    # this per pair), negative side first.
+    # Residue's range check and each side's congruence, inlined (the harness
+    # calls this per pair), negative side first.
     if not 0 <= x < m:
         raise ValueError(f"residue {x} out of range [0, {m})")
     if (x * neg_d - neg_n) % m:

@@ -21,8 +21,6 @@ integers (neg_n, neg_d, pos_n, pos_d).  `verify` reads the same verdict off
 the prefix scan's minima, one scan per residue for all its pairs.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator
 from math import inf
 

@@ -7,8 +7,6 @@ Numerators come in two flavours: positive residues (x*D mod M, denominators
 there is no floating point anywhere in this package.
 """
 
-from __future__ import annotations
-
 import enum
 from operator import attrgetter
 
@@ -93,8 +91,3 @@ class Fraction(Record):
 
     def __str__(self) -> str:
         return f"{self.n}/{self.d}"
-
-
-def represents(r: Residue, f: Fraction) -> bool:
-    """True iff x*D is congruent to N (mod M)."""
-    return (r.x * f.d - f.n) % r.m == 0

@@ -15,7 +15,7 @@ from minfrac.descent import descent_steps, run_descent
 from minfrac.harness import SweepConfig, run_checks
 from minfrac.minimality import minimum_fraction, sqrt_bound_witness
 from minfrac.oracle import enumerate_class
-from minfrac.residues import Fraction, Residue, ResidueClass, represents
+from minfrac.residues import Fraction, Residue, ResidueClass
 from test_minimality import criterion_key
 
 POS_LIST_7_17 = (
@@ -95,7 +95,7 @@ def test_criterion_04_minimum_criterion():
         r = Residue(12, 17)
         assert minimum_fraction(r) == Fraction(2, 3)
         rival = Fraction(-3, 4)
-        assert represents(r, rival)  # a genuine competitor...
+        assert (r.x * rival.d - rival.n) % r.m == 0  # a genuine competitor...
         assert criterion_key(rival)[0] == 4  # ...but max coefficient 4 > 3
         assert criterion_key(Fraction(2, 3)) < criterion_key(rival)
 

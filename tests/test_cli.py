@@ -282,19 +282,21 @@ def test_table_cross_check(capsys):
 
 def test_table_cross_check_names_a_planted_entry(capsys, monkeypatch):
     real_table = cli.minimum_table
+    for x, n, d, err in [
+        # 4/3 represents 7 mod 17; the minimum is -3/2.
+        (7, 4, 3, "cross-check failed at x=7: table has 4/3, "
+                  "oracle says -3/2, descent says -3/2\n"),
+        # 0/0 passes the congruence for every x, and is no fraction at all.
+        (3, 0, 0, "cross-check failed at x=3: table has 0/0, "
+                  "oracle says 3/1, descent says 3/1\n"),
+    ]:
+        def planted(m):
+            nums, dens = real_table(m)
+            nums[x], dens[x] = n, d
+            return nums, dens
 
-    def planted(m):
-        nums, dens = real_table(m)
-        nums[7], dens[7] = 4, 3  # 4/3 represents 7 mod 17; the minimum is -3/2
-        return nums, dens
-
-    monkeypatch.setattr(cli, "minimum_table", planted)
-    code, out, err = run(capsys, "table", "-m", "17", "--cross-check")
-    assert code == 1
-    assert out == ""
-    assert err == (
-        "cross-check failed at x=7: table has 4/3, oracle says -3/2, descent says -3/2\n"
-    )
+        monkeypatch.setattr(cli, "minimum_table", planted)
+        assert run(capsys, "table", "-m", "17", "--cross-check") == (1, "", err)
 
 
 def test_table_json_is_laid_out_as_json_dumps(capsys):
@@ -391,6 +393,27 @@ def test_a_process_ends_as_main_returns(capsys, monkeypatch, code, argv):
     proc = _python("-m", "minfrac.cli", *argv)
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == run(capsys, *argv)
     assert proc.returncode == code
+
+
+# The stream a shell closes, the command, and its exit code and stdout.
+CLOSED_STREAM_CASES = [
+    (">&-", "repr -m 17 --x 7", 141, b""),
+    (">&-", "verify --m-min 2 --m-max 5", 141, b""),
+    ("2>&-", "repr -m 17 --x 70", 0, b"2\nwitness: 2\n"),  # the note that x was reduced is dropped
+    ("2>&-", "repr -m 1 --x 7", 2, b""),
+    ("2>&-", "trace -m 1000003 --x 1", 4, b""),
+]
+
+
+@pytest.mark.parametrize("closed, argv, code, out", CLOSED_STREAM_CASES)
+def test_a_closed_stream_keeps_the_documented_exit_code(monkeypatch, closed, argv, code, out):
+    # A stdout closed at start-up exits 141 before the command runs; a closed
+    # stderr drops its lines and changes no exit code.  Neither is exit 1.
+    monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
+    monkeypatch.setenv("PYTHONPATH", str(Path(harness.__file__).resolve().parents[1]))
+    proc = subprocess.run(["sh", "-c", f'"$0" -m minfrac.cli {argv} {closed}', sys.executable],
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, b"")
 
 
 class _Exited(Exception):
@@ -580,16 +603,18 @@ def _imports_of(*args):
 
 def test_start_up_leaves_the_harness_dataclasses_and_json_out():
     # Only `verify` runs the harness, and only its JSON needs json: the
-    # listings write theirs entry by entry.
+    # listings write theirs entry by entry.  No module defers its
+    # annotations, so no command loads __future__.
     heavy = {"minfrac.harness", "dataclasses", "json"}
     code, loaded = _imports_of("-c", "import minfrac.cli")
     assert code == 0 and "minfrac.cli" in loaded and not loaded & heavy
     code, loaded = _imports_of("-m", "minfrac.cli", "repr", "-m", "17", "--x", "7",
                                "--format", "json")
     assert code == 0 and "minfrac.minimality" in loaded and not loaded & heavy
+    assert "__future__" not in loaded
     code, loaded = _imports_of("-m", "minfrac.cli", "verify", "--m-min", "2", "--m-max", "5",
                                "--format", "json")
-    assert code == 0 and heavy <= loaded
+    assert code == 0 and heavy <= loaded and "__future__" not in loaded
 
 
 def test_only_enumerate_and_the_table_cross_check_load_the_oracle():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minfrac.descent import descent_runs, descent_steps, run_descent
-from minfrac.residues import Fraction, Residue, ResidueClass, represents
+from minfrac.residues import Residue, ResidueClass
 from test_acceptance import P256, STEPS_256, X256
 
 NEG = ResidueClass.NEGATIVE
@@ -117,8 +117,8 @@ def test_descent_invariants(data):
     assert t[-1][2] == 0
     assert [pn * nd - nn * pd for nn, nd, pn, pd, _ in t] == [m] * len(t)
     for nn, nd, pn, pd, _ in t:
-        assert represents(r, Fraction(nn, nd))
-        assert represents(r, Fraction(pn, pd))
+        assert (x * nd - nn) % m == 0
+        assert (x * pd - pn) % m == 0
     # strict progress: the numerator-magnitude sum shrinks every step
     sums = [-nn + pn for nn, _, pn, _, _ in t]
     assert all(a > b for a, b in zip(sums, sums[1:]))

@@ -14,7 +14,7 @@ from minfrac.minimality import (
     sqrt_bound_witness,
 )
 from minfrac.oracle import brute_minimum, brute_pair_minimal, prefix_scan
-from minfrac.residues import Fraction, Residue, ResidueClass, represents
+from minfrac.residues import Fraction, Residue, ResidueClass
 
 
 def criterion_key(f):
@@ -219,7 +219,7 @@ def test_sqrt_bound_witness_small_moduli_exhaustive():
             w = sqrt_bound_witness(r)
             assert w.n * w.n <= m
             assert w.d * w.d <= m
-            assert represents(r, w)
+            assert (x * w.d - w.n) % m == 0
 
 
 def _class_minimal(f, scan):
@@ -256,7 +256,7 @@ def test_minimum_agrees_with_exhaustive_enumeration(data):
     r = Residue(x, m)
     f = minimum_fraction(r)
     assert f == brute_minimum(r)
-    assert represents(r, f)
+    assert (x * f.d - f.n) % m == 0
     assert f.d >= 1
 
 

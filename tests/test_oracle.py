@@ -23,7 +23,7 @@ from minfrac.oracle import (
     enumerate_class,
     prefix_scan,
 )
-from minfrac.residues import Fraction, Residue, ResidueClass, represents
+from minfrac.residues import Fraction, Residue, ResidueClass
 from test_minimality import criterion_key
 
 
@@ -48,8 +48,8 @@ def test_enumerate_class_small():
 
 
 def test_enumerate_class_agrees_with_residue_functions():
-    # same lists, derived through the library's `represents` instead of the
-    # oracle's inline arithmetic: at each denominator of a class, the one
+    # same lists, derived by testing the congruence x*d = n (mod M) instead
+    # of the oracle's x*d mod M: at each denominator of a class, the one
     # numerator in the class's range that represents x.
     for m in (2, 5, 17, 40):
         for x in range(m):
@@ -58,13 +58,13 @@ def test_enumerate_class_agrees_with_residue_functions():
                 (n, d)
                 for d in range(1, m + 1)
                 for n in range(0, m)
-                if represents(r, Fraction(n, d))
+                if (x * d - n) % m == 0
             ]
             assert list(enumerate_class(r, ResidueClass.NEGATIVE)) == [
                 (n, d)
                 for d in range(0, m)
                 for n in range(-m, 0)
-                if represents(r, Fraction(n, d))
+                if (x * d - n) % m == 0
             ]
 
 
@@ -266,14 +266,14 @@ def test_oracle_lists_are_representations(data):
     cls = data.draw(st.sampled_from(list(ResidueClass)))
     fractions = [Fraction(n, d) for n, d in enumerate_class(r, cls)]
     # One fraction per denominator of the class, in order, with the
-    # numerator in the class's range: with `represents`, that fixes the list.
+    # numerator in the class's range: with the congruence, that fixes the list.
     if cls is ResidueClass.POSITIVE:
         assert [f.d for f in fractions] == list(range(1, m + 1))
         assert all(0 <= f.n < m for f in fractions)
     else:
         assert [f.d for f in fractions] == list(range(m))
         assert all(-m <= f.n <= -1 for f in fractions)
-    assert all(represents(r, f) for f in fractions)
+    assert all((x * f.d - f.n) % m == 0 for f in fractions)
 
 
 def test_brute_minimum_is_a_minimal_representation():

@@ -13,7 +13,6 @@ from minfrac.residues import (
     Residue,
     ResidueClass,
     check_modulus,
-    represents,
 )
 
 # Both full representation lists for 7 mod 17, frozen.
@@ -58,14 +57,7 @@ def test_enumerated_lists_match_frozen_values():
     assert [d for _, d in NEG_7_MOD_17] == list(range(0, 17))
     for frozen, numerators in ((POS_7_MOD_17, range(0, 17)), (NEG_7_MOD_17, range(-17, 0))):
         for n, d in frozen:
-            assert [k for k in numerators if represents(r, Fraction(k, d))] == [n]
-
-
-def test_represents_examples():
-    assert represents(Residue(7, 17), Fraction(4, 3))
-    assert not represents(Residue(7, 17), Fraction(5, 3))
-    assert represents(Residue(12, 17), Fraction(-3, 4))
-    assert represents(Residue(12, 17), Fraction(2, 3))
+            assert [k for k in numerators if (r.x * d - k) % r.m == 0] == [n]
 
 
 def test_mediant_examples():
@@ -77,7 +69,7 @@ def test_mediant_examples():
         (Fraction(-3, 2), Fraction(4, 3), Fraction(1, 5)),
     ]:
         assert Fraction(f1.n + f2.n, f1.d + f2.d) == med
-        assert represents(r, f1) and represents(r, f2) and represents(r, med)
+        assert all((r.x * f.d - f.n) % r.m == 0 for f in (f1, f2, med))
 
 
 def test_mediant_zero_numerator_is_positive_class():
@@ -193,7 +185,8 @@ def _draw_fraction(data, r):
 @given(st.data())
 def test_residue_fractions_represent(data):
     r = _draw_residue(data)
-    assert represents(r, _draw_fraction(data, r))
+    f = _draw_fraction(data, r)
+    assert (r.x * f.d - f.n) % r.m == 0
 
 
 @given(st.data())
@@ -201,7 +194,7 @@ def test_mediant_preserves_representation(data):
     r = _draw_residue(data)
     f1 = _draw_fraction(data, r)
     f2 = _draw_fraction(data, r)
-    assert represents(r, Fraction(f1.n + f2.n, f1.d + f2.d))
+    assert (r.x * (f1.d + f2.d) - (f1.n + f2.n)) % r.m == 0
 
 
 @given(st.data())
@@ -226,7 +219,7 @@ def test_residue_value_ranges(data):
     for nn, nd, pn, pd in pairs:
         assert 0 <= pn < m and 1 <= pd <= m
         assert -m <= nn <= -1 and 0 <= nd < m
-        assert represents(r, Fraction(pn, pd)) and represents(r, Fraction(nn, nd))
+        assert (r.x * pd - pn) % m == 0 and (r.x * nd - nn) % m == 0
 
 
 @given(st.data())
