@@ -26,9 +26,7 @@ _HOMES = {
         "is_minimal_pair", "minimum_fraction", "minimum_table", "sqrt_bound_witness",
     ),
     "oracle": ("brute_minimum", "brute_pair_minimal", "enumerate_class"),
-    "residues": (
-        "Fraction", "Residue", "ResidueClass", "check_modulus",
-    ),
+    "residues": ("Fraction", "Residue", "check_modulus"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
 

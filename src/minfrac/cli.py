@@ -11,8 +11,8 @@ Exit codes are part of the contract: 0 success, 1 a sweep or cross-check
 found a counterexample, 2 usage error, 3 internal invariant failure,
 4 ceiling exceeded (a brute-force scan, or a trace or table too long to print),
 141 stdout closed early (128 + SIGPIPE, what a shell reports for `yes | head -1`)
-or closed at start-up, in which case the command does not run.  A closed
-stderr changes no exit code: the lines meant for it are dropped.
+or closed at start-up, in which case no command runs and no help is written.
+A closed stderr changes no exit code: the lines meant for it are dropped.
 
 `table --cross-check` holds every sieve entry to two independent routes,
 the per-x run-length descent and the brute-force oracle.
@@ -48,7 +48,7 @@ from .check_names import CHECK_NAMES
 from .descent import descent_runs, descent_steps, run_descent  # noqa: F401
 from .errors import DEFAULT_ENUMERATION_CEILING, CeilingExceeded, InvariantError, check_ceiling
 from .minimality import minimum_fraction, minimum_table, sqrt_bound_witness
-from .residues import Residue, ResidueClass, check_modulus
+from .residues import Residue, check_modulus
 
 # Oracle and harness names reachable as attributes of this module: only the
 # subcommands that call them load them, through the package's own loader.
@@ -121,10 +121,10 @@ _TRACE_ENTRY = """\
 
 _TRACE_LINE = "(%d/%d, %d/%d) det=%d%s"
 
-# A trace pair's replaced side (None for the first pair) as each format writes it.
+# descent_steps' replaced side (None for the first pair) to the token each format writes.
 _REPLACED = {
-    "json": {None: "null", **{c: f'"{c.value}"' for c in ResidueClass}},
-    "text": {None: "", **{c: f" replaced={c.value}" for c in ResidueClass}},
+    "json": {None: "null", "negative": '"negative"', "positive": '"positive"'},
+    "text": {None: "", "negative": " replaced=negative", "positive": " replaced=positive"},
 }
 
 
@@ -198,7 +198,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     m = args.modulus
     r = Residue(_reduce_x(args.x, m), m)
     # Both streams are built, and so both gated, before anything is written.
-    lists = {c.value: _THIS.enumerate_class(r, c, args.ceiling_override) for c in ResidueClass}
+    lists = {c: _THIS.enumerate_class(r, c, args.ceiling_override)
+             for c in ("positive", "negative")}
     if args.residue_class != "both":
         lists = {"fractions": lists[args.residue_class]}
     _write_listing(args.format, {"modulus": m, "x": r.x, "class": args.residue_class}, lists,
@@ -279,8 +280,15 @@ def _add_common(p: argparse.ArgumentParser, x: bool = True) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+class _Parser(argparse.ArgumentParser):
+    # With stdout closed, argparse writes help to stderr; this (and each subparser) writes none.
+    def print_help(self, file=None) -> None:
+        if file is not None or sys.stdout is not None:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minfrac",
         description="Minimal fractional representations of residues modulo M.",
         epilog=_EXIT_CODES,
@@ -337,8 +345,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    except SystemExit as exc:  # --help exits 0, having written nothing if stdout is closed
+        code = exc.code if isinstance(exc.code, int) else 2
+        return 141 if code == 0 and sys.stdout is None else code
     if sys.stdout is None:  # stdout was closed at start-up: nothing can be written
         return 141
     try:

@@ -17,13 +17,14 @@ The walk is a subtractive Euclid, so its length is the sum of the partial
 quotients of x/M and can be of order M.  `descent_runs` groups consecutive
 replacements of the same side into runs, of which there are O(log M); the
 step walk `descent_steps` stays as the reference it is checked against.
+Both name a side by the word the CLI prints: "negative" or "positive".
 """
 
 from collections.abc import Iterator
 
-from .residues import Residue, ResidueClass
+from .residues import Residue
 
-RawStep = tuple[int, int, int, int, "ResidueClass | None"]
+RawStep = tuple[int, int, int, int, str | None]
 
 
 def descent_steps(x: int, m: int) -> Iterator[RawStep]:
@@ -36,26 +37,26 @@ def descent_steps(x: int, m: int) -> Iterator[RawStep]:
     """
     if not 0 <= x < m:
         raise ValueError(f"residue {x} out of range [0, {m})")
-    neg, pos = ResidueClass.NEGATIVE, ResidueClass.POSITIVE
     nn, nd, pn, pd = -m, 0, x, 1
     yield nn, nd, pn, pd, None
     while pn != 0:
         if -nn > pn:
             nn += pn
             nd += pd
-            yield nn, nd, pn, pd, neg
+            yield nn, nd, pn, pd, "negative"
         else:
             pn += nn
             pd += nd
-            yield nn, nd, pn, pd, pos
+            yield nn, nd, pn, pd, "positive"
 
 
-def descent_runs(x: int, m: int) -> Iterator[tuple[int, int, int, int, ResidueClass, int]]:
+def descent_runs(x: int, m: int) -> Iterator[tuple[int, int, int, int, str, int]]:
     """The descent walk grouped into runs of same-side replacements.
 
     Yields (|a.n|, a.d, |b.n|, b.d, replaced, k) for each run: a is the
-    side the run replaces and b the other side, both as they stand at the
-    run's start, with numerators as magnitudes; k >= 1 is the run's length.
+    side the run replaces (named as its steps' `replaced`) and b the other
+    side, both as they stand at the run's start, with numerators as
+    magnitudes; k >= 1 is the run's length.
     Step j of the run (1 <= j <= k) turns a into a + j*b, so its numerator
     magnitude is |a.n| - j*|b.n| and its denominator a.d + j*b.d, and the
     walk's pair count is 1 + the sum of the k.  Runs alternate sides; the
@@ -63,17 +64,16 @@ def descent_runs(x: int, m: int) -> Iterator[tuple[int, int, int, int, ResidueCl
     """
     if not 0 <= x < m:
         raise ValueError(f"residue {x} out of range [0, {m})")
-    neg, pos = ResidueClass.NEGATIVE, ResidueClass.POSITIVE
     nm, nd, pn, pd = m, 0, x, 1  # nm = |neg.n|
     while pn:
         if nm > pn:
             k = (nm - 1) // pn  # largest k with nm - (k-1)*pn > pn
-            yield nm, nd, pn, pd, neg, k
+            yield nm, nd, pn, pd, "negative", k
             nm -= k * pn
             nd += k * pd
         else:
             k = pn // nm  # largest k with pn - (k-1)*nm >= nm, ties included
-            yield pn, pd, nm, nd, pos, k
+            yield pn, pd, nm, nd, "positive", k
             pn -= k * nm
             pd += k * nd
 

@@ -72,7 +72,7 @@ from .errors import (
 )
 from .minimality import is_minimal_pair, minimum_fraction, minimum_table, sqrt_bound_witness
 from .oracle import prefix_scan
-from .residues import Record, Residue, ResidueClass
+from .residues import Record, Residue
 
 # Not called here: the benchmark's traced run wraps these harness attributes
 # by name (perfbench/tracing.py), so they stay until its spans follow the
@@ -279,7 +279,6 @@ def _minimality(r: Residue, env: None, steps: list[RawStep], minima: _Minima) ->
 
 
 def _progress(r: Residue, env: None, steps: list[RawStep], minima: _Minima | None) -> _Outcome:
-    negative = ResidueClass.NEGATIVE
     passes = 0
     bad = []
     npairs = 0
@@ -288,7 +287,7 @@ def _progress(r: Residue, env: None, steps: list[RawStep], minima: _Minima | Non
         mag_sum = pn - nn
         npairs += 1
         if rep is not None:
-            new_mag = -nn if rep is negative else pn
+            new_mag = -nn if rep == "negative" else pn
             if mag_sum < prev_sum and new_mag < prev_max:
                 passes += 1
             else:

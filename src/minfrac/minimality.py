@@ -19,7 +19,7 @@ from math import gcd, isqrt
 
 from .descent import descent_runs
 from .errors import InvariantError
-from .residues import Fraction, Residue, ResidueClass, check_modulus
+from .residues import Fraction, Residue, check_modulus
 
 
 def is_minimal_pair(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: int) -> bool:
@@ -108,7 +108,7 @@ def minimum_fraction(r: Residue) -> Fraction:
             # key from below, so no later fraction can win.
             break
         c = (an - ad) // (bn + bd)
-        negative = side is ResidueClass.NEGATIVE
+        negative = side == "negative"
         for j in (1,) if c < 1 else (k,) if c >= k else (c, c + 1):
             n = an - j * bn
             d = ad + j * bd
@@ -142,7 +142,7 @@ def sqrt_bound_witness(r: Residue) -> Fraction:
         j = max(1, -((s - an) // bn))  # smallest j with an - j*bn <= s
         if j <= k and ad + j * bd <= s:
             n = an - j * bn
-            return Fraction(-n if side is ResidueClass.NEGATIVE else n, ad + j * bd)
+            return Fraction(-n if side == "negative" else n, ad + j * bd)
     raise InvariantError(
         f"no sqrt-bounded representation found for {r}; "
         f"this falsifies the existence bound and should be reported"

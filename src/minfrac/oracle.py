@@ -25,22 +25,23 @@ from collections.abc import Iterator
 from math import inf
 
 from .errors import DEFAULT_ENUMERATION_CEILING, check_ceiling, check_pair_ceiling
-from .residues import Fraction, Residue, ResidueClass
+from .residues import Fraction, Residue
 
 
-def enumerate_class(
-    r: Residue, cls: ResidueClass, ceiling: int | None = None
-) -> Iterator[tuple[int, int]]:
-    """Every class-c representation of r as (n, d), one per denominator, in denominator order.
+def enumerate_class(r: Residue, cls: str, ceiling: int | None = None) -> Iterator[tuple[int, int]]:
+    """Every class-cls representation of r as (n, d), one per denominator, in denominator order.
 
-    Positive class: denominators 1..M; negative class: 0..M-1.  Either way
-    the stream has exactly M entries.  The ceiling is checked here, at the
-    call, and the stream is lazy: `minfrac enumerate` writes it out entry
-    by entry, and a refused modulus writes nothing.
+    cls is "positive" (denominators 1..M) or "negative" (0..M-1); anything
+    else is a ValueError.  Either way the stream has exactly M entries.  The
+    ceiling is checked here, at the call, and the stream is lazy: `minfrac
+    enumerate` writes it out entry by entry, and a refused modulus writes
+    nothing.
     """
+    if cls not in ("positive", "negative"):
+        raise ValueError(f"residue class must be 'positive' or 'negative', got {cls!r}")
     check_ceiling(r.m, ceiling, DEFAULT_ENUMERATION_CEILING, "class enumeration: modulus")
     x, m = r.x, r.m
-    if cls is ResidueClass.POSITIVE:
+    if cls == "positive":
         return ((x * d % m, d) for d in range(1, m + 1))
     return ((x * d % m - m, d) for d in range(m))
 

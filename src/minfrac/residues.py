@@ -7,15 +7,7 @@ Numerators come in two flavours: positive residues (x*D mod M, denominators
 there is no floating point anywhere in this package.
 """
 
-import enum
 from operator import attrgetter
-
-
-class ResidueClass(enum.Enum):
-    """Which residue flavour a fraction's numerator carries."""
-
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
 
 
 def check_modulus(m: int) -> int:

@@ -15,7 +15,7 @@ from minfrac.descent import descent_steps, run_descent
 from minfrac.harness import SweepConfig, run_checks
 from minfrac.minimality import minimum_fraction, sqrt_bound_witness
 from minfrac.oracle import enumerate_class
-from minfrac.residues import Fraction, Residue, ResidueClass
+from minfrac.residues import Fraction, Residue
 from test_minimality import criterion_key
 
 POS_LIST_7_17 = (
@@ -67,7 +67,7 @@ def _verdict(n: int, label: str, body) -> None:
 
 def test_criterion_01_positive_enumeration():
     def body():
-        fractions = enumerate_class(Residue(7, 17), ResidueClass.POSITIVE)
+        fractions = enumerate_class(Residue(7, 17), "positive")
         assert ", ".join(f"{n}/{d}" for n, d in fractions) == POS_LIST_7_17
 
     _verdict(1, "positive-class enumeration of 7 mod 17 matches exactly", body)
@@ -75,7 +75,7 @@ def test_criterion_01_positive_enumeration():
 
 def test_criterion_02_negative_enumeration():
     def body():
-        fractions = enumerate_class(Residue(7, 17), ResidueClass.NEGATIVE)
+        fractions = enumerate_class(Residue(7, 17), "negative")
         assert ", ".join(f"{n}/{d}" for n, d in fractions) == NEG_LIST_7_17
 
     _verdict(2, "negative-class enumeration of 7 mod 17 matches exactly", body)

@@ -20,7 +20,7 @@ from minfrac.descent import run_descent
 from minfrac.minimality import minimum_fraction, sqrt_bound_witness
 from minfrac.errors import CEILING_ENV_VAR
 from minfrac.oracle import enumerate_class
-from minfrac.residues import Fraction, Residue, ResidueClass
+from minfrac.residues import Fraction, Residue
 
 TABLE_17 = "1, 2, 3, 4, -2/3, 1/3, -3/2, -1/2, 1/2, 3/2, -1/3, 2/3, -4, -3, -2, -1"
 
@@ -225,7 +225,7 @@ def test_trace_json_is_laid_out_as_json_dumps(capsys):
                 "neg": {"n": nn, "d": nd},
                 "pos": {"n": pn, "d": pd},
                 "det": pn * nd - nn * pd,
-                "replaced": None if rep is None else rep.value,
+                "replaced": rep,
             }
             for nn, nd, pn, pd, rep in run_descent(Residue(x, m))
         ]}
@@ -238,8 +238,8 @@ def test_enumerate_and_repr_are_laid_out_as_json_dumps(capsys, m):
     # lists the library returns, enumerate_class's and the fractions'.
     for x in sorted({0, 1, 7 % m, m - 1}):
         r = Residue(x, m)
-        lists = {c.value: [{"n": n, "d": d} for n, d in enumerate_class(r, c)]
-                 for c in ResidueClass}
+        lists = {c: [{"n": n, "d": d} for n, d in enumerate_class(r, c)]
+                 for c in ("positive", "negative")}
         texts = {cls: ", ".join(f"{f['n']}/{f['d']}" for f in fs) for cls, fs in lists.items()}
         expected = {cls: ({"modulus": m, "x": x, "class": cls, "fractions": lists[cls]},
                           texts[cls] + "\n") for cls in lists}
@@ -402,6 +402,8 @@ CLOSED_STREAM_CASES = [
     ("2>&-", "repr -m 17 --x 70", 0, b"2\nwitness: 2\n"),  # the note that x was reduced is dropped
     ("2>&-", "repr -m 1 --x 7", 2, b""),
     ("2>&-", "trace -m 1000003 --x 1", 4, b""),
+    (">&-", "--help", 141, b""),  # argparse would write the help to stderr
+    (">&-", "repr --help", 141, b""),
 ]
 
 

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minfrac.descent import descent_runs, descent_steps, run_descent
-from minfrac.residues import Residue, ResidueClass
+from minfrac.residues import Residue
 from test_acceptance import P256, STEPS_256, X256
 
-NEG = ResidueClass.NEGATIVE
-POS = ResidueClass.POSITIVE
+NEG = "negative"
+POS = "positive"
 
 
 # The full walk for 7 mod 17, frozen: every pair (neg.n, neg.d, pos.n,
@@ -56,9 +56,9 @@ def _expand_runs(x, m):
         assert k >= 1
         nn, nd, pn, pd = steps[-1][:4]
         # The replaced side first, numerators as magnitudes.
-        assert (an, ad, bn, bd) == ((-nn, nd, pn, pd) if side is NEG else (pn, pd, -nn, nd))
+        assert (an, ad, bn, bd) == ((-nn, nd, pn, pd) if side == NEG else (pn, pd, -nn, nd))
         for j in range(1, k + 1):
-            if side is NEG:
+            if side == NEG:
                 steps.append((-(an - j * bn), ad + j * bd, pn, pd, side))
             else:
                 steps.append((nn, nd, an - j * bn, ad + j * bd, side))
@@ -103,7 +103,7 @@ def test_tie_replaces_the_positive_side():
     # 5 mod 10 reaches (-5/1, 5/1); the tied step must zero the positive slot
     t = run_descent(Residue(5, 10))
     assert t == [(-10, 0, 5, 1, None), (-5, 1, 5, 1, NEG), (-5, 1, 0, 2, POS)]
-    assert t[-1][4] is POS
+    assert t[-1][4] == POS
 
 
 @given(st.data())

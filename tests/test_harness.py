@@ -17,7 +17,7 @@ from minfrac.harness import (
     VerificationReport,
     run_checks,
 )
-from minfrac.residues import Fraction, ResidueClass
+from minfrac.residues import Fraction
 
 # Pass counts over M in [2, 60], frozen from an exhaustive run.  The sweep
 # is deterministic, so any change here means the algorithm changed.
@@ -202,7 +202,7 @@ def _witness(fake):
         ("determinant", "descent_steps", _last_step(-10, 1, 4, 3, None),
          "pair (-10/1, 4/3) has determinant 34, expected 17"),
         # The walk's last pair (-1/12, 1/5) has magnitude sum 2 and max 1.
-        ("progress", "descent_steps", _last_step(-1, 12, 1, 17, ResidueClass.POSITIVE),
+        ("progress", "descent_steps", _last_step(-1, 12, 1, 17, "positive"),
          "step 7: magnitude sum 2 -> 2, replaced side 1 vs previous max 1"),
         # 4/3 represents 7 mod 17 but is not the first sqrt-bounded fraction, -3/2.
         ("sqrt_bound", "sqrt_bound_witness", _witness(Fraction(4, 3)),

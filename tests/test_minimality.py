@@ -14,7 +14,7 @@ from minfrac.minimality import (
     sqrt_bound_witness,
 )
 from minfrac.oracle import brute_minimum, brute_pair_minimal, prefix_scan
-from minfrac.residues import Fraction, Residue, ResidueClass
+from minfrac.residues import Fraction, Residue
 
 
 def criterion_key(f):
@@ -189,7 +189,7 @@ def test_is_minimal_pair_refuses_a_256_bit_pair_with_a_deep_witness():
     # is a witness.  The threshold is small, so every witness lies far past
     # the reach of a scan over smaller denominators.
     steps = list(descent_steps(X256, P256))
-    i = max(i for i, step in enumerate(steps) if step[4] is ResidueClass.NEGATIVE)
+    i = max(i for i, step in enumerate(steps) if step[4] == "negative")
     prev_n, prev_d, pos_n, _, _ = steps[i - 1]
     a_n, a_d = steps[i][:2]
     pn, pd = min((pn, pd) for _, _, pn, pd, _ in steps if pn > pos_n)

@@ -1,6 +1,7 @@
 """Tests for the brute-force oracle and its ceilings."""
 
 import math
+import pickle
 from itertools import accumulate
 
 import pytest
@@ -23,14 +24,14 @@ from minfrac.oracle import (
     enumerate_class,
     prefix_scan,
 )
-from minfrac.residues import Fraction, Residue, ResidueClass
+from minfrac.residues import Fraction, Residue
 from test_minimality import criterion_key
 
 
 def test_enumerate_class_frozen_lists():
     r = Residue(7, 17)
-    pos = enumerate_class(r, ResidueClass.POSITIVE)
-    neg = enumerate_class(r, ResidueClass.NEGATIVE)
+    pos = enumerate_class(r, "positive")
+    neg = enumerate_class(r, "negative")
     assert ", ".join(f"{n}/{d}" for n, d in pos) == (
         "7/1, 14/2, 4/3, 11/4, 1/5, 8/6, 15/7, 5/8, 12/9, 2/10, 9/11, "
         "16/12, 6/13, 13/14, 3/15, 10/16, 0/17"
@@ -43,8 +44,12 @@ def test_enumerate_class_frozen_lists():
 
 def test_enumerate_class_small():
     r = Residue(1, 2)
-    assert list(enumerate_class(r, ResidueClass.POSITIVE)) == [(1, 1), (0, 2)]
-    assert list(enumerate_class(r, ResidueClass.NEGATIVE)) == [(-2, 0), (-1, 1)]
+    assert list(enumerate_class(r, "positive")) == [(1, 1), (0, 2)]
+    assert list(enumerate_class(r, "negative")) == [(-2, 0), (-1, 1)]
+    # Any other class is refused, not read as the negative one.
+    for cls in ("both", None):
+        with pytest.raises(ValueError, match="residue class must be 'positive' or 'negative'"):
+            enumerate_class(r, cls)
 
 
 def test_enumerate_class_agrees_with_residue_functions():
@@ -54,13 +59,13 @@ def test_enumerate_class_agrees_with_residue_functions():
     for m in (2, 5, 17, 40):
         for x in range(m):
             r = Residue(x, m)
-            assert list(enumerate_class(r, ResidueClass.POSITIVE)) == [
+            assert list(enumerate_class(r, "positive")) == [
                 (n, d)
                 for d in range(1, m + 1)
                 for n in range(0, m)
                 if (x * d - n) % m == 0
             ]
-            assert list(enumerate_class(r, ResidueClass.NEGATIVE)) == [
+            assert list(enumerate_class(r, "negative")) == [
                 (n, d)
                 for d in range(0, m)
                 for n in range(-m, 0)
@@ -119,9 +124,17 @@ def test_enumeration_ceiling(monkeypatch):
     monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
     big = Residue(3, DEFAULT_ENUMERATION_CEILING + 1)
     with pytest.raises(CeilingExceeded) as exc:
-        enumerate_class(big, ResidueClass.POSITIVE)
+        enumerate_class(big, "positive")
     assert exc.value.size == DEFAULT_ENUMERATION_CEILING + 1
     assert exc.value.ceiling == DEFAULT_ENUMERATION_CEILING
+    # It survives a pickle round trip, as from a worker process, field by field.
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert (type(copy), str(copy), copy.size, copy.ceiling, copy.what) == (
+        CeilingExceeded, str(exc.value), DEFAULT_ENUMERATION_CEILING + 1,
+        DEFAULT_ENUMERATION_CEILING, "class enumeration: modulus")
+    # The class is checked before the ceiling.
+    with pytest.raises(ValueError):
+        enumerate_class(big, "both")
     with pytest.raises(CeilingExceeded):
         brute_minimum(big)
 
@@ -241,20 +254,20 @@ def test_prefix_minima_verdict_matches_brute_pair_minimal(data):
 def test_explicit_ceiling_argument():
     r = Residue(3, 11)
     with pytest.raises(CeilingExceeded):
-        enumerate_class(r, ResidueClass.POSITIVE, ceiling=10)
-    assert len(list(enumerate_class(r, ResidueClass.POSITIVE, ceiling=11))) == 11
+        enumerate_class(r, "positive", ceiling=10)
+    assert len(list(enumerate_class(r, "positive", ceiling=11))) == 11
 
 
 def test_ceiling_env_var(monkeypatch):
     r = Residue(3, 25)
     monkeypatch.setenv(CEILING_ENV_VAR, "20")
     with pytest.raises(CeilingExceeded):
-        enumerate_class(r, ResidueClass.POSITIVE)
+        enumerate_class(r, "positive")
     monkeypatch.setenv(CEILING_ENV_VAR, "0x20")  # hex accepted
-    assert len(list(enumerate_class(r, ResidueClass.POSITIVE))) == 25
+    assert len(list(enumerate_class(r, "positive"))) == 25
     # an explicit argument beats the environment
     monkeypatch.setenv(CEILING_ENV_VAR, "10")
-    assert len(list(enumerate_class(r, ResidueClass.POSITIVE, ceiling=30))) == 25
+    assert len(list(enumerate_class(r, "positive", ceiling=30))) == 25
 
 
 @given(st.data())
@@ -263,11 +276,11 @@ def test_oracle_lists_are_representations(data):
     m = data.draw(st.integers(2, 300))
     x = data.draw(st.integers(0, m - 1))
     r = Residue(x, m)
-    cls = data.draw(st.sampled_from(list(ResidueClass)))
+    cls = data.draw(st.sampled_from(("positive", "negative")))
     fractions = [Fraction(n, d) for n, d in enumerate_class(r, cls)]
     # One fraction per denominator of the class, in order, with the
     # numerator in the class's range: with the congruence, that fixes the list.
-    if cls is ResidueClass.POSITIVE:
+    if cls == "positive":
         assert [f.d for f in fractions] == list(range(1, m + 1))
         assert all(0 <= f.n < m for f in fractions)
     else:
@@ -284,7 +297,7 @@ def test_brute_minimum_is_a_minimal_representation():
     for m in range(2, 101):
         for x in range(m):
             r = Residue(x, m)
-            candidates = [Fraction(n, d) for cls in ResidueClass
+            candidates = [Fraction(n, d) for cls in ("positive", "negative")
                           for n, d in enumerate_class(r, cls) if d >= 1]
             expected = min(candidates, key=criterion_key)
             assert brute_minimum(r) == expected, r

@@ -11,7 +11,6 @@ from minfrac.harness import Anomaly, Counterexample, VerificationReport
 from minfrac.residues import (
     Fraction,
     Residue,
-    ResidueClass,
     check_modulus,
 )
 
@@ -77,7 +76,7 @@ def test_mediant_zero_numerator_is_positive_class():
     # positive, so it fills the walk's positive slot and never the negative.
     z = Fraction(-1 + 1, 12 + 5)
     assert z == Fraction(0, 17)
-    assert list(descent_steps(7, 17))[-1] == (-1, 12, z.n, z.d, ResidueClass.POSITIVE)
+    assert list(descent_steps(7, 17))[-1] == (-1, 12, z.n, z.d, "positive")
 
 
 def test_fraction_validation():
@@ -210,7 +209,7 @@ def test_residue_value_ranges(data):
     for an, ad, bn, bd, side, k in descent_runs(r.x, m):
         pairs.append((nn, nd, pn, pd))
         # The run turns the replaced side, |a.n|/a.d, into (|a.n| - k*|b.n|)/(a.d + k*b.d).
-        if side is ResidueClass.NEGATIVE:
+        if side == "negative":
             nn, nd = -(an - k * bn), ad + k * bd
         else:
             pn, pd = an - k * bn, ad + k * bd
