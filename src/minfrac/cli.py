@@ -34,7 +34,8 @@ JSON, `enumerate`, `trace` and `table` entry by entry, so memory is flat in M.
 The end of a process costs too: the interpreter's teardown takes several ms, so
 `python -m minfrac.cli` and the `minfrac` script end through run(), which
 skips it unless a tracer, profiler or debugger is attached.  main() is the
-in-process entry point and never ends the process.
+in-process entry point and never ends the process; --help, a usage error and a
+command all leave it through one flush of stdout, where a broken pipe is 141.
 """
 
 import argparse
@@ -43,7 +44,7 @@ import os
 import sys
 from itertools import chain, islice, starmap
 
-from .check_names import CHECK_NAMES
+from . import CHECK_NAMES
 # run_descent is not called here: the benchmark's traced run wraps it by name.
 from .descent import descent_runs, descent_steps, run_descent  # noqa: F401
 from .errors import DEFAULT_ENUMERATION_CEILING, CeilingExceeded, InvariantError, check_ceiling
@@ -281,10 +282,12 @@ def _add_common(p: argparse.ArgumentParser, x: bool = True) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    # With stdout closed, argparse writes help to stderr; this (and each subparser) writes none.
+    # Help goes to file, else to stdout unless it is closed (argparse would pick stderr).
+    # A write's error is not caught: main maps a broken pipe to 141.
     def print_help(self, file=None) -> None:
-        if file is not None or sys.stdout is not None:
-            super().print_help(file)
+        file = file or sys.stdout
+        if file is not None:
+            file.write(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,16 +345,16 @@ _ERROR_EXITS = {ValueError: 2, CeilingExceeded: 4, InvariantError: 3}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    closed = sys.stdout is None  # closed at start-up: no command runs, no help is written
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help exits 0, having written nothing if stdout is closed
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 141 if code == 0 and sys.stdout is None else code
-    if sys.stdout is None:  # stdout was closed at start-up: nothing can be written
-        return 141
-    try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help exits 0, a usage error 2
+            code = exc.code if isinstance(exc.code, int) else 2
+        else:
+            code = 0 if closed else args.func(args)
+        if closed:
+            return code or 141
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

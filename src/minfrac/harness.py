@@ -50,8 +50,8 @@ too, sorts the partial results into a canonical order, so a report is
 deterministic for a given config no matter how the work was split.
 The pool and the sampler are imported only when a sweep needs them.  The
 CLI imports this module only when `verify` runs, and takes the check names
-from the leaf module check_names, so no other command pays for the harness
-or for `dataclasses`.  The findings, Counterexample and Anomaly, and the
+from the package module, so no other command pays for the harness or for
+`dataclasses`.  The findings, Counterexample and Anomaly, and the
 VerificationReport are slotted Records like Residue and Fraction; SweepConfig
 stays a dataclass, since callers derive variants of it with
 dataclasses.replace.
@@ -62,7 +62,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .check_names import CHECK_NAMES
+from . import CHECK_NAMES
 from .descent import RawStep, descent_steps
 from .errors import (
     DEFAULT_PAIR_CHECK_CEILING,

@@ -125,8 +125,8 @@ def prefix_scan(x: int, m: int) -> tuple[list[float], list[float], tuple[int, in
     neg[neg.d] and pos[pos.d] are both at least its threshold: the same
     definition brute_pair_minimal evaluates, with the scan over d shared by
     every pair of one residue.  minimum is the representation brute_minimum
-    finds, as (n, d).  No ceiling is checked: the caller holds m to one, as
-    run_checks does.
+    finds, as (n, d).  An x outside [0, M) raises ValueError.  No ceiling is
+    checked: the caller holds m to one, as run_checks does.
 
     The scan walks d = 1..M-1 upwards and gets each positive residue
     x*d % M from the previous one by adding x and, past M, subtracting M
@@ -152,6 +152,8 @@ def prefix_scan(x: int, m: int) -> tuple[list[float], list[float], tuple[int, in
     At a shared d the positive candidate is tested before the negative one,
     so it wins the class tie.  x/1 has max below M, so 0/M never stands.
     """
+    if not 0 <= x < m:
+        raise ValueError(f"residue {x} out of range [0, {m})")
     neg = [inf, m]  # d = 0: -M/0
     pos = [inf, inf]
     low_neg = m

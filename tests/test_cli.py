@@ -282,13 +282,15 @@ def test_table_cross_check(capsys):
 
 def test_table_cross_check_names_a_planted_entry(capsys, monkeypatch):
     real_table = cli.minimum_table
-    for x, n, d, err in [
+    for x, n, d, code, err in [
         # 4/3 represents 7 mod 17; the minimum is -3/2.
-        (7, 4, 3, "cross-check failed at x=7: table has 4/3, "
-                  "oracle says -3/2, descent says -3/2\n"),
+        (7, 4, 3, 1, "cross-check failed at x=7: table has 4/3, "
+                     "oracle says -3/2, descent says -3/2\n"),
         # 0/0 passes the congruence for every x, and is no fraction at all.
-        (3, 0, 0, "cross-check failed at x=3: table has 0/0, "
-                  "oracle says 3/1, descent says 3/1\n"),
+        (3, 0, 0, 1, "cross-check failed at x=3: table has 0/0, "
+                     "oracle says 3/1, descent says 3/1\n"),
+        # 5/3 does not represent 7 mod 17 (7*3 - 5 = 16): an invariant failure.
+        (7, 5, 3, 3, "error: table entry 5/3 does not represent 7 mod 17\n"),
     ]:
         def planted(m):
             nums, dens = real_table(m)
@@ -296,7 +298,7 @@ def test_table_cross_check_names_a_planted_entry(capsys, monkeypatch):
             return nums, dens
 
         monkeypatch.setattr(cli, "minimum_table", planted)
-        assert run(capsys, "table", "-m", "17", "--cross-check") == (1, "", err)
+        assert run(capsys, "table", "-m", "17", "--cross-check") == (code, "", err)
 
 
 def test_table_json_is_laid_out_as_json_dumps(capsys):
@@ -357,6 +359,35 @@ def test_a_closed_pipe_exits_141_quietly(command):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+# argv, and its exit code and stderr with stdout a pipe whose reader has gone.
+READERLESS_PIPE_CASES = [
+    ("--help", 141, b""),
+    ("repr --help", 141, b""),
+    ("verify --help", 141, b""),
+    ("repr -m 17 --x 7", 141, b""),
+    ("repr -m 17", 2, b"usage: minfrac repr [-h] --modulus MODULUS --x X [--format {text,json}]\n"
+                      b"minfrac repr: error: the following arguments are required: --x\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", READERLESS_PIPE_CASES,
+                         ids=[argv for argv, _, _ in READERLESS_PIPE_CASES])
+def test_a_pipe_whose_reader_has_gone_keeps_the_documented_exit_code(argv, code, err):
+    # The read end is closed before the process starts, so its first write
+    # to stdout fails, with no race against a reader: help and a command
+    # alike exit 141, with no traceback; a usage error keeps exit 2.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "minfrac.cli", *argv.split()], stdout=write_end,
+            stderr=subprocess.PIPE, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, err)
 
 
 def _python(*args, **kwargs):
@@ -514,6 +545,13 @@ def test_verify_clean_range(capsys):
         "determinant", "minimality", "sqrt_bound", "progress", "agreement",
     ]
     assert all("fail=0" in ln for ln in lines if not ln.startswith("  "))
+    # A report lists its first 50 anomalies, then counts the rest.
+    code, out, _ = run(capsys, "verify", "--m-min", "2", "--m-max", "100", "--checks", "progress")
+    assert code == 0
+    summary, *anomalies, tail = out.splitlines()
+    assert summary.startswith("progress: ") and " anomalies=70 " in summary
+    assert len(anomalies) == 50 and all(ln.startswith("  anomaly m=") for ln in anomalies)
+    assert tail == "  ... 20 more anomalies"
 
 
 def test_verify_selected_checks_and_workers(capsys):

@@ -160,6 +160,11 @@ def test_prefix_scan_example():
     assert neg == [math.inf, 17, 10] + [3] * 5 + [2] * 5 + [1] * 5
     assert pos == [math.inf, math.inf, 7, 7, 4, 4] + [1] * 12
     assert minimum == (-3, 2)
+    # An x outside [0, M) is refused, not scanned as x mod M: 40 ≡ 6 (mod 17),
+    # whose minimum is 1/3, and the scan would answer 6/1.
+    for x, m in [(40, 17), (-3, 17), (0, 0)]:
+        with pytest.raises(ValueError, match=rf"^residue {x} out of range \[0, {m}\)$"):
+            prefix_scan(x, m)
 
 
 def test_prefix_scan_matches_the_definitions():

@@ -12,7 +12,7 @@ import minfrac
 
 # Each public name and the module that defines it.
 HOMES = {
-    "minfrac.check_names": ["CHECK_NAMES"],
+    "minfrac": ["CHECK_NAMES"],
     "minfrac.descent": ["descent_runs", "descent_steps", "run_descent"],
     "minfrac.errors": [
         "CEILING_ENV_VAR", "DEFAULT_ENUMERATION_CEILING", "DEFAULT_PAIR_CHECK_CEILING",
