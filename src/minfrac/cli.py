@@ -7,30 +7,30 @@ Subcommands:
     table      minimum fractions for x = 1..M-1, read off one sieve
     verify     invariant sweeps over a modulus range
 
-Exit codes are part of the contract: 0 success, 1 a sweep or cross-check
-found a counterexample, 2 usage error, 3 internal invariant failure,
-4 ceiling exceeded (a brute-force scan, or a trace or table too long to print),
-141 stdout closed early (128 + SIGPIPE, what a shell reports for `yes | head -1`)
-or closed at start-up, in which case no command runs and no help is written.
-A closed stderr changes no exit code: the lines meant for it are dropped.
+Exit codes are part of the contract: _EXIT_CODES, the epilog of --help, lists
+them.  A stdout closed at start-up runs no command and writes no help: it exits
+141, or 2 for a usage error.  A closed stderr changes no exit code: the lines
+meant for it are dropped, a usage error's included.
 
 `table --cross-check` holds every sieve entry to two independent routes,
 the per-x run-length descent and the brute-force oracle.
 
 Integer arguments accept decimal or 0x-prefixed hex, so cryptographic-scale
-moduli paste in directly.  JSON output for identical inputs is identical
-across runs (no timestamps or durations).
+moduli paste in directly; a negative hex value is written `--x=-0x5`, since
+argparse reads the `-0x5` of `--x -0x5` as an option.  JSON output for
+identical inputs is identical across runs (no timestamps or durations).
 
 Start-up is most of a short call, so each subcommand imports only what it
 runs: `repr`, `trace` and `table` load the descent, the minimality module
-and the ceiling gate of the errors module; the oracle is loaded only by
-`enumerate` and `table --cross-check` (its `enumerate_class` and
-`brute_minimum` are still attributes of this module), the harness only by
-`verify` (likewise its `SweepConfig` and `run_checks`), and `json` only by
-`verify --format json`.  Those four names resolve on first access through
-the package's lazy loader, `minfrac.__getattr__`, so `-X importtime` shows
-each load.  Every listing streams: one writer prints `repr`
-JSON, `enumerate`, `trace` and `table` entry by entry, so memory is flat in M.
+and the ceiling gate of the errors module.  The oracle is loaded only by
+`enumerate`, `table --cross-check` and `verify` (the harness scans with its
+`prefix_scan`), the harness only by `verify`, and `json` only by
+`verify --format json`.  The oracle's `enumerate_class` and `brute_minimum`
+and the harness's `SweepConfig` and `run_checks` are still attributes of this
+module: they resolve on first access through the package's lazy loader,
+`minfrac.__getattr__`, so `-X importtime` shows each load.  Every listing
+streams: one writer prints `repr` JSON, `enumerate`, `trace` and `table` entry
+by entry, so memory is flat in M.
 The end of a process costs too: the interpreter's teardown takes several ms, so
 `python -m minfrac.cli` and the `minfrac` script end through run(), which
 skips it unless a tracer, profiler or debugger is attached.  main() is the
@@ -164,7 +164,7 @@ def _write_listing(fmt, scalars, lists, entry, item, sep=", "):
 
 
 def _to_stderr(line: str) -> None:
-    """Write one line to stderr, or drop it if stderr is closed, as argparse does."""
+    """Write one line to stderr, or drop it if stderr is closed."""
     if sys.stderr is not None:  # print(file=None) would write to stdout
         try:
             print(line, file=sys.stderr)
@@ -289,6 +289,12 @@ class _Parser(argparse.ArgumentParser):
         if file is not None:
             file.write(self.format_help())
 
+    # A usage error goes to stderr, or nowhere if it is closed, and exits 2
+    # (argparse would write the usage to stdout, and on 3.10 exit 1).
+    def error(self, message: str):
+        _to_stderr(f"{self.format_usage()}{self.prog}: error: {message}")
+        raise SystemExit(2)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -350,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # --help exits 0, a usage error 2
-            code = exc.code if isinstance(exc.code, int) else 2
+            code = exc.code
         else:
             code = 0 if closed else args.func(args)
         if closed:

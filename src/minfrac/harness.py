@@ -52,9 +52,9 @@ The pool and the sampler are imported only when a sweep needs them.  The
 CLI imports this module only when `verify` runs, and takes the check names
 from the package module, so no other command pays for the harness or for
 `dataclasses`.  The findings, Counterexample and Anomaly, and the
-VerificationReport are slotted Records like Residue and Fraction; SweepConfig
-stays a dataclass, since callers derive variants of it with
-dataclasses.replace.
+VerificationReport are slotted Records like Residue and Fraction.  SweepConfig
+is a dataclass, for its defaults and __post_init__ checks; the benchmark's
+traced run derives variants of it with dataclasses.replace.
 """
 
 import os

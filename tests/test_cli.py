@@ -4,6 +4,8 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -25,6 +27,7 @@ from minfrac.residues import Fraction, Residue
 TABLE_17 = "1, 2, 3, 4, -2/3, 1/3, -3/2, -1/2, 1/2, 3/2, -1/3, 2/3, -4, -3, -2, -1"
 
 SECP256K1_P = 2**256 - 2**32 - 977
+SRC = str(Path(harness.__file__).resolve().parents[1])
 
 
 def _parse_fraction(text):
@@ -345,108 +348,111 @@ def test_table_json_matches_text(capsys):
     assert rendered == [Fraction(f["n"], f["d"]) for f in payload["fractions"]]
 
 
-@pytest.mark.parametrize("command", ["trace", "enumerate"])
-def test_a_closed_pipe_exits_141_quietly(command):
-    # As `minfrac ... | head -1` does: the reader takes one line and goes away.
-    # Exit 1 means a counterexample, so a closed pipe must not end that way.
-    src = str(Path(harness.__file__).resolve().parents[1])
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "minfrac.cli", command, "-m", "99991", "--x", "1"],
-        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
-    assert err == b""
-
-
-# argv, and its exit code and stderr with stdout a pipe whose reader has gone.
-READERLESS_PIPE_CASES = [
-    ("--help", 141, b""),
-    ("repr --help", 141, b""),
-    ("verify --help", 141, b""),
-    ("repr -m 17 --x 7", 141, b""),
-    ("repr -m 17", 2, b"usage: minfrac repr [-h] --modulus MODULUS --x X [--format {text,json}]\n"
-                      b"minfrac repr: error: the following arguments are required: --x\n"),
-]
-
-
-@pytest.mark.parametrize("argv, code, err", READERLESS_PIPE_CASES,
-                         ids=[argv for argv, _, _ in READERLESS_PIPE_CASES])
-def test_a_pipe_whose_reader_has_gone_keeps_the_documented_exit_code(argv, code, err):
-    # The read end is closed before the process starts, so its first write
-    # to stdout fails, with no race against a reader: help and a command
-    # alike exit 141, with no traceback; a usage error keeps exit 2.
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "minfrac.cli", *argv.split()], stdout=write_end,
-            stderr=subprocess.PIPE, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])})
-    finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (code, err)
+def _env():
+    """os.environ with minfrac's src on the path, no ceiling and no PYTHONUNBUFFERED set."""
+    env = {k: v for k, v in os.environ.items() if k not in (CEILING_ENV_VAR, "PYTHONUNBUFFERED")}
+    return {**env, "PYTHONPATH": SRC}
 
 
 def _python(*args, **kwargs):
-    """Run the interpreter on args with minfrac's src on the path and no ceiling set.
-
-    stdout is block-buffered, as by default for a pipe, so that output a
-    process fails to flush before it ends goes missing.
-    """
-    src = str(Path(harness.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in (CEILING_ENV_VAR, "PYTHONUNBUFFERED")}
-    return subprocess.run([sys.executable, *args], env={**env, "PYTHONPATH": src},
-                          capture_output=True, timeout=120, **kwargs)
+    """Run the interpreter on args in _env(), so stdout is block-buffered, as for a
+    pipe: output a process fails to flush before it ends goes missing."""
+    return subprocess.run([sys.executable, *args], env=_env(), capture_output=True,
+                          timeout=120, **kwargs)
 
 
-# Exit code and argv: outputs of each kind, and each error exit.
-PARITY_CASES = [
-    (0, ["repr", "-m", "17", "--x", "7"]),
-    (0, ["repr", "-m", "97", "--x", "200", "--format", "json"]),
-    (0, ["trace", "-m", "17", "--x", "7", "--format", "json"]),
-    (0, ["table", "-m", "97", "--format", "json"]),
-    (0, ["enumerate", "-m", "17", "--x", "7"]),
-    (0, ["verify", "--m-min", "2", "--m-max", "30", "--random-pairs", "2", "--format", "json"]),
-    (2, ["repr", "-m", "17"]),  # usage error
-    (2, ["repr", "-m", "1", "--x", "1"]),  # ValueError
-    (4, ["table", "-m", "11", "--cross-check", "--ceiling-override", "10"]),
+READER_GONE = "| reader gone"  # stdout a pipe whose read end is closed before the process starts
+HEAD = "| head -1"  # stdout a pipe whose reader leaves after one line, which alone is compared
+USAGE = b"usage: minfrac repr [-h] --modulus MODULUS --x X [--format {text,json}]\nminfrac repr: "
+NO_X = USAGE + b"error: the following arguments are required: --x\n"
+HELPS = ["--help", *(f"{c} --help" for c in ("repr", "enumerate", "trace", "table", "verify"))]
+
+# The exit-code contract (cli._EXIT_CODES): argv and stream state (a shell's "", ">&-" or
+# "2>&-", or a pipe above) to exit code, stdout and stderr; exit 1 is a counterexample, so
+# no row ends so.  None is main()'s own output: listings, pinned by other tests, and help
+# and invalid-choice errors, which argparse words and lays out anew in some Pythons.
+CONTRACT = [
+    ("repr -m 17 --x 7", "", 0, b"-3/2\nwitness: -3/2\n", b""),
+    ("repr -m 97 --x 200 --format json", "", 0, None, b"note: x = 200 reduced to 6 (mod 97)\n"),
+    *[(argv, "", 0, None, b"") for argv in (
+        "--help", "trace -m 17 --x 7 --format json", "table -m 97 --format json",
+        "enumerate -m 17 --x 7", "verify --m-min 2 --m-max 30 --random-pairs 2 --format json")],
+    ("repr -m 17", "", 2, b"", NO_X),
+    ("repr -m abc --x 1", "", 2, b"",
+     USAGE + b"error: argument --modulus/-m: not an integer: 'abc'\n"),
+    ("nonsense", "", 2, b"", None),
+    ("", "", 2, b"", b"usage: minfrac [-h] {repr,enumerate,trace,table,verify} ...\n"
+                     b"minfrac: error: the following arguments are required: command\n"),
+    *[(f"repr -m 1 --x {x}", "", 2, b"", b"error: modulus must be >= 2, got 1\n") for x in (0, 1)],
+    # Every gate refuses before it computes or writes anything.
+    *[(argv, "", 4, b"", b"error: %s exceeds the ceiling %d; raise the ceiling explicitly to "
+                         b"proceed\n" % (what, ceiling)) for argv, what, ceiling in [
+      ("enumerate -m 1000003 --x 1", b"class enumeration: modulus 1000003", 10**6),
+      ("trace -m 1000003 --x 1", b"trace: pair count 1000004", 10**6),
+      ("table -m 0x10000000000", b"table: entry count 1099511627775", 10**6),
+      ("table -m 11 --cross-check --ceiling-override 10", b"minimum enumeration: modulus 11", 10)]],
+    # argparse reads -0x5 as an option, not as a negative number.
+    ("repr -m 17 --x -0x5", "", 2, b"", USAGE + b"error: argument --x: expected one argument\n"),
+    *[(f"repr -m 17 {x}", "", 0, b"2/3\nwitness: 2/3\n", b"note: x = -5 reduced to 12 (mod 17)\n")
+      for x in ("--x -5", "--x=-0x5")],
+    # A stdout closed at start-up: no command runs, and no help is written, not to stderr either.
+    *[(argv, ">&-", 141, b"", b"") for argv in ("repr -m 17 --x 7", "verify --m-min 2 --m-max 5",
+                                                 *HELPS)],
+    ("repr -m 17", ">&-", 2, b"", NO_X),
+    # A closed stderr drops its lines and changes no exit code.
+    ("repr -m 17 --x 70", "2>&-", 0, b"2\nwitness: 2\n", b""),
+    ("repr -m 1 --x 7", "2>&-", 2, b"", b""),
+    ("trace -m 1000003 --x 1", "2>&-", 4, b"", b""),
+    ("repr -m 17", "2>&-", 2, b"", b""),
+    # The first write into a pipe with no reader fails, with no race and no traceback.
+    *[(argv, READER_GONE, 141, b"", b"") for argv in ("repr -m 17 --x 7", *HELPS)],
+    ("repr -m 17", READER_GONE, 2, b"", NO_X),
+    ("trace -m 99991 --x 1", HEAD, 141, b"(-99991/0, 1/1) det=99991\n", b""),
+    ("enumerate -m 99991 --x 1", HEAD, 141, None, b""),
 ]
 
 
-@pytest.mark.parametrize("code, argv", PARITY_CASES, ids=[" ".join(a) for _, a in PARITY_CASES])
-def test_a_process_ends_as_main_returns(capsys, monkeypatch, code, argv):
-    # A process ends through cli.run, skipping the interpreter's teardown:
-    # its output and exit code are main()'s, byte for byte.
+def _ended(command, argv, state, timeout):
+    """Exit code, stdout and stderr of command with argv, its streams in state."""
+    args, env, line = [*command, *argv.split()], _env(), b""
+    if state == READER_GONE:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen(args, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        os.close(write_end)
+    elif state == HEAD:
+        proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        line = proc.stdout.readline()
+        proc.stdout.close()
+    else:  # exec, so that a timeout ends the command, not just the shell
+        proc = subprocess.Popen(["sh", "-c", f'exec "$@" {state}', "sh", *args],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    finally:
+        proc.kill()  # a no-op once it has ended
+    return proc.returncode, line + (out or b""), err
+
+
+@pytest.mark.parametrize("argv, state, code, out, err", CONTRACT,
+                         ids=[f"{a} {s}".strip() or "(no arguments)" for a, s, *_ in CONTRACT])
+@pytest.mark.parametrize("command", [[sys.executable, "-m", "minfrac.cli"],
+                                     [shutil.which("minfrac")]], ids=["module", "script"])
+def test_the_exit_code_contract(capsys, monkeypatch, command, argv, state, code, out, err):
+    # A process skips the interpreter's teardown (cli.run), yet an open row's bytes must
+    # be main()'s in process.  CI installs the script and runs its rows.
+    if None in command:
+        pytest.skip("no minfrac script on the path")
     monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
-    proc = _python("-m", "minfrac.cli", *argv)
-    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == run(capsys, *argv)
-    assert proc.returncode == code
-
-
-# The stream a shell closes, the command, and its exit code and stdout.
-CLOSED_STREAM_CASES = [
-    (">&-", "repr -m 17 --x 7", 141, b""),
-    (">&-", "verify --m-min 2 --m-max 5", 141, b""),
-    ("2>&-", "repr -m 17 --x 70", 0, b"2\nwitness: 2\n"),  # the note that x was reduced is dropped
-    ("2>&-", "repr -m 1 --x 7", 2, b""),
-    ("2>&-", "trace -m 1000003 --x 1", 4, b""),
-    (">&-", "--help", 141, b""),  # argparse would write the help to stderr
-    (">&-", "repr --help", 141, b""),
-]
-
-
-@pytest.mark.parametrize("closed, argv, code, out", CLOSED_STREAM_CASES)
-def test_a_closed_stream_keeps_the_documented_exit_code(monkeypatch, closed, argv, code, out):
-    # A stdout closed at start-up exits 141 before the command runs; a closed
-    # stderr drops its lines and changes no exit code.  Neither is exit 1.
-    monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
-    monkeypatch.setenv("PYTHONPATH", str(Path(harness.__file__).resolve().parents[1]))
-    proc = subprocess.run(["sh", "-c", f'"$0" -m minfrac.cli {argv} {closed}', sys.executable],
-                          capture_output=True, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, b"")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal
+    if state == "" or None in (out, err):
+        ran = (main(argv.split()), *map(str.encode, capsys.readouterr()))
+        out, err = (ran[1] if out is None else out), (ran[2] if err is None else err)
+        if state == "":
+            assert ran == (code, out, err)
+    out = out[:out.index(b"\n") + 1] if state == HEAD else out
+    # A refusal comes before the work it refuses, so it is as quick as a start-up.
+    assert _ended(command, argv, state, 5 if code == 4 else 120) == (code, out, err)
 
 
 class _Exited(Exception):
@@ -524,8 +530,7 @@ def test_a_parallel_verify_leaves_no_process_behind():
     proc = subprocess.Popen(
         [sys.executable, "-m", "minfrac.cli", "verify", "--m-min", "2", "--m-max", "60",
          "--workers", "2"],
-        env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])},
-        stdout=subprocess.DEVNULL, start_new_session=True)
+        env=_env(), stdout=subprocess.DEVNULL, start_new_session=True)
     assert proc.wait(timeout=120) == 0
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)  # the session's group is empty: every worker is gone
@@ -622,19 +627,15 @@ def test_verify_ceilings_env_and_override(capsys, monkeypatch):
 def test_import_leaves_the_process_pool_out():
     # concurrent.futures is a third of the CLI's import time; only a
     # parallel verify needs it.
-    src = str(Path(harness.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, minfrac.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
 
 
 def _imports_of(*args):
     """Exit code and the modules a fresh interpreter imports to run args."""
-    src = str(Path(harness.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=_env(),
                           capture_output=True, text=True)
     lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
     # The first line is the column header; each other line names one module.
@@ -771,13 +772,11 @@ def test_verify_usage_errors(capsys):
     assert "no checks requested" in err
 
 
-def test_usage_exit_codes(capsys):
-    assert run(capsys, "repr", "-m", "17")[0] == 2          # missing --x
-    assert run(capsys, "repr", "-m", "abc", "--x", "1")[0] == 2
-    assert run(capsys, "nonsense")[0] == 2
-    assert run(capsys)[0] == 2
-    assert run(capsys, "repr", "-m", "1", "--x", "0")[0] == 2  # modulus too small
-    assert run(capsys, "--help")[0] == 0
+def test_the_readme_lists_the_exit_codes_of_the_help_epilog():
+    section = (Path(SRC).parent / "README.md").read_text().partition("### Exit codes\n\n")[2]
+    listed = re.findall(r"^\| (\d+) \|", section.partition("\n\n")[0], re.MULTILINE)
+    assert listed == re.findall(r"^  (\d+)  ", cli._EXIT_CODES, re.MULTILINE)
+    assert listed == ["0", "1", "2", "3", "4", "141"]
 
 
 def test_a_decimal_over_the_int_string_limit_is_named_as_such(capsys):
