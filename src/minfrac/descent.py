@@ -22,7 +22,7 @@ Both name a side by the word the CLI prints: "negative" or "positive".
 
 from collections.abc import Iterator
 
-from .residues import Residue
+from .residues import Residue, check_residue
 
 RawStep = tuple[int, int, int, int, str | None]
 
@@ -35,8 +35,7 @@ def descent_steps(x: int, m: int) -> Iterator[RawStep]:
     Requires 0 <= x < m.  This is the one implementation of the step;
     the CLI's `trace`, the sweep harness and run_descent consume it.
     """
-    if not 0 <= x < m:
-        raise ValueError(f"residue {x} out of range [0, {m})")
+    check_residue(x, m)
     nn, nd, pn, pd = -m, 0, x, 1
     yield nn, nd, pn, pd, None
     while pn != 0:
@@ -62,8 +61,7 @@ def descent_runs(x: int, m: int) -> Iterator[tuple[int, int, int, int, str, int]
     walk's pair count is 1 + the sum of the k.  Runs alternate sides; the
     terminal pair is not yielded.  Requires 0 <= x < m.
     """
-    if not 0 <= x < m:
-        raise ValueError(f"residue {x} out of range [0, {m})")
+    check_residue(x, m)
     nm, nd, pn, pd = m, 0, x, 1  # nm = |neg.n|
     while pn:
         if nm > pn:

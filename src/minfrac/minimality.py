@@ -19,7 +19,7 @@ from math import gcd, isqrt
 
 from .descent import descent_runs
 from .errors import InvariantError
-from .residues import Fraction, Residue, check_modulus
+from .residues import Fraction, Residue, check_modulus, check_pair
 
 
 def is_minimal_pair(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: int) -> bool:
@@ -30,10 +30,8 @@ def is_minimal_pair(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: i
     pair's denominator of the matching class: iff the smallest |negative
     residue| over 0 <= d < neg_d and the smallest positive residue over
     1 <= d < pos_d are both at least that threshold.  The negative side
-    has neg_n < 0 and the positive side pos_n >= 0.  An x outside 0..M-1,
-    a side that does not represent x, or a side whose denominator is
-    outside its class's range (0..M-1 negative, 1..M positive) raises
-    ValueError, in that order.  The verdict is a determinant test.
+    has neg_n < 0 and the positive side pos_n >= 0; residues.check_pair
+    refuses a pair outside that domain.  The verdict is a determinant test.
 
     Let L = {(n, d) : n = x*d (mod M)}, a lattice of index M in Z^2, and
     take the sides at their class residues: a = (-A, a.d) with 1 <= A <= M
@@ -71,18 +69,7 @@ def is_minimal_pair(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: i
     x/1 has determinant M.  So one test covers both: det = M, or both
     ranges empty.
     """
-    # Residue's range check and each side's congruence, inlined (the harness
-    # calls this per pair), negative side first.
-    if not 0 <= x < m:
-        raise ValueError(f"residue {x} out of range [0, {m})")
-    if (x * neg_d - neg_n) % m:
-        raise ValueError(f"{neg_n}/{neg_d} does not represent {x} (mod {m})")
-    if (x * pos_d - pos_n) % m:
-        raise ValueError(f"{pos_n}/{pos_d} does not represent {x} (mod {m})")
-    if not 0 <= neg_d <= m - 1:
-        raise ValueError(f"negative-class denominator {neg_d} out of range [0, {m - 1}]")
-    if not 1 <= pos_d <= m:
-        raise ValueError(f"positive-class denominator {pos_d} out of range [1, {m}]")
+    check_pair(x, m, neg_n, neg_d, pos_n, pos_d)
     return pos_n * neg_d - neg_n * pos_d == m or neg_d == 0 and pos_d == 1
 
 

@@ -6,8 +6,8 @@ the residue mod M at each denominator, and the prefix scan, which `verify`
 makes once per residue, steps from one denominator's residue to the next by
 adding x and subtracting M on a wrap.  The duplication with the
 residues/minimality modules is deliberate: this module has to stay an
-independent witness, so it shares data types with them but no arithmetic
-helpers.
+independent witness, so it shares the data types and their input checks
+(residues) with them, but none of the arithmetic it verifies.
 
 Brute-force work is gated behind the ceilings of the errors module, so a
 typo'd modulus cannot start an hours-long run by accident; exceeding a
@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from math import inf
 
 from .errors import DEFAULT_ENUMERATION_CEILING, check_ceiling, check_pair_ceiling
-from .residues import Fraction, Residue
+from .residues import Fraction, Residue, check_pair, check_residue
 
 
 def enumerate_class(r: Residue, cls: str, ceiling: int | None = None) -> Iterator[tuple[int, int]]:
@@ -85,24 +85,11 @@ def brute_pair_minimal(
     that class.  At or above that denominator the implication holds whatever
     the residue, so each class is scanned only below it: positive residues
     for d = 1..pos_d-1, negative ones for d = 0..neg_d-1.  Gated by the
-    pair-check ceiling, which is checked first.  The domain is
-    is_minimal_pair's: x must be in 0..M-1, and both sides must represent x,
-    with the negative denominator in 0..M-1 and the positive one in 1..M,
-    else ValueError with the same messages, in the same order: x's range,
-    the negative side's representation, the positive side's, then the two
-    ranges.
+    pair-check ceiling, which is checked first; then residues.check_pair
+    refuses a pair outside the domain, as it does for is_minimal_pair.
     """
     check_pair_ceiling(m, ceiling)
-    if not 0 <= x < m:
-        raise ValueError(f"residue {x} out of range [0, {m})")
-    if (x * neg_d - neg_n) % m:
-        raise ValueError(f"{neg_n}/{neg_d} does not represent {x} (mod {m})")
-    if (x * pos_d - pos_n) % m:
-        raise ValueError(f"{pos_n}/{pos_d} does not represent {x} (mod {m})")
-    if not 0 <= neg_d <= m - 1:
-        raise ValueError(f"negative-class denominator {neg_d} out of range [0, {m - 1}]")
-    if not 1 <= pos_d <= m:
-        raise ValueError(f"positive-class denominator {pos_d} out of range [1, {m}]")
+    check_pair(x, m, neg_n, neg_d, pos_n, pos_d)
     threshold = -neg_n + pos_n
     for d in range(1, pos_d):
         if (x * d) % m < threshold:
@@ -143,17 +130,17 @@ def prefix_scan(x: int, m: int) -> tuple[list[float], list[float], tuple[int, in
     non-record d loses to the earlier record d' < d of its class that holds
     the running minimum.  d' has a magnitude no larger than d's, so
     max(|n'|, d') <= max(|n|, d): d loses on the max coefficient or, on a
-    tie, strictly on the denominator.  So only records can win.  (That record is no candidate only when it is the negative
-    class's d = 0; then d's candidate is -M/d, and the positive 0/d at the
-    same d has the smaller max d < M.)
+    tie, strictly on the denominator.  So only records can win.  That record
+    is no candidate only when it is the negative class's d = 0.  Then d's
+    candidate is -M/d, and the positive 0/d at the same d has the smaller
+    max d < M.
     Order: the scan starts from best = 0/M with max M, the positive
     candidate at d = M, and replaces it only on a strict <.  Because the
     scan runs upward, a tie on the max goes to the smaller d, tested first.
     At a shared d the positive candidate is tested before the negative one,
     so it wins the class tie.  x/1 has max below M, so 0/M never stands.
     """
-    if not 0 <= x < m:
-        raise ValueError(f"residue {x} out of range [0, {m})")
+    check_residue(x, m)
     neg = [inf, m]  # d = 0: -M/0
     pos = [inf, inf]
     low_neg = m

@@ -17,6 +17,30 @@ def check_modulus(m: int) -> int:
     return m
 
 
+def check_residue(x: int, m: int) -> None:
+    """Refuse an x outside [0, M), the residues every theorem is stated over."""
+    if not 0 <= x < m:
+        raise ValueError(f"residue {x} out of range [0, {m})")
+
+
+def check_pair(x: int, m: int, neg_n: int, neg_d: int, pos_n: int, pos_d: int) -> None:
+    """Refuse a pair outside the pair routes' domain, with ValueError.
+
+    x must be in [0, M), both sides must represent x (x*d = n mod M), and
+    the denominators must lie in their classes' ranges: 0..M-1 negative,
+    1..M positive.  Checked in that order, negative side first.
+    """
+    check_residue(x, m)
+    if (x * neg_d - neg_n) % m:
+        raise ValueError(f"{neg_n}/{neg_d} does not represent {x} (mod {m})")
+    if (x * pos_d - pos_n) % m:
+        raise ValueError(f"{pos_n}/{pos_d} does not represent {x} (mod {m})")
+    if not 0 <= neg_d <= m - 1:
+        raise ValueError(f"negative-class denominator {neg_d} out of range [0, {m - 1}]")
+    if not 1 <= pos_d <= m:
+        raise ValueError(f"positive-class denominator {pos_d} out of range [1, {m}]")
+
+
 class Record:
     """Base for the value types: fields are the subclass's __slots__.
 
@@ -53,8 +77,7 @@ class Residue(Record):
 
     def __init__(self, x: int, m: int) -> None:
         check_modulus(m)
-        if not 0 <= x < m:
-            raise ValueError(f"residue {x} out of range [0, {m})")
+        check_residue(x, m)
         self.x = x
         self.m = m
 

@@ -43,9 +43,9 @@ def test_descent_steps_matches_object_level_trace():
 
 
 def test_descent_steps_rejects_out_of_range_residue():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^residue 17 out of range \[0, 17\)$"):
         list(descent_steps(17, 17))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^residue -1 out of range \[0, 17\)$"):
         list(descent_steps(-1, 17))
 
 
@@ -84,9 +84,9 @@ def test_descent_runs_expand_to_the_step_walk():
 
 
 def test_descent_runs_rejects_out_of_range_residue():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^residue 17 out of range \[0, 17\)$"):
         list(descent_runs(17, 17))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^residue -1 out of range \[0, 17\)$"):
         list(descent_runs(-1, 17))
 
 
