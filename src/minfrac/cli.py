@@ -47,7 +47,10 @@ from itertools import chain, islice, starmap
 from . import CHECK_NAMES
 # run_descent is not called here: the benchmark's traced run wraps it by name.
 from .descent import descent_runs, descent_steps, run_descent  # noqa: F401
-from .errors import DEFAULT_ENUMERATION_CEILING, CeilingExceeded, InvariantError, check_ceiling
+from .errors import (
+    DEFAULT_ENUMERATION_CEILING, CeilingExceeded, InvariantError, check_ceiling,
+    check_minimum_ceiling,
+)
 from .minimality import minimum_fraction, minimum_table, sqrt_bound_witness
 from .residues import Residue, check_modulus
 
@@ -227,6 +230,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     m = args.modulus
     check_modulus(m)
     check_ceiling(m - 1, args.ceiling_override, DEFAULT_ENUMERATION_CEILING, "table: entry count")
+    if args.cross_check:  # the brute scan's gate, held before the sieve is built
+        check_minimum_ceiling(m, args.ceiling_override)
     numerators, denominators = minimum_table(m)
     if args.cross_check:
         brute_minimum = _THIS.brute_minimum

@@ -3,7 +3,10 @@
 check_ceiling is every gate in the package: the oracle's brute-force scans,
 the CLI's trace and table sizes, and `verify`'s modulus range.  The policy
 lives here, next to the exception it raises, so a command that only holds a
-size to a ceiling loads no oracle.
+size to a ceiling loads no oracle.  So do the oracle's two scan gates,
+check_pair_ceiling and check_minimum_ceiling, which callers also hold before
+their own work: `verify` before it sweeps, `table --cross-check` before its
+sieve.
 """
 
 import os
@@ -74,3 +77,8 @@ def check_ceiling(size: int, explicit: int | None, default: int, what: str) -> N
 def check_pair_ceiling(m: int, ceiling: int | None = None) -> None:
     """The pair-minimality gate: raise CeilingExceeded if modulus m is above its ceiling."""
     check_ceiling(m, ceiling, DEFAULT_PAIR_CHECK_CEILING, "pair-minimality check: modulus")
+
+
+def check_minimum_ceiling(m: int, ceiling: int | None = None) -> None:
+    """The brute-force minimum's gate: raise CeilingExceeded if modulus m is above its ceiling."""
+    check_ceiling(m, ceiling, DEFAULT_ENUMERATION_CEILING, "minimum enumeration: modulus")

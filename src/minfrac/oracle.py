@@ -24,7 +24,9 @@ the prefix scan's minima, one scan per residue for all its pairs.
 from collections.abc import Iterator
 from math import inf
 
-from .errors import DEFAULT_ENUMERATION_CEILING, check_ceiling, check_pair_ceiling
+from .errors import (
+    DEFAULT_ENUMERATION_CEILING, check_ceiling, check_minimum_ceiling, check_pair_ceiling,
+)
 from .residues import Fraction, Residue, check_pair, check_residue
 
 
@@ -60,7 +62,7 @@ def brute_minimum(r: Residue, ceiling: int | None = None) -> Fraction:
     minimum off prefix_scan, a different scan that the tests hold to this
     one.
     """
-    check_ceiling(r.m, ceiling, DEFAULT_ENUMERATION_CEILING, "minimum enumeration: modulus")
+    check_minimum_ceiling(r.m, ceiling)
     x, m = r.x, r.m
     best_n, best_d, best_max = 0, m, m  # d = M has only the positive candidate, 0/M
     for d in range(m - 1, 0, -1):

@@ -2,12 +2,14 @@
 
 import concurrent.futures
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import types
@@ -304,6 +306,19 @@ def test_table_cross_check_names_a_planted_entry(capsys, monkeypatch):
         assert run(capsys, "table", "-m", "17", "--cross-check") == (code, "", err)
 
 
+def test_table_cross_check_refuses_before_it_builds_the_sieve(capsys, monkeypatch):
+    def planted(m):
+        raise AssertionError("the sieve was built")
+
+    monkeypatch.setattr(cli, "minimum_table", planted)
+    monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
+    for argv, m, ceiling in (("table -m 1000001 --cross-check", 1000001, 10**6),
+                             ("table -m 11 --cross-check --ceiling-override 10", 11, 10)):
+        assert run(capsys, *argv.split()) == (
+            4, "", f"error: minimum enumeration: modulus {m} exceeds the ceiling {ceiling}; "
+                   "raise the ceiling explicitly to proceed\n")
+
+
 def test_table_json_is_laid_out_as_json_dumps(capsys):
     # `table` writes its JSON entry by entry; the bytes must be json.dumps' own.
     for m in (2, 3, 17, 18):
@@ -363,20 +378,64 @@ def _python(*args, **kwargs):
 
 READER_GONE = "| reader gone"  # stdout a pipe whose read end is closed before the process starts
 HEAD = "| head -1"  # stdout a pipe whose reader leaves after one line, which alone is compared
+MB128, MB96 = "ulimit -v 131072", "ulimit -v 98304"  # an address space of 128 MB, of 96 MB
 USAGE = b"usage: minfrac repr [-h] --modulus MODULUS --x X [--format {text,json}]\nminfrac repr: "
 NO_X = USAGE + b"error: the following arguments are required: --x\n"
 HELPS = ["--help", *(f"{c} --help" for c in ("repr", "enumerate", "trace", "table", "verify"))]
 
-# The exit-code contract (cli._EXIT_CODES): argv and stream state (a shell's "", ">&-" or
-# "2>&-", or a pipe above) to exit code, stdout and stderr; exit 1 is a counterexample, so
-# no row ends so.  None is main()'s own output: listings, pinned by other tests, and help
-# and invalid-choice errors, which argparse words and lays out anew in some Pythons.
+# Every pinned CLI output (cli._EXIT_CODES is the exit-code part): argv and process state (a
+# shell's "", ">&-", "2>&-" or ulimit with stdout a file, or a pipe above) to exit code,
+# stdout and stderr; exit 1 is a counterexample, so no row ends so.  stdout is its bytes, or
+# their sha256 hex digest (a str) for output too long to write out; a verify summary line's
+# duration " (N.NNs)", the only output that differs from run to run, is stripped first.
+# None is main()'s own output: listings pinned by other tests, and help and invalid-choice
+# errors, which argparse words and lays out anew in some Pythons.
 CONTRACT = [
     ("repr -m 17 --x 7", "", 0, b"-3/2\nwitness: -3/2\n", b""),
     ("repr -m 97 --x 200 --format json", "", 0, None, b"note: x = 200 reduced to 6 (mod 97)\n"),
     *[(argv, "", 0, None, b"") for argv in (
         "--help", "trace -m 17 --x 7 --format json", "table -m 97 --format json",
-        "enumerate -m 17 --x 7", "verify --m-min 2 --m-max 30 --random-pairs 2 --format json")],
+        "table -m 97 --cross-check", "enumerate -m 17 --x 7",
+        "verify --m-min 2 --m-max 30 --random-pairs 2 --format json")],
+    # verify's reports, serially and across the process pool.  The JSON on [2, 72] holds all
+    # 14 progress anomaly texts, such as "61 pairs exceeds cap 60 (10 * bit_length)", so the
+    # trace cap is pinned too.  The text report lists 50 of the 70 progress anomalies on
+    # [2, 100], then "  ... 20 more anomalies".
+    *[(f"verify --format json --m-min 2 --m-max 72 --random-pairs 4{workers}", "", 0,
+       "1a93f0982adf81d52b5752d908b3227dcafe83c610bf61700d6f74d310134685", b"")
+      for workers in ("", " --workers 2")],
+    ("verify --m-min 2 --m-max 100 --checks determinant,progress --workers 2", "", 0,
+     "d483ea4ed895515e83f280f7d503f15a9ee1cea2b5e10a13136a147474a861ae", b""),
+    # The oracle comparisons far past tier-1's other ranges, with the pass counts the digested
+    # reports hold (every fail count is 0).  agreement on [2, 300] (pass 1069476) holds
+    # is_minimal_pair's determinant test to the oracle's verdict through random pairs, two in
+    # three of them off-class; minimality on [2, 300] (pass 1019543) reads every trace pair
+    # off prefix_scan's prefix minima; both on [1000, 1019] (pass 739714 and 761184) share one
+    # prefix_scan per residue.  Each digest was computed before the scan it pins was fused:
+    # with per-pair exhaustive scans (brute_pair_minimal's), a four-pass prefix-minima scan,
+    # brute_minimum as a second scan and is_minimal_pair's walk over the descent's runs.
+    *[(f"verify --format json --m-min {m_min} --m-max {m_max} --checks {checks} --workers 2",
+       "", 0, digest, b"") for m_min, m_max, checks, digest in [
+      (2, 300, "agreement --random-pairs 16",
+       "f97a32d8fa3afe2a24a8827b42b35ce85b248650a164b25ae00a31377a08f7d0"),
+      (2, 300, "minimality", "ccf177ece02a7341949482de468812e4e65e696db5cdc0ead6b07e18e7a07844"),
+      (1000, 1019, "minimality,agreement --random-pairs 64",
+       "9d3eaac6155fc3de03f1bc50519c057ca92b680a46c96b4f5d871a743ebfb6b1")]],
+    # Listings of 10^6 entries stream, so they fit 128 MB; one built whole runs out of memory
+    # or stalls at the limit.  The table's sieve is two int lists, so 10^6 entries fit 96 MB;
+    # one Fraction per x does not.  Its digest was computed with that Fraction-per-x sieve, and
+    # trace's text digest before its entries became %-templates.
+    *[(argv, MB128, 0, digest, b"") for argv, digest in [
+      ("enumerate -m 999983 --x 1 --format json",
+       "8492cf32ac961f340a2a8b51a4186db754da946305a4abad0f93031d74315954"),
+      ("enumerate -m 999983 --x 1",
+       "8b5bbb284cae6538ad19bafe971deecf3edcb7d48a434dec79d025ff22dd8e33"),
+      ("trace -m 999999 --x 1 --format json",
+       "5a142726fe560114c861d3361d9abcc7fe5b2f2ca55c106cd40fc6abbbe77888"),
+      ("trace -m 999999 --x 1",
+       "045223a2262fb53976b6d733264c41a022701109b2a8e6d589dc6eee88704e12")]],
+    ("table -m 999983 --format json", MB96, 0,
+     "bd00baad2caa6a9c0b95b88c45489aceefd71c490380d8eac197407515f972d0", b""),
     ("repr -m 17", "", 2, b"", NO_X),
     ("repr -m abc --x 1", "", 2, b"",
      USAGE + b"error: argument --modulus/-m: not an integer: 'abc'\n"),
@@ -384,13 +443,20 @@ CONTRACT = [
     ("", "", 2, b"", b"usage: minfrac [-h] {repr,enumerate,trace,table,verify} ...\n"
                      b"minfrac: error: the following arguments are required: command\n"),
     *[(f"repr -m 1 --x {x}", "", 2, b"", b"error: modulus must be >= 2, got 1\n") for x in (0, 1)],
-    # Every gate refuses before it computes or writes anything.
+    # Every gate refuses before it computes or writes anything: verify before it sweeps any
+    # modulus below the ceiling or builds a sieve, whatever the worker count, and the table's
+    # cross-check before its sieve.
     *[(argv, "", 4, b"", b"error: %s exceeds the ceiling %d; raise the ceiling explicitly to "
                          b"proceed\n" % (what, ceiling)) for argv, what, ceiling in [
       ("enumerate -m 1000003 --x 1", b"class enumeration: modulus 1000003", 10**6),
       ("trace -m 1000003 --x 1", b"trace: pair count 1000004", 10**6),
       ("table -m 0x10000000000", b"table: entry count 1099511627775", 10**6),
-      ("table -m 11 --cross-check --ceiling-override 10", b"minimum enumeration: modulus 11", 10)]],
+      ("table -m 11 --cross-check --ceiling-override 10", b"minimum enumeration: modulus 11", 10),
+      ("table -m 1000001 --cross-check", b"minimum enumeration: modulus 1000001", 10**6),
+      ("verify --m-min 10000019 --m-max 10000019 --checks agreement",
+       b"pair-minimality check: modulus 10000019", 10**4),
+      ("verify --m-min 2 --m-max 1001 --workers 2 --ceiling-override 1000",
+       b"pair-minimality check: modulus 1001", 1000)]],
     # argparse reads -0x5 as an option, not as a negative number.
     ("repr -m 17 --x -0x5", "", 2, b"", USAGE + b"error: argument --x: expected one argument\n"),
     *[(f"repr -m 17 {x}", "", 0, b"2/3\nwitness: 2/3\n", b"note: x = -5 reduced to 12 (mod 17)\n")
@@ -411,48 +477,76 @@ CONTRACT = [
     ("enumerate -m 99991 --x 1", HEAD, 141, None, b""),
 ]
 
+_DURATION = re.compile(rb" \([0-9.]+s\)$", re.MULTILINE)
 
-def _ended(command, argv, state, timeout):
-    """Exit code, stdout and stderr of command with argv, its streams in state."""
-    args, env, line = [*command, *argv.split()], _env(), b""
-    if state == READER_GONE:
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        proc = subprocess.Popen(args, stdout=write_end, stderr=subprocess.PIPE, env=env)
-        os.close(write_end)
-    elif state == HEAD:
-        proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        line = proc.stdout.readline()
-        proc.stdout.close()
-    else:  # exec, so that a timeout ends the command, not just the shell
-        proc = subprocess.Popen(["sh", "-c", f'exec "$@" {state}', "sh", *args],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    try:
-        out, err = proc.communicate(timeout=timeout)
-    finally:
-        proc.kill()  # a no-op once it has ended
-    return proc.returncode, line + (out or b""), err
+
+def _shown(stream, pinned):
+    """stream's bytes from its start, durations stripped, as pinned shows them: the bytes, or
+    their sha256 hex digest if pinned is one.  A digest reads a MiB of lines at a time, so a
+    listing of 10^6 entries is never held whole."""
+    stream.seek(0)
+    if not isinstance(pinned, str):
+        return _DURATION.sub(b"", stream.read())
+    digest, rest = hashlib.sha256(), b""
+    while chunk := stream.read(1 << 20):
+        lines, newline, rest = (rest + chunk).rpartition(b"\n")
+        digest.update(_DURATION.sub(b"", lines + newline))
+    digest.update(_DURATION.sub(b"", rest))
+    return digest.hexdigest()
+
+
+def _ended(command, argv, state, pinned, timeout):
+    """Exit code, stdout as _shown against pinned, and stderr of command with argv, in state."""
+    args, env = [*command, *argv.split()], _env()
+    with tempfile.TemporaryFile() as out:
+        if state == READER_GONE:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            proc = subprocess.Popen(args, stdout=write_end, stderr=subprocess.PIPE, env=env)
+            os.close(write_end)
+        elif state == HEAD:
+            proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            out.write(proc.stdout.readline())
+            proc.stdout.close()
+        else:  # exec, so that a timeout ends the command, not just the shell
+            script = f'{state}; exec "$@"' if state.startswith("ulimit") else f'exec "$@" {state}'
+            proc = subprocess.Popen(["sh", "-c", script, "sh", *args], stdout=out,
+                                    stderr=subprocess.PIPE, env=env)
+        try:
+            err = proc.communicate(timeout=timeout)[1]
+        finally:
+            proc.kill()  # a no-op once it has ended
+        return proc.returncode, _shown(out, pinned), err
+
+
+# The CLI as a process: through the interpreter, and as the installed script, which CI
+# installs and runs every test that takes it: pytest -k script.
+MODULE, SCRIPT = [sys.executable, "-m", "minfrac.cli"], shutil.which("minfrac")
+COMMANDS = pytest.mark.parametrize("command", [
+    MODULE,
+    pytest.param([SCRIPT], marks=pytest.mark.skipif(SCRIPT is None,
+                                                     reason="no minfrac script on the path"))],
+    ids=["module", "script"])
 
 
 @pytest.mark.parametrize("argv, state, code, out, err", CONTRACT,
                          ids=[f"{a} {s}".strip() or "(no arguments)" for a, s, *_ in CONTRACT])
-@pytest.mark.parametrize("command", [[sys.executable, "-m", "minfrac.cli"],
-                                     [shutil.which("minfrac")]], ids=["module", "script"])
+@COMMANDS
 def test_the_exit_code_contract(capsys, monkeypatch, command, argv, state, code, out, err):
     # A process skips the interpreter's teardown (cli.run), yet an open row's bytes must
-    # be main()'s in process.  CI installs the script and runs its rows.
-    if None in command:
-        pytest.skip("no minfrac script on the path")
+    # be main()'s in process.
     monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal
     if state == "" or None in (out, err):
-        ran = (main(argv.split()), *map(str.encode, capsys.readouterr()))
+        main_code = main(argv.split())
+        main_out, main_err = map(str.encode, capsys.readouterr())
+        ran = (main_code, _shown(io.BytesIO(main_out), out), main_err)
         out, err = (ran[1] if out is None else out), (ran[2] if err is None else err)
         if state == "":
             assert ran == (code, out, err)
     out = out[:out.index(b"\n") + 1] if state == HEAD else out
     # A refusal comes before the work it refuses, so it is as quick as a start-up.
-    assert _ended(command, argv, state, 5 if code == 4 else 120) == (code, out, err)
+    assert _ended(command, argv, state, out, 5 if code == 4 else 120) == (code, out, err)
 
 
 class _Exited(Exception):
@@ -519,17 +613,21 @@ def test_atexit_handlers_still_run_and_their_output_arrives():
         0, "-3/2\nwitness: -3/2\nhandler ran\n", "")
 
 
-def test_a_profiled_run_still_prints_its_profile():
-    proc = _python("-m", "cProfile", "-m", "minfrac.cli", "repr", "-m", "17", "--x", "7",
-                   text=True)
+@COMMANDS
+def test_a_profiled_run_still_prints_its_profile(command):
+    # Under a profiler run() exits through SystemExit, so the profiler still prints its
+    # report.  cProfile runs a module after -m, and a script by its path.
+    target = command[1:] if command == MODULE else command
+    proc = _python("-m", "cProfile", *target, "repr", "-m", "17", "--x", "7", text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("-3/2\nwitness: -3/2\n") and "function calls" in proc.stdout
 
 
-def test_a_parallel_verify_leaves_no_process_behind():
+@COMMANDS
+def test_a_parallel_verify_leaves_no_process_behind(command):
+    # The fast exit joins nothing: the pool must have joined its workers before main() returns.
     proc = subprocess.Popen(
-        [sys.executable, "-m", "minfrac.cli", "verify", "--m-min", "2", "--m-max", "60",
-         "--workers", "2"],
+        [*command, *"verify --m-min 2 --m-max 100 --workers 2 --format json".split()],
         env=_env(), stdout=subprocess.DEVNULL, start_new_session=True)
     assert proc.wait(timeout=120) == 0
     with pytest.raises(ProcessLookupError):
@@ -718,19 +816,6 @@ def test_verify_json_schema(capsys):
     for r in payload["report"]:
         assert set(r) == {"check", "pass", "fail", "counterexamples", "anomaly_count", "anomalies"}
         assert r["fail"] == 0 and r["pass"] > 0
-
-
-def test_verify_json_is_pinned_byte_for_byte(capsys):
-    # Includes all 14 progress anomaly texts, such as "61 pairs exceeds cap
-    # 60 (10 * bit_length)", so the trace cap is pinned too.
-    code, out, err = run(capsys, "verify", "--format", "json", "--m-min", "2", "--m-max", "72",
-                         "--random-pairs", "4")
-    assert (code, err) == (0, "")
-    data = out.encode()
-    assert len(data) == 2525
-    assert hashlib.sha256(data).hexdigest() == (
-        "1a93f0982adf81d52b5752d908b3227dcafe83c610bf61700d6f74d310134685"
-    )
 
 
 def test_verify_reports_a_planted_counterexample_and_exits_1(capsys, monkeypatch):
