@@ -21,16 +21,19 @@ argparse reads the `-0x5` of `--x -0x5` as an option.  JSON output for
 identical inputs is identical across runs (no timestamps or durations).
 
 Start-up is most of a short call, so each subcommand imports only what it
-runs: `repr`, `trace` and `table` load the descent, the minimality module
-and the ceiling gate of the errors module.  The oracle is loaded only by
-`enumerate`, `table --cross-check` and `verify` (the harness scans with its
-`prefix_scan`), the harness only by `verify`, and `json` only by
-`verify --format json`.  The oracle's `enumerate_class` and `brute_minimum`
-and the harness's `SweepConfig` and `run_checks` are still attributes of this
-module: they resolve on first access through the package's lazy loader,
-`minfrac.__getattr__`, so `-X importtime` shows each load.  Every listing
-streams: one writer prints `repr` JSON, `enumerate`, `trace` and `table` entry
-by entry, so memory is flat in M.
+runs.  One table, _COMMANDS, states every command's options: _parse reads a
+plain command line off it, and argparse, with the gettext and locale it loads,
+is imported only for the rest: help, a usage error, or a reading such as an
+abbreviated option that argparse alone makes.  `repr`, `trace` and `table`
+load the descent, the minimality module and the ceiling gate of the errors
+module.  The oracle is loaded only by `enumerate`, `table --cross-check` and
+`verify` (the harness scans with its `prefix_scan`), the harness only by
+`verify`, and `json` only by `verify --format json`.  The oracle's
+`enumerate_class` and `brute_minimum` and the harness's `SweepConfig` and
+`run_checks` are still attributes of this module: they resolve on first access
+through the package's lazy loader, `minfrac.__getattr__`, so `-X importtime`
+shows each load.  Every listing streams: one writer prints `repr` JSON,
+`enumerate`, `trace` and `table` entry by entry, so memory is flat in M.
 The end of a process costs too: the interpreter's teardown takes several ms, so
 `python -m minfrac.cli` and the `minfrac` script end through run(), which
 skips it unless a tracer, profiler or debugger is attached.  main() is the
@@ -38,11 +41,11 @@ in-process entry point and never ends the process; --help, a usage error and a
 command all leave it through one flush of stdout, where a broken pipe is 141.
 """
 
-import argparse
 import atexit
 import os
 import sys
 from itertools import chain, islice, starmap
+from types import SimpleNamespace
 
 from . import CHECK_NAMES
 # run_descent is not called here: the benchmark's traced run wraps it by name.
@@ -86,6 +89,8 @@ def _int_arg(text: str) -> int:
     try:
         return int(text, 0)
     except ValueError:
+        import argparse
+
         # CPython converts at most sys.get_int_max_str_digits() decimal digits
         # (4300 by default, 0 for no limit; 3.10.7 added the limit).
         digits = text.strip().lstrip("+-").replace("_", "")
@@ -184,7 +189,7 @@ def _reduce_x(x: int, m: int) -> int:
     return reduced
 
 
-def _cmd_repr(args: argparse.Namespace) -> int:
+def _cmd_repr(args) -> int:
     m = args.modulus
     r = Residue(_reduce_x(args.x, m), m)
     minimum = minimum_fraction(r)
@@ -198,7 +203,7 @@ def _cmd_repr(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args) -> int:
     m = args.modulus
     r = Residue(_reduce_x(args.x, m), m)
     # Both streams are built, and so both gated, before anything is written.
@@ -211,7 +216,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args) -> int:
     m = args.modulus
     x = _reduce_x(args.x, m)
     # The trace is linear in steps, which can be of order M: count its pairs
@@ -226,7 +231,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args) -> int:
     m = args.modulus
     check_modulus(m)
     check_ceiling(m - 1, args.ceiling_override, DEFAULT_ENUMERATION_CEILING, "table: entry count")
@@ -253,7 +258,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args) -> int:
     if args.checks == "all":
         checks = CHECK_NAMES
     else:
@@ -278,30 +283,65 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _add_common(p: argparse.ArgumentParser, x: bool = True) -> None:
-    p.add_argument("--modulus", "-m", type=_int_arg, required=True, help="modulus M >= 2")
-    if x:
-        p.add_argument("--x", type=_int_arg, required=True,
-                       help="residue; reduced mod M with a notice if out of range")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+_MODULUS = ("--modulus", "-m"), {"type": _int_arg, "required": True, "help": "modulus M >= 2"}
+_X = ("--x",), {"type": _int_arg, "required": True,
+                "help": "residue; reduced mod M with a notice if out of range"}
+_FORMAT = ("--format",), {"choices": ("text", "json"), "default": "text"}
+_CEILING = ("--ceiling-override",), {"type": _int_arg, "default": None}
+
+# Every command: its help, its handler and its options, each as the flags and keywords of
+# its add_argument call, in the order --help lists them.  build_parser and _parse both read
+# it, so a store_true option states its default, False.
+_COMMANDS = {
+    "repr": ("minimum fraction and sqrt(M)-bounded witness for x", _cmd_repr,
+             [_MODULUS, _X, _FORMAT]),
+    "enumerate": ("list every representation of x, per class", _cmd_enumerate, [
+        _MODULUS, _X, _FORMAT,
+        (("--class",), {"dest": "residue_class", "choices": ("positive", "negative", "both"),
+                        "default": "both"}),
+        (("--ceiling-override",), {
+            "type": _int_arg, "default": None,
+            "help": "raise/lower the enumeration ceiling for this run"})]),
+    "trace": ("print the full descent pair sequence", _cmd_trace, [
+        _MODULUS, _X, _FORMAT,
+        (("--ceiling-override",), {
+            "type": _int_arg, "default": None,
+            "help": "raise/lower the ceiling on the number of pairs printed"})]),
+    "table": ("minimum fractions for x = 1..M-1", _cmd_table, [
+        _MODULUS, _FORMAT,
+        (("--cross-check",), {"action": "store_true", "default": False, "help": "check every "
+                              "entry against per-x descent and the brute-force oracle"}),
+        _CEILING]),
+    "verify": ("run invariant sweeps over a modulus range", _cmd_verify, [
+        (("--m-min",), {"type": _int_arg, "required": True}),
+        (("--m-max",), {"type": _int_arg, "required": True}),
+        (("--checks",), {"default": "all",
+                         "help": f"comma-separated subset of {', '.join(CHECK_NAMES)}; or 'all'"}),
+        (("--workers",), {"type": _int_arg, "default": 1}),
+        (("--seed",), {"type": _int_arg, "default": 0}),
+        (("--random-pairs",), {"type": _int_arg, "default": 0,
+                               "help": "extra random pairs per modulus for the agreement check"}),
+        _CEILING, _FORMAT]),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    # Help goes to file, else to stdout unless it is closed (argparse would pick stderr).
-    # A write's error is not caught: main maps a broken pipe to 141.
-    def print_help(self, file=None) -> None:
-        file = file or sys.stdout
-        if file is not None:
-            file.write(self.format_help())
+def build_parser():
+    import argparse
 
-    # A usage error goes to stderr, or nowhere if it is closed, and exits 2
-    # (argparse would write the usage to stdout, and on 3.10 exit 1).
-    def error(self, message: str):
-        _to_stderr(f"{self.format_usage()}{self.prog}: error: {message}")
-        raise SystemExit(2)
+    class _Parser(argparse.ArgumentParser):
+        # Help goes to file, else to stdout unless it is closed (argparse would pick stderr).
+        # A write's error is not caught: main maps a broken pipe to 141.
+        def print_help(self, file=None) -> None:
+            file = file or sys.stdout
+            if file is not None:
+                file.write(self.format_help())
 
+        # A usage error goes to stderr, or nowhere if it is closed, and exits 2
+        # (argparse would write the usage to stdout, and on 3.10 exit 1).
+        def error(self, message: str):
+            _to_stderr(f"{self.format_usage()}{self.prog}: error: {message}")
+            raise SystemExit(2)
 
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="minfrac",
         description="Minimal fractional representations of residues modulo M.",
@@ -309,46 +349,53 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("repr", help="minimum fraction and sqrt(M)-bounded witness for x")
-    _add_common(p)
-    p.set_defaults(func=_cmd_repr)
-
-    p = sub.add_parser("enumerate", help="list every representation of x, per class")
-    _add_common(p)
-    p.add_argument("--class", dest="residue_class",
-                   choices=("positive", "negative", "both"), default="both")
-    p.add_argument("--ceiling-override", type=_int_arg, default=None,
-                   help="raise/lower the enumeration ceiling for this run")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("trace", help="print the full descent pair sequence")
-    _add_common(p)
-    p.add_argument("--ceiling-override", type=_int_arg, default=None,
-                   help="raise/lower the ceiling on the number of pairs printed")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("table", help="minimum fractions for x = 1..M-1")
-    _add_common(p, x=False)
-    p.add_argument("--cross-check", action="store_true",
-                   help="check every entry against per-x descent and the brute-force oracle")
-    p.add_argument("--ceiling-override", type=_int_arg, default=None)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("verify", help="run invariant sweeps over a modulus range")
-    p.add_argument("--m-min", type=_int_arg, required=True)
-    p.add_argument("--m-max", type=_int_arg, required=True)
-    p.add_argument("--checks", default="all",
-                   help=f"comma-separated subset of {', '.join(CHECK_NAMES)}; or 'all'")
-    p.add_argument("--workers", type=_int_arg, default=1)
-    p.add_argument("--seed", type=_int_arg, default=0)
-    p.add_argument("--random-pairs", type=_int_arg, default=0,
-                   help="extra random pairs per modulus for the agreement check")
-    p.add_argument("--ceiling-override", type=_int_arg, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_verify)
-
+    for command, (help, func, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help)
+        for flags, keywords in options:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=func)
     return parser
+
+
+def _parse(argv: list[str]):
+    """build_parser().parse_args(argv)'s namespace for a plain command line, else None.
+
+    Plain is a command, then options each given once by an exact flag, with a value (where
+    one is taken) that does not start with "-" and that the option's type and choices accept,
+    every required option among them.  Anything else is argparse's to read: help, an
+    abbreviation, --opt=value, a repeat, a negative value and every usage error.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    args, by_flag, required = {"command": argv[0], "func": func}, {}, set()
+    for flags, keywords in options:
+        dest = keywords.get("dest", flags[0][2:].replace("-", "_"))
+        args[dest] = keywords.get("default")
+        by_flag.update(dict.fromkeys(flags, (dest, keywords)))
+        if keywords.get("required"):
+            required.add(dest)
+    given, tokens = set(), iter(argv[1:])
+    for flag in tokens:
+        dest, keywords = by_flag.get(flag, (None, {}))
+        if dest is None or dest in given:
+            return None
+        given.add(dest)
+        if keywords.get("action") == "store_true":
+            args[dest] = True
+            continue
+        value = next(tokens, "-")  # no value left reads as one that starts with "-"
+        if value.startswith("-"):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except Exception:  # argparse's ArgumentTypeError; argparse words the error
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        args[dest] = value
+    return SimpleNamespace(**args) if required <= given else None
 
 
 # The exit code of each error a command reports as `error: ...` on stderr.
@@ -359,7 +406,8 @@ def main(argv: list[str] | None = None) -> int:
     closed = sys.stdout is None  # closed at start-up: no command runs, no help is written
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = (_parse(sys.argv[1:] if argv is None else argv)
+                    or build_parser().parse_args(argv))
         except SystemExit as exc:  # --help exits 0, a usage error 2
             code = exc.code
         else:

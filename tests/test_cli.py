@@ -13,9 +13,13 @@ import tempfile
 import threading
 import time
 import types
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import minfrac.cli as cli
 import minfrac.harness as harness
@@ -382,19 +386,36 @@ MB128, MB96 = "ulimit -v 131072", "ulimit -v 98304"  # an address space of 128 M
 USAGE = b"usage: minfrac repr [-h] --modulus MODULUS --x X [--format {text,json}]\nminfrac repr: "
 NO_X = USAGE + b"error: the following arguments are required: --x\n"
 HELPS = ["--help", *(f"{c} --help" for c in ("repr", "enumerate", "trace", "table", "verify"))]
+# The sha256 of each of HELPS at COLUMNS=80, by Python minor version: 3.13 writes an option's
+# flags before one metavar ("--modulus, -m MODULUS"), so four of its helps differ.
+_HELP = ("8df09015e35392f641342cafc08379454bbc45c93fe6137712bf4e790808762c",
+         "694be11f3f6d3ab51cfa1c42c091d6f36960bc01ea21797b529b638d77392305",
+         "f1dbf8186236159fe86f3d4b1596f90962e60b8a94911e5adb94e54932c55395",
+         "2971f896e3422cb64a014b02e66baa8392040c00967dbe547750cb22f93847f3",
+         "282d62e12e98699202cd1a3cf61e78b2c8a599a2dd85dd70effbaa56e23275d9",
+         "ff2749f82fdfeb7e4bf04ce66719599ead46af65cfd1371c37c6cdff67fcff0c")
+HELP_DIGESTS = {**dict.fromkeys([(3, 10), (3, 11), (3, 12)], _HELP),
+                (3, 13): (_HELP[0],
+                          "32b9bedb5d4135cc8975d24bd101f55e3c92016e97c9a7c7252c8909c2d10ab6",
+                          "d09b3fe5c845aaf4d33401696ba15ff2961c91efbe9468dcc1e202d907cce173",
+                          "4813ca685f94bd4f89f50beef85d528abc10675a74d6a4a2fe3653174dfa1d18",
+                          "315aa44ad45e1d79c9083f95bfb55213f37d5094200f2dcfb348d63cbc9a5e6b",
+                          _HELP[5])}
 
 # Every pinned CLI output (cli._EXIT_CODES is the exit-code part): argv and process state (a
 # shell's "", ">&-", "2>&-" or ulimit with stdout a file, or a pipe above) to exit code,
 # stdout and stderr; exit 1 is a counterexample, so no row ends so.  stdout is its bytes, or
 # their sha256 hex digest (a str) for output too long to write out; a verify summary line's
 # duration " (N.NNs)", the only output that differs from run to run, is stripped first.
-# None is main()'s own output: listings pinned by other tests, and help and invalid-choice
-# errors, which argparse words and lays out anew in some Pythons.
+# None is main()'s own output: listings pinned by other tests, invalid-choice errors, which
+# argparse words anew in some Pythons, and help on a Python with no HELP_DIGESTS.
 CONTRACT = [
     ("repr -m 17 --x 7", "", 0, b"-3/2\nwitness: -3/2\n", b""),
     ("repr -m 97 --x 200 --format json", "", 0, None, b"note: x = 200 reduced to 6 (mod 97)\n"),
+    *[(argv, "", 0, digest, b"")
+      for argv, digest in zip(HELPS, HELP_DIGESTS.get(sys.version_info[:2], [None] * 6))],
     *[(argv, "", 0, None, b"") for argv in (
-        "--help", "trace -m 17 --x 7 --format json", "table -m 97 --format json",
+        "trace -m 17 --x 7 --format json", "table -m 97 --format json",
         "table -m 97 --cross-check", "enumerate -m 17 --x 7",
         "verify --m-min 2 --m-max 30 --random-pairs 2 --format json")],
     # verify's reports, serially and across the process pool.  The JSON on [2, 72] holds all
@@ -754,6 +775,127 @@ def test_start_up_leaves_the_harness_dataclasses_and_json_out():
     code, loaded = _imports_of("-m", "minfrac.cli", "verify", "--m-min", "2", "--m-max", "5",
                                "--format", "json")
     assert code == 0 and heavy <= loaded and "__future__" not in loaded
+
+
+def test_a_plain_command_line_loads_no_argparse():
+    # argparse, and the gettext and locale it loads, cost more start-up than the work of a
+    # short call; they are loaded for help and usage errors only.
+    parser = {"argparse", "gettext", "locale"}
+    for argv in ("repr -m 17 --x 7", "trace -m 17 --x 7 --format json",
+                 "table -m 17 --format json", "verify --m-min 2 --m-max 5"):
+        code, loaded = _imports_of("-m", "minfrac.cli", *argv.split())
+        assert code == 0 and "minfrac.minimality" in loaded and not loaded & parser, argv
+    for argv, exit_code in (("repr --help", 0), ("repr -m 17", 2)):
+        code, loaded = _imports_of("-m", "minfrac.cli", *argv.split())
+        assert code == exit_code and "argparse" in loaded, argv
+
+
+# Values an option of a plain command line may take, by kind, and values that are not plain.
+_PLAIN_INTS = st.one_of(st.integers(0, 10**40).map(str), st.integers(0, 10**40).map(hex),
+                        st.sampled_from(["1_000", " 17 ", "0X11", "0o21", "0b10001", "+5", "٣"]))
+_NEGATIVE_INTS = st.integers(1, 10**40).flatmap(lambda n: st.sampled_from([f"-{n}", f"-{n:#x}"]))
+_BAD_INTS = st.sampled_from(["", "abc", "0x", "017", "1__0", "1.5", "1" * 4301, "٣x"])
+_BAD_CHOICES = st.sampled_from(["", "xml", "JSON", "tex", "pos", "all"])
+_TEXTS = st.text(max_size=12).filter(lambda t: not t.startswith("-"))
+_UNKNOWN = ["-h", "--help", "--bogus", "extra", "--", "-", "", "-m17", "repr",
+            *{flag for _, _, options in cli._COMMANDS.values() for flags, _ in options
+              for flag in flags}]
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv, plain) drawn from cli._COMMANDS.  A plain argv is a command, then some of its
+    options, every required one among them, in any order, each once, by any exact flag, with
+    a value its type and choices accept that does not start with "-".  Each fault drawn, such
+    as a repeat, a prefix, an `=` form or a negative value, makes it not plain."""
+    command = name = draw(st.sampled_from(list(cli._COMMANDS)))
+    # One option per group of argv tokens: a flag, and its value if it takes one.
+    options = [o for o in draw(st.permutations(cli._COMMANDS[name][2]))
+               if o[1].get("required") or draw(st.booleans())]
+
+    def group(option):
+        flags, keywords = option
+        if keywords.get("action") == "store_true":
+            return [draw(st.sampled_from(flags))]
+        values = (st.sampled_from(keywords["choices"]) if "choices" in keywords
+                  else _PLAIN_INTS if "type" in keywords else _TEXTS)
+        return [draw(st.sampled_from(flags)), draw(values)]
+
+    groups, head, tail, plain = [group(o) for o in options], [], [], True
+    for fault in draw(st.lists(st.sampled_from(
+            ["repeat", "missing", "prefix", "equals", "negative", "bad value", "unknown",
+             "no value", "before", "command"]), max_size=2)):
+        anywhere = st.integers(0, len(groups))
+        i = draw(st.integers(0, len(groups) - 1)) if groups else None
+        valued = [i for i, g in enumerate(groups) if len(g) == 2]
+        if fault == "repeat" and groups:
+            j = draw(anywhere)
+            groups.insert(j, group(options[i]))
+            options.insert(j, options[i])
+        elif fault == "missing" and groups and options[i][1].get("required"):
+            gone = options[i]  # with every repeat of it, or the line is plain again
+            groups = [g for g, o in zip(groups, options) if o is not gone]
+            options = [o for o in options if o is not gone]
+        elif fault == "prefix" and groups and len(flag := max(options[i][0], key=len)) > 3:
+            groups[i][0] = flag[:draw(st.integers(3, len(flag) - 1))]
+        elif fault == "equals" and valued:
+            i = draw(st.sampled_from(valued))
+            groups[i] = ["=".join(groups[i])]
+        elif fault in ("negative", "bad value") and valued:
+            i = draw(st.sampled_from(valued))
+            keywords = options[i][1]
+            if "type" in keywords:
+                groups[i][1] = draw(_NEGATIVE_INTS if fault == "negative" else _BAD_INTS)
+            elif "choices" in keywords:
+                groups[i][1] = draw(_BAD_CHOICES) if fault == "bad value" else "-" + groups[i][1]
+            else:
+                continue
+        elif fault == "unknown":
+            own = {flag for flags, _ in cli._COMMANDS[name][2] for flag in flags}
+            token, j = draw(st.sampled_from([t for t in _UNKNOWN if t not in own])), draw(anywhere)
+            groups.insert(j, [token])
+            options.insert(j, ((token,), {}))
+        elif fault == "no value" and valued:  # last, so no later token reads as its value
+            i = draw(st.sampled_from(valued))
+            tail += groups.pop(i)[:1]
+            options.pop(i)
+        elif fault == "before" and groups:
+            head += groups.pop(i)
+            options.pop(i)
+        elif fault == "command":
+            command = draw(st.sampled_from(["", "nonsense", "rep", "REPR", "-h", "--help"]))
+        else:
+            continue
+        plain = False
+    return [*head, command, *chain(*groups), *tail], plain
+
+
+@given(_command_lines())
+@example(("repr -m 17 --x 7 --mod 5".split(), False))  # argparse reads M = 5
+@example(("repr -m 17 -m 5 --x 7".split(), False))  # the last of two wins
+@example(("repr -m 17 --x -5".split(), False))
+@example(("repr -m 17 --x=-0x5".split(), False))
+@example(("table -m 17 --cross-check --cross-check".split(), False))
+@example((["verify", "--m-min", "2", "--m-max", "5", "--checks", ""], True))
+@example((["repr", "-m", "1" * 4301, "--x", "1"], False))
+@example(([], False))
+@example(("repr -m 17 --x 7 -h".split(), False))
+@example(("repr -m 17 --x=7".split(), False))  # argparse agrees, but it is argparse's to read
+@example(("repr -m abc --x 1".split(), False))  # a usage error, not main's ValueError
+@example(("repr -m 17 --x 7 --format xml".split(), False))
+@example(("repr -m 17 --x".split(), False))
+@settings(deadline=None, max_examples=500)
+def test_the_direct_parser_reads_a_command_line_as_argparse_does_or_not_at_all(line):
+    # A plain argv reads as argparse reads it; every other argv, even one argparse reads
+    # without an error, is left to argparse, so help and usage errors stay its own.
+    argv, plain = line
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:  # help or a usage error
+            expected = None
+    parsed = cli._parse(argv)
+    assert (None if parsed is None else vars(parsed)) == (expected if plain else None)
 
 
 def test_only_enumerate_and_the_table_cross_check_load_the_oracle():
